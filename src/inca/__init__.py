@@ -73,9 +73,7 @@ from .language import (
     Term,
     World,
     conj,
-    conj_all,
     disj,
-    disj_all,
     neg,
 )
 
@@ -114,11 +112,9 @@ __all__ = [
     "attacks",
     "build_dialectical_tree",
     "conj",
-    "conj_all",
     "defeaters",
     "dialectical_forest",
     "disj",
-    "disj_all",
     "enumerate_worlds",
     "format_fraction",
     "ground_program",

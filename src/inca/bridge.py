@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .am import (
     AMProgram,
@@ -35,11 +36,7 @@ from .language import (
     Literal,
     TOP,
     World,
-    atom_formula,
-    disj_all,
-    conj_all,
     formula_atoms,
-    neg,
     satisfies,
 )
 
@@ -78,12 +75,13 @@ class AnnotationFunction:
             if formula != TOP:
                 canonical.append((label, formula))
         object.__setattr__(self, "mapping", tuple(canonical))
+        # Lookup table; not a field, so equality and hashing stay on mapping.
+        object.__setattr__(self, "_table", dict(canonical))
 
     def annotation_for(self, label: str) -> Formula:
-        table = dict(self.mapping)
-        if label in table:
-            return table[label]
-        return table.get(_base_label(label), TOP)
+        if label in self._table:
+            return self._table[label]
+        return self._table.get(_base_label(label), TOP)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.mapping)
@@ -123,7 +121,7 @@ class InCAFramework:
         self._warrants: dict[tuple, bool] = {}
         self._valid_labels: dict[World, frozenset[str]] = {}
 
-    @property
+    @cached_property
     def index(self):
         return index_for(self.program, self.specificity_cap)
 
@@ -194,26 +192,12 @@ class InCAFramework:
 
     # -- probabilities --------------------------------------------------------
 
-    def world_formula(self, world: World) -> Formula:
-        """The formula satisfied by exactly this world: a conjunction fixing
-        every universe atom's polarity."""
-        parts = []
-        for atom in self.em.atom_universe:
-            f = atom_formula(atom)
-            parts.append(f if atom in world else neg(f))
-        return conj_all(parts)
-
-    def _worlds_formula(self, worlds) -> Formula:
-        return disj_all([self.world_formula(w) for w in worlds])
-
     def prob_bounds(self, literal: Literal) -> ProbabilityInterval:
         """Tight probability interval for the literal being warranted: the
-        lower bound ranges over necessary worlds, the upper over possible
+        least mass on the necessary worlds and the most on the possible
         ones."""
-        lower_q = self._worlds_formula(self.nec_set(literal))
-        upper_q = self._worlds_formula(self.poss_set(literal))
-        lower, _ = lp_extrema(self.em, lower_q, self.max_atoms)
-        _, upper = lp_extrema(self.em, upper_q, self.max_atoms)
+        lower, _ = lp_extrema(self.em, self.nec_set(literal), self.max_atoms)
+        _, upper = lp_extrema(self.em, self.poss_set(literal), self.max_atoms)
         return ProbabilityInterval(lower, upper)
 
     def prob_from_distribution(

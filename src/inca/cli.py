@@ -108,16 +108,11 @@ def cmd_entail(ns):
     framework = _load(ns)
     query = parse_query(ns.query)
     answer = em.max_entailment(framework.em, query, ns.max_atoms)
-    text = f"{format_fraction(answer.p)} +- {format_fraction(answer.eps)}"
+    text = _interval_text(answer)
     payload = {
         "query": "entail",
         "result": text,
-        "interval": {
-            "p": format_fraction(answer.p),
-            "eps": format_fraction(answer.eps),
-            "lower": format_fraction(answer.lower),
-            "upper": format_fraction(answer.upper),
-        },
+        "interval": _interval_json(answer),
     }
     return text, payload
 
@@ -293,3 +288,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -9,6 +9,7 @@ per conforming world.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -198,13 +199,16 @@ def _lp_rows(kb: EMKnowledgeBase, worlds: list[World]):
 
 
 def lp_extrema(
-    kb: EMKnowledgeBase, query: Formula, max_atoms: int = DEFAULT_MAX_ATOMS
+    kb: EMKnowledgeBase,
+    worlds: Iterable[World],
+    max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> tuple[Fraction, Fraction]:
-    """Exact (min, max) of P(query) over all distributions satisfying kb."""
-    _check_query(kb, query)
-    worlds = enumerate_worlds(kb, max_atoms)
-    rows = _lp_rows(kb, worlds)
-    objective = [Fraction(1) if satisfies(w, query) else Fraction(0) for w in worlds]
+    """Exact (min, max) of the mass on `worlds` over all distributions
+    satisfying kb."""
+    target = frozenset(worlds)
+    columns = enumerate_worlds(kb, max_atoms)
+    rows = _lp_rows(kb, columns)
+    objective = [Fraction(1) if w in target else Fraction(0) for w in columns]
     try:
         lo, _ = simplex.minimize(objective, rows)
         hi, _ = simplex.maximize(objective, rows)
@@ -218,7 +222,9 @@ def lp_extrema(
 def lp_bounds(
     kb: EMKnowledgeBase, query: Formula, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> ProbabilityInterval:
-    lo, hi = lp_extrema(kb, query, max_atoms)
+    _check_query(kb, query)
+    worlds = worlds_satisfying(enumerate_worlds(kb, max_atoms), query)
+    lo, hi = lp_extrema(kb, worlds, max_atoms)
     return ProbabilityInterval(lo, hi)
 
 

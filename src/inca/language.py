@@ -182,22 +182,6 @@ def disj(left: Formula, right: Formula) -> Formula:
     return Formula(F_OR, parts=(left, right))
 
 
-def conj_all(formulas) -> Formula:
-    """Left-associated conjunction; empty input gives top."""
-    out = None
-    for f in formulas:
-        out = f if out is None else conj(out, f)
-    return TOP if out is None else out
-
-
-def disj_all(formulas) -> Formula:
-    """Left-associated disjunction; empty input gives bottom."""
-    out = None
-    for f in formulas:
-        out = f if out is None else disj(out, f)
-    return BOTTOM if out is None else out
-
-
 def formula_atoms(f: Formula) -> tuple[Atom, ...]:
     """Atoms of a formula in first-mention order, without duplicates."""
     seen: dict[Atom, None] = {}
@@ -268,7 +252,3 @@ def render_formula(f: Formula) -> str:
     left = wrap(f.parts[0], prec)
     right = wrap(f.parts[1], prec + 1)
     return f"{left}{sep}{right}"
-
-
-def world_sort_key(world: frozenset) -> tuple:
-    return tuple(sorted(a.key() for a in world))

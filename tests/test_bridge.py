@@ -19,8 +19,6 @@ from inca.language import (
     Term,
     atom_formula,
     disj,
-    render_formula,
-    satisfies,
 )
 
 from conftest import (
@@ -171,17 +169,6 @@ def test_nec_set_enumeration_order(worm_framework):
     nec = worm_framework.nec_set(COND_BAJA)
     assert nec == worm_framework.worlds  # warranted everywhere
     assert nec[0] == world()
-
-
-def test_world_formula(worm_framework):
-    f = worm_framework.world_formula(world(GOV))
-    assert render_formula(f) == (
-        "govCybLab(baja) ^ ~cybCapAge(baja,5) ^ ~mseTT(baja,2)"
-    )
-    assert satisfies(world(GOV), f)
-    assert not any(
-        satisfies(w, f) for w in worm_framework.worlds if w != world(GOV)
-    )
 
 
 def test_probability_bounds(worm_framework):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -98,6 +99,26 @@ def run_json(capsys, *argv):
 
 # -- golden outputs ---------------------------------------------------------------
 
+# The padded copy's universe adds seven atoms that no formula mentions: 1024
+# worlds and the same answers. The padding atoms come last in the universe, so
+# the attribution trace still shows the first warranting world of worm123.
+PADDED_UNIVERSE = ["govCybLab(baja)", "cybCapAge(baja,5)", "mseTT(baja,2)"] + [
+    f"pad{i}(x)" for i in range(7)
+]
+GOLDEN_KBS = pytest.mark.parametrize("padded", [False, True], ids=["worm123", "padded"])
+
+
+def golden_kb(padded, tmp_path, monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    if not padded:
+        return "worm123.inca"
+    path = tmp_path / "worm123.inca"
+    path.write_text(
+        (FIXTURES / "worm123.inca").read_text()
+        + "\n#universe\n" + ", ".join(PADDED_UNIVERSE) + ".\n"
+    )
+    return str(path)
+
 
 def test_entail_golden(capsys, monkeypatch):
     monkeypatch.chdir(FIXTURES)
@@ -108,17 +129,19 @@ def test_entail_golden(capsys, monkeypatch):
     assert out == (GOLDEN / "entail.txt").read_text()
 
 
-def test_bounds_golden(capsys, monkeypatch):
-    monkeypatch.chdir(FIXTURES)
-    code, out, err = run(capsys, "bounds", "worm123.inca", "-l", "isCap(baja,worm123)")
+@GOLDEN_KBS
+def test_bounds_golden(capsys, monkeypatch, tmp_path, padded):
+    kb = golden_kb(padded, tmp_path, monkeypatch)
+    code, out, err = run(capsys, "bounds", kb, "-l", "isCap(baja,worm123)")
     assert code == 0
     assert out == (GOLDEN / "bounds.txt").read_text()
 
 
-def test_attribute_golden(capsys, monkeypatch):
-    monkeypatch.chdir(FIXTURES)
+@GOLDEN_KBS
+def test_attribute_golden(capsys, monkeypatch, tmp_path, padded):
+    kb = golden_kb(padded, tmp_path, monkeypatch)
     code, out, err = run(
-        capsys, "attribute", "worm123.inca",
+        capsys, "attribute", kb,
         "--op", "worm123", "--suspects", "baja,mojave", "--json",
     )
     assert code == 0
@@ -354,5 +377,15 @@ def test_inconsistent_kb_query_fails_cleanly(capsys, tmp_path):
 
 def test_console_script_entry_point():
     proc = subprocess.run(["inca", "--help"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "usage: inca" in proc.stdout
+
+
+def test_module_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "inca", "--help"],
+        capture_output=True, text=True, env=env,
+    )
     assert proc.returncode == 0
     assert "usage: inca" in proc.stdout

@@ -15,9 +15,7 @@ from inca.language import (
     Term,
     atom_formula,
     conj,
-    conj_all,
     disj,
-    disj_all,
     formula_atoms,
     neg,
     render_formula,
@@ -87,14 +85,6 @@ def test_formula_model_and_constants():
     assert a.model == EM
     assert TOP.model is None and BOTTOM.model is None
     assert conj(TOP, a).model == EM
-    assert conj_all([]) is TOP
-    assert disj_all([]) is BOTTOM
-
-
-def test_builders_left_associate():
-    xs = [atom_formula(ematom(name)) for name in ("a", "b", "c")]
-    assert conj_all(xs) == conj(conj(xs[0], xs[1]), xs[2])
-    assert disj_all(xs) == disj(disj(xs[0], xs[1]), xs[2])
 
 
 def test_formula_atoms_first_mention_order():
