@@ -4,14 +4,17 @@ A knowledge base pairs ground formulas with probability intervals p +- eps.
 Its models are distributions over the worlds that conform to the integrity
 constraints; queries are answered by optimizing the query's probability over
 all such distributions, which reduces to a linear program with one variable
-per conforming world.
+per class of conforming worlds that satisfy the same formulas. That program
+is built, and its phase 1 solved, once per knowledge base.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import simplex
 from .errors import CapacityError, GroundednessError, InconsistentKBError
@@ -188,14 +191,55 @@ def _check_query(kb: EMKnowledgeBase, query: Formula) -> None:
             raise GroundednessError(f"query atom outside the universe: {a}")
 
 
-def _lp_rows(kb: EMKnowledgeBase, worlds: list[World]):
-    ones = [Fraction(1)] * len(worlds)
-    rows = [(ones, simplex.EQ, Fraction(1))]
-    for pf in kb.formulas:
-        coeffs = [Fraction(1) if satisfies(w, pf.formula) else Fraction(0) for w in worlds]
-        rows.append((coeffs, simplex.GE, pf.lower))
-        rows.append((coeffs, simplex.LE, pf.upper))
-    return rows
+class _EMLinearProgram:
+    """The LP of one knowledge base, built once for every objective on it.
+
+    Worlds that satisfy the same formulas get one column: moving mass
+    between them changes no row, so the class's total mass is all the LP
+    needs. Raises InconsistentKBError when no distribution satisfies kb.
+    """
+
+    def __init__(self, kb: EMKnowledgeBase, max_atoms: int):
+        self.worlds = enumerate_worlds(kb, max_atoms)
+        classes: dict[tuple[bool, ...], int] = {}
+        self.class_of: dict[World, int] = {}
+        for w in self.worlds:
+            signature = tuple(satisfies(w, pf.formula) for pf in kb.formulas)
+            self.class_of[w] = classes.setdefault(signature, len(classes))
+        self.class_sizes = Counter(self.class_of.values())
+        rows = [([1] * len(classes), simplex.EQ, 1)]
+        for i, pf in enumerate(kb.formulas):
+            coeffs = [int(signature[i]) for signature in classes]
+            if pf.lower == pf.upper:
+                rows.append((coeffs, simplex.EQ, pf.lower))
+                continue
+            # x >= 0 and the sum-to-one row already imply 0 <= row <= 1.
+            if pf.lower > 0:
+                rows.append((coeffs, simplex.GE, pf.lower))
+            if pf.upper < 1:
+                rows.append((coeffs, simplex.LE, pf.upper))
+        try:
+            self.polytope = simplex.Polytope(len(classes), rows)
+        except simplex.Infeasible:
+            raise InconsistentKBError(
+                "no probability distribution satisfies the knowledge base"
+            ) from None
+
+    def extrema(self, target: frozenset[World]) -> tuple[Fraction, Fraction]:
+        hits = Counter(self.class_of[w] for w in target if w in self.class_of)
+        # A class can keep all of its mass inside the target only if all of
+        # its worlds are there, and can put some there if any one is.
+        classes = range(len(self.class_sizes))
+        lo, _ = self.polytope.minimize(
+            [int(hits[j] == self.class_sizes[j]) for j in classes]
+        )
+        hi, _ = self.polytope.maximize([int(j in hits) for j in classes])
+        return lo, hi
+
+
+@lru_cache(maxsize=1)
+def _linear_program(kb: EMKnowledgeBase, max_atoms: int) -> _EMLinearProgram:
+    return _EMLinearProgram(kb, max_atoms)
 
 
 def lp_extrema(
@@ -204,26 +248,15 @@ def lp_extrema(
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> tuple[Fraction, Fraction]:
     """Exact (min, max) of the mass on `worlds` over all distributions
-    satisfying kb."""
-    target = frozenset(worlds)
-    columns = enumerate_worlds(kb, max_atoms)
-    rows = _lp_rows(kb, columns)
-    objective = [Fraction(1) if w in target else Fraction(0) for w in columns]
-    try:
-        lo, _ = simplex.minimize(objective, rows)
-        hi, _ = simplex.maximize(objective, rows)
-    except simplex.Infeasible:
-        raise InconsistentKBError(
-            "no probability distribution satisfies the knowledge base"
-        ) from None
-    return lo, hi
+    satisfying kb. Worlds that do not conform to kb carry no mass."""
+    return _linear_program(kb, max_atoms).extrema(frozenset(worlds))
 
 
 def lp_bounds(
     kb: EMKnowledgeBase, query: Formula, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> ProbabilityInterval:
     _check_query(kb, query)
-    worlds = worlds_satisfying(enumerate_worlds(kb, max_atoms), query)
+    worlds = worlds_satisfying(_linear_program(kb, max_atoms).worlds, query)
     lo, hi = lp_extrema(kb, worlds, max_atoms)
     return ProbabilityInterval(lo, hi)
 
@@ -237,12 +270,9 @@ def max_entailment(
 
 
 def is_consistent(kb: EMKnowledgeBase, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
-    worlds = enumerate_worlds(kb, max_atoms)
-    rows = _lp_rows(kb, worlds)
-    objective = [Fraction(0)] * len(worlds)
     try:
-        simplex.maximize(objective, rows)
-    except simplex.Infeasible:
+        _linear_program(kb, max_atoms)
+    except InconsistentKBError:
         return False
     return True
 

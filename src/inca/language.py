@@ -206,14 +206,18 @@ def satisfies(world: frozenset, f: Formula) -> bool:
     """
     if not f.is_ground:
         raise GroundednessError(f"formula is not ground: {render_formula(f)}")
+    return _holds(world, f)
+
+
+def _holds(world: frozenset, f: Formula) -> bool:
     if f.op == F_ATOM:
         return f.atom in world
     if f.op == F_NOT:
-        return not satisfies(world, f.parts[0])
+        return not _holds(world, f.parts[0])
     if f.op == F_AND:
-        return satisfies(world, f.parts[0]) and satisfies(world, f.parts[1])
+        return _holds(world, f.parts[0]) and _holds(world, f.parts[1])
     if f.op == F_OR:
-        return satisfies(world, f.parts[0]) or satisfies(world, f.parts[1])
+        return _holds(world, f.parts[0]) or _holds(world, f.parts[1])
     return f.op == F_TOP
 
 

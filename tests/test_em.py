@@ -12,11 +12,13 @@ from inca.em import (
     enumerate_worlds,
     is_consistent,
     lp_bounds,
+    lp_extrema,
     max_entailment,
     worlds_satisfying,
 )
 from inca.errors import CapacityError, GroundednessError, InconsistentKBError
 from inca.language import Atom, Term, atom_formula, conj, disj, neg, satisfies
+from inca.simplex import EQ, GE, LE, maximize, minimize
 
 from conftest import AGE, GOV, MSE, ematom, worm_em_kb
 from generators import random_em_kb, random_formula
@@ -186,3 +188,47 @@ def test_sampled_distributions_conform():
                 )
                 assert pf.lower <= mass <= pf.upper
     assert found > 10
+
+
+def _dense_extrema(kb, target):
+    """(min, max) mass on target from the LP with one column per world and
+    both bound rows of every formula."""
+    worlds = enumerate_worlds(kb)
+    rows = [([1] * len(worlds), EQ, 1)]
+    for pf in kb.formulas:
+        coeffs = [int(satisfies(w, pf.formula)) for w in worlds]
+        rows.append((coeffs, GE, pf.lower))
+        rows.append((coeffs, LE, pf.upper))
+    objective = [int(w in target) for w in worlds]
+    return minimize(objective, rows)[0], maximize(objective, rows)[0]
+
+
+def test_lp_extrema_matches_dense_per_world_lp_on_padded_kb():
+    a, b, c, pad1, pad2 = (ematom(name) for name in ("a", "b", "c", "pad1", "pad2"))
+    fa, fb, fc = atom_formula(a), atom_formula(b), atom_formula(c)
+    kb = EMKnowledgeBase(
+        (
+            ProbabilisticFormula(fa, F(1, 2)),  # eps == 0
+            ProbabilisticFormula(conj(fc, fa), F(1, 5), F(1, 5)),  # lower == 0
+            ProbabilisticFormula(neg(fc), F(3, 4), F(1, 4)),  # upper == 1
+            ProbabilisticFormula(disj(fa, fb), F(1, 2), F(1, 2)),  # both
+            ProbabilisticFormula(conj(fb, neg(fa)), F(1, 5), F(1, 10)),
+        ),
+        (IntegrityConstraint((b, c)),),
+        (a, b, c, pad1, pad2),
+    )
+    worlds = enumerate_worlds(kb)
+    # Each class of worlds holds every padding combination, so a padding
+    # atom splits every class in half.
+    split = [w for w in worlds if pad1 in w]
+    rng = random.Random(11)
+    targets = [
+        split,
+        split + [frozenset({b, c, pad1})],  # {b, c} breaks oneOf(b, c)
+        [w for w in worlds if b in w or pad2 in w],
+        rng.sample(worlds, 9),
+        [],
+        worlds,
+    ]
+    for target in targets:
+        assert lp_extrema(kb, target) == _dense_extrema(kb, frozenset(target))

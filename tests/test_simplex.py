@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from inca.simplex import EQ, GE, LE, Infeasible, Unbounded, maximize, minimize
+from inca.simplex import (
+    EQ,
+    GE,
+    LE,
+    Infeasible,
+    Polytope,
+    Unbounded,
+    maximize,
+    minimize,
+)
 
 F = Fraction
 
@@ -36,6 +45,8 @@ def test_exact_fractions_no_rounding():
 def test_infeasible():
     with pytest.raises(Infeasible):
         maximize([1], [([1], GE, 2), ([1], LE, 1)])
+    with pytest.raises(Infeasible):
+        Polytope(1, [([1], GE, 2), ([1], LE, 1)])
 
 
 def test_unbounded():
@@ -96,3 +107,35 @@ def test_solution_is_feasible_and_optimal_on_box(objective, raw_rows):
         assert sum(c * v for c, v in zip(coeffs, x)) <= rhs
     assert value == sum(F(c) * v for c, v in zip(objective, x))
     assert value >= 0  # x = 0 is always feasible here
+
+
+_coefficient = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def _programs(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    width = st.lists(_coefficient, min_size=n, max_size=n)
+    rows = draw(st.lists(
+        st.tuples(width, st.sampled_from([LE, GE, EQ]), st.integers(-4, 4)),
+        max_size=4,
+    ))
+    rows.append(([1] * n, LE, 10))  # keep it bounded
+    objectives = draw(st.lists(width, min_size=1, max_size=4))
+    return n, rows, objectives
+
+
+@given(_programs())
+def test_polytope_reused_across_objectives_matches_fresh_solves(program):
+    """Phase 2 on one shared feasible basis must give every objective the
+    same optimum and vertex as a solve from scratch, whatever objectives
+    it answered before."""
+    n, rows, objectives = program
+    try:
+        fresh = [(maximize(c, rows), minimize(c, rows)) for c in objectives]
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            Polytope(n, rows)
+        return
+    polytope = Polytope(n, rows)
+    assert [(polytope.maximize(c), polytope.minimize(c)) for c in objectives] == fresh
