@@ -260,19 +260,6 @@ def _contradictory(literals) -> bool:
     return any(lit.complement() in literals for lit in literals)
 
 
-def derives(elements, literal: Literal, strict_only: bool = False) -> bool:
-    """True iff the literal is in the forward-chaining closure of the set."""
-    elements = tuple(elements)
-    _check_ground(elements)
-    return literal in _closure(elements, strict_only=strict_only)
-
-
-def is_contradictory(elements, extra=()) -> bool:
-    elements = tuple(elements)
-    _check_ground(elements)
-    return _contradictory(_closure(elements, extra=extra))
-
-
 @dataclass(frozen=True)
 class Argument:
     """A conclusion plus its support: the minimal defeasible elements that
@@ -324,10 +311,6 @@ class Argument:
 
     def __str__(self) -> str:
         return f"<{{{', '.join(self.labels)}}}, {self.conclusion}>"
-
-
-def is_subargument(b: Argument, a: Argument) -> bool:
-    return b.support <= a.support
 
 
 @dataclass

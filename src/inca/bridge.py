@@ -26,7 +26,8 @@ from .em import (
     DEFAULT_MAX_ATOMS,
     EMKnowledgeBase,
     ProbabilityInterval,
-    enumerate_worlds,
+    conforming_worlds,
+    enumerate_worlds,  # noqa: F401  (bench/tracer.py wraps this name)
     lp_extrema,
 )
 from .errors import AssemblyError, DistributionError, GroundednessError
@@ -117,7 +118,6 @@ class InCAFramework:
                         f"annotation for {label} mentions {atom}, which is "
                         "outside the atom universe"
                     )
-        self._worlds: tuple[World, ...] | None = None
         self._warrants: dict[tuple, bool] = {}
         self._valid_labels: dict[World, frozenset[str]] = {}
 
@@ -125,11 +125,9 @@ class InCAFramework:
     def index(self):
         return index_for(self.program, self.specificity_cap)
 
-    @property
+    @cached_property
     def worlds(self) -> tuple[World, ...]:
-        if self._worlds is None:
-            self._worlds = tuple(enumerate_worlds(self.em, self.max_atoms))
-        return self._worlds
+        return conforming_worlds(self.em, self.max_atoms)
 
     # -- validity -----------------------------------------------------------
 

@@ -157,6 +157,15 @@ def enumerate_worlds(kb: EMKnowledgeBase, max_atoms: int = DEFAULT_MAX_ATOMS) ->
     return worlds
 
 
+@lru_cache(maxsize=1)
+def conforming_worlds(
+    kb: EMKnowledgeBase, max_atoms: int = DEFAULT_MAX_ATOMS
+) -> tuple[World, ...]:
+    """`enumerate_worlds`, run once per (kb, max_atoms) and shared by the
+    LP and the bridge. It does not need kb to be consistent."""
+    return tuple(enumerate_worlds(kb, max_atoms))
+
+
 @dataclass(frozen=True)
 class ProbabilityInterval:
     lower: Fraction
@@ -200,7 +209,7 @@ class _EMLinearProgram:
     """
 
     def __init__(self, kb: EMKnowledgeBase, max_atoms: int):
-        self.worlds = enumerate_worlds(kb, max_atoms)
+        self.worlds = conforming_worlds(kb, max_atoms)
         classes: dict[tuple[bool, ...], int] = {}
         self.class_of: dict[World, int] = {}
         for w in self.worlds:
@@ -279,16 +288,3 @@ def is_consistent(kb: EMKnowledgeBase, max_atoms: int = DEFAULT_MAX_ATOMS) -> bo
 
 def worlds_satisfying(worlds: list[World], formula: Formula) -> list[World]:
     return [w for w in worlds if satisfies(w, formula)]
-
-
-def distribution_bounds(
-    kb: EMKnowledgeBase,
-    distribution: dict[World, Fraction],
-    query: Formula,
-) -> Fraction:
-    """P(query) under one fully specified distribution."""
-    _check_query(kb, query)
-    return sum(
-        (pr for w, pr in distribution.items() if satisfies(w, query)),
-        Fraction(0),
-    )

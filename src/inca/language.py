@@ -144,6 +144,12 @@ class Formula:
                 raise ValueError(f"{self.op} takes no arguments")
         else:
             raise ValueError(f"bad formula op: {self.op!r}")
+        # Set once per node from its parts, so a check never walks the tree;
+        # not a field, so equality and hashing ignore it.
+        ground = self.atom.is_ground if self.op == F_ATOM else all(
+            p.is_ground for p in self.parts
+        )
+        object.__setattr__(self, "is_ground", ground)
 
     @property
     def model(self) -> str | None:
@@ -154,12 +160,6 @@ class Formula:
             if m is not None:
                 return m
         return None
-
-    @property
-    def is_ground(self) -> bool:
-        if self.op == F_ATOM:
-            return self.atom.is_ground
-        return all(p.is_ground for p in self.parts)
 
 
 TOP = Formula(F_TOP)

@@ -1,10 +1,10 @@
 """Independent reference implementations used to cross-check the engines.
 
-These deliberately use different algorithms from the package. Probability
-bounds come from polytope vertex enumeration instead of simplex; arguments
-come from exhaustive subset search instead of backward proof search; the
-specificity check quantifies over every subset of the derivable literals
-instead of the pruned bitmask universe.
+These deliberately use different algorithms from the package. Linear
+programs and probability bounds come from polytope vertex enumeration
+instead of simplex; arguments come from exhaustive subset search instead
+of backward proof search; the specificity check quantifies over every
+subset of the derivable literals instead of the pruned bitmask universe.
 """
 
 from fractions import Fraction
@@ -13,6 +13,7 @@ from itertools import combinations, product
 from inca.am import DEFEASIBLE_RULE, STRICT_RULE
 from inca.em import enumerate_worlds
 from inca.language import satisfies
+from inca.simplex import EQ, GE, LE
 
 
 def _solve(matrix, rhs):
@@ -31,6 +32,31 @@ def _solve(matrix, rhs):
                 factor = a[r][col]
                 a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
     return [a[r][n] for r in range(n)]
+
+
+def lp_vertices_oracle(n, constraints):
+    """Vertices of {x in Q^n : x >= 0 and every constraint holds}, with
+    constraints as for `simplex.maximize`; empty iff the region is.
+
+    A vertex is a feasible point where n independent constraints are tight
+    (x >= 0 makes the region pointed, so a nonempty one has a vertex).
+    Every choice of n constraints, x_j >= 0 included, is solved as
+    equalities and the feasible solutions kept.
+    """
+    rows = [([Fraction(v) for v in co], rel, Fraction(b)) for co, rel, b in constraints]
+    rows += [([Fraction(int(j == k)) for j in range(n)], GE, Fraction(0))
+             for k in range(n)]
+
+    def holds(x, co, rel, b):
+        lhs = sum((c * v for c, v in zip(co, x)), Fraction(0))
+        return {LE: lhs <= b, GE: lhs >= b, EQ: lhs == b}[rel]
+
+    vertices = set()
+    for tight in combinations(rows, n):
+        x = _solve([co for co, _, _ in tight], [b for _, _, b in tight])
+        if x is not None and all(holds(x, *row) for row in rows):
+            vertices.add(tuple(x))
+    return vertices
 
 
 def _feasible_vertices(class_rows, bounds):
@@ -92,6 +118,14 @@ def lp_bounds_oracle(kb, query, max_atoms=20):
     if lo is None:
         return None
     return lo, hi
+
+
+def distribution_probability(distribution, query):
+    """P(query) under one distribution given as {world: mass}."""
+    return sum(
+        (pr for w, pr in distribution.items() if satisfies(w, query)),
+        Fraction(0),
+    )
 
 
 def sample_distributions(kb, max_atoms=20, limit=3):

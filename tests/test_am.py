@@ -16,12 +16,9 @@ from inca.am import (
     STRICT_RULE,
     UNDECIDED,
     WARRANTED,
-    derives,
     ground_program,
     index_for,
     instantiate,
-    is_contradictory,
-    is_subargument,
     mark_tree,
 )
 from inca.errors import AssemblyError, CapacityError
@@ -42,6 +39,7 @@ from oracles import (
     arguments_oracle,
     closure_oracle,
     consistent_subsets_oracle,
+    contradictory_oracle,
     specificity_oracle,
 )
 
@@ -97,19 +95,20 @@ def test_program_partitions_and_validation():
 
 
 def test_derivation_and_contradiction():
-    elements = worm_elements()
-    assert derives(elements, IS_CAP)
-    assert derives(elements, COND_BAJA)
-    assert not derives(elements, lit("expCw", "baja"))
+    index = index_for(AMProgram(worm_elements()))
+    assert IS_CAP in index.derivable
+    assert COND_BAJA in index.derivable
+    assert lit("expCw", "baja") not in index.derivable
     # strictly, only facts and strict-rule consequences are reachable
-    assert derives(elements, lit("evidOf", "baja", "worm123"), strict_only=True)
-    assert not derives(elements, IS_CAP, strict_only=True)
+    strict = index_for(AMProgram(index.strict_elements)).derivable
+    assert lit("evidOf", "baja", "worm123") in strict
+    assert IS_CAP not in strict
     # the full element set derives complementary literals
-    assert is_contradictory(elements)
+    assert contradictory_oracle(index.derivable)
     # without the mojave evidence rule and the capability exception the
     # defeasible closure is conflict-free
-    trimmed = tuple(e for e in elements if e.label not in ("de1b", "de5a"))
-    assert not is_contradictory(trimmed)
+    trimmed = tuple(e for e in worm_elements() if e.label not in ("de1b", "de5a"))
+    assert not contradictory_oracle(index_for(AMProgram(trimmed)).derivable)
 
 
 # -- grounding ----------------------------------------------------------------
@@ -217,10 +216,9 @@ def test_subargument_relations(worm_index):
     a3 = argument_by_labels(arguments, {"ph1", "de2", "de4"})
     a4 = argument_by_labels(arguments, {"ph2", "de3", "th2"})
     (a5,) = worm_index.arguments_for(IS_CAP)
-    assert is_subargument(a5, a2)
-    assert is_subargument(a5, a3)
-    assert not is_subargument(a5, a4)
     assert a5 in worm_index.subarguments_of(a2)
+    assert a5 in worm_index.subarguments_of(a3)
+    assert a5 not in worm_index.subarguments_of(a4)
 
 
 def test_attack_relation(worm_index):

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from inca import bridge, em
 from inca.am import AMElement, AMProgram, FACT, NOT_WARRANTED, PRESUMPTION, WARRANTED
 from inca.bridge import AnnotationFunction, InCAFramework
+from inca.em import EMKnowledgeBase, ProbabilisticFormula
 from inca.errors import (
     AssemblyError,
     DistributionError,
     GroundednessError,
+    InconsistentKBError,
     InternalInconsistencyError,
 )
 from inca.language import (
@@ -181,6 +184,43 @@ def test_probability_bounds(worm_framework):
 
     assert worm_framework.prob_bounds(COND_BAJA).lower == F(1)
     assert worm_framework.prob_bounds(COND_MOJAVE).upper == F(0)
+
+
+def test_prob_bounds_enumerates_worlds_once(monkeypatch, worm_program):
+    calls = []
+    enumerate_worlds = em.enumerate_worlds
+
+    def counted(kb, max_atoms):
+        calls.append(kb)
+        return enumerate_worlds(kb, max_atoms)
+
+    # Both modules bind the name; count calls through either.
+    monkeypatch.setattr(em, "enumerate_worlds", counted)
+    monkeypatch.setattr(bridge, "enumerate_worlds", counted)
+    em.conforming_worlds.cache_clear()
+    em._linear_program.cache_clear()
+    fw = InCAFramework(worm_em_kb(), worm_program, worm_annotations())
+    fw.prob_bounds(IS_CAP)
+    assert len(calls) == 1
+
+
+def test_worlds_do_not_need_a_consistent_em(worm_program):
+    universe = worm_em_kb().atom_universe
+    clash = EMKnowledgeBase(
+        (
+            ProbabilisticFormula(atom_formula(GOV), F(1, 5)),
+            ProbabilisticFormula(atom_formula(GOV), F(4, 5)),
+        ),
+        atom_universe=universe,
+    )
+    fw = InCAFramework(clash, worm_program, worm_annotations())
+    assert len(fw.worlds) == 8
+    assert fw.nec_set(COND_BAJA) == fw.worlds
+    assert set(fw.poss_set(NOT_IS_CAP)) == {
+        world(GOV, AGE, MSE), world(GOV, AGE), world(AGE, MSE), world(AGE),
+    }
+    with pytest.raises(InconsistentKBError):
+        fw.prob_bounds(IS_CAP)
 
 
 def test_bounds_for_literal_without_arguments(worm_framework):

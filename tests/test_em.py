@@ -8,7 +8,6 @@ from inca.em import (
     IntegrityConstraint,
     ProbabilisticFormula,
     ProbabilityInterval,
-    distribution_bounds,
     enumerate_worlds,
     is_consistent,
     lp_bounds,
@@ -22,7 +21,7 @@ from inca.simplex import EQ, GE, LE, maximize, minimize
 
 from conftest import AGE, GOV, MSE, ematom, worm_em_kb
 from generators import random_em_kb, random_formula
-from oracles import lp_bounds_oracle, sample_distributions
+from oracles import distribution_probability, lp_bounds_oracle, sample_distributions
 
 F = Fraction
 
@@ -156,8 +155,14 @@ def test_distribution_bounds_single_distribution():
     kb = worm_em_kb()
     worlds = enumerate_worlds(kb)
     uniform = {w: F(1, 8) for w in worlds}
-    assert distribution_bounds(kb, uniform, atom_formula(GOV)) == F(1, 2)
-    assert distribution_bounds(kb, uniform, neg(atom_formula(GOV))) == F(1, 2)
+    assert distribution_probability(uniform, atom_formula(GOV)) == F(1, 2)
+    assert distribution_probability(uniform, neg(atom_formula(GOV))) == F(1, 2)
+    # Any one distribution that satisfies the KB lies within the bounds.
+    for query in (atom_formula(GOV), disj(atom_formula(AGE), neg(atom_formula(MSE)))):
+        interval = lp_bounds(kb, query)
+        for dist in sample_distributions(kb, limit=3):
+            mass = distribution_probability(dist, query)
+            assert interval.lower <= mass <= interval.upper
 
 
 def test_bounds_match_vertex_oracle_on_random_kbs():
@@ -182,10 +187,7 @@ def test_sampled_distributions_conform():
             found += 1
             assert sum(dist.values()) == 1
             for pf in kb.formulas:
-                mass = sum(
-                    (v for w, v in dist.items() if satisfies(w, pf.formula)),
-                    F(0),
-                )
+                mass = distribution_probability(dist, pf.formula)
                 assert pf.lower <= mass <= pf.upper
     assert found > 10
 

@@ -14,6 +14,8 @@ from inca.simplex import (
     minimize,
 )
 
+from oracles import lp_vertices_oracle
+
 F = Fraction
 
 
@@ -58,6 +60,22 @@ def test_negative_rhs_is_normalized():
     # x >= 0 and -x >= -3  <=>  x <= 3
     value, _ = maximize([1], [([-1], GE, -3)])
     assert value == 3
+
+
+def test_drive_out_pivots_on_a_negative_entry():
+    # -x >= 0 leaves its artificial basic at zero after phase 1, with -1 as
+    # the row's first nonzero entry; phase 2 must still see x pinned at 0.
+    value, x = maximize([2, 1], [([-1, 0], GE, 0), ([1, 1], LE, 3)])
+    assert value == 3
+    assert x == [F(0), F(3)]
+
+
+def test_redundant_row_is_dropped():
+    # The second row is the first halved: its artificial stays basic on a
+    # row with no structural entry left, so the row goes.
+    rows = [([1, 1], EQ, 1), ([F(1, 2), F(1, 2)], EQ, F(1, 2)), ([1, 0], LE, 2)]
+    assert maximize([1, 0], rows) == (1, [F(1), F(0)])
+    assert minimize([1, 0], rows) == (0, [F(0), F(1)])
 
 
 def test_degenerate_program_terminates():
@@ -139,3 +157,56 @@ def test_polytope_reused_across_objectives_matches_fresh_solves(program):
         return
     polytope = Polytope(n, rows)
     assert [(polytope.maximize(c), polytope.minimize(c)) for c in objectives] == fresh
+
+
+_rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_relation = {LE: GE, GE: LE, EQ: EQ}
+
+
+@st.composite
+def _rational_programs(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    width = st.lists(_rational, min_size=n, max_size=n)
+    # Zero right-hand sides make degenerate vertices, where artificials stay
+    # basic after phase 1 and are driven out.
+    rhs = st.one_of(st.just(F(0)), _rational)
+    rows = draw(st.lists(
+        st.tuples(width, st.sampled_from([LE, GE, EQ]), rhs),
+        min_size=1, max_size=4,
+    ))
+    # Redundant rows: copies of a row scaled by a nonzero rational (a
+    # negative factor flips the relation) and sums of two equalities.
+    for i, k in draw(st.lists(
+        st.tuples(st.integers(0, len(rows) - 1), _rational.filter(bool)),
+        max_size=2,
+    )):
+        co, rel, b = rows[i]
+        rows.append(([k * v for v in co], rel if k > 0 else _relation[rel], k * b))
+    equalities = [r for r in rows if r[1] == EQ]
+    if len(equalities) >= 2 and draw(st.booleans()):
+        (c1, _, b1), (c2, _, b2) = equalities[:2]
+        rows.append(([u + v for u, v in zip(c1, c2)], EQ, b1 + b2))
+    rows.append(([1] * n, LE, draw(st.fractions(1, 9, max_denominator=6))))
+    objectives = draw(st.lists(width, min_size=1, max_size=3))
+    return n, rows, objectives
+
+
+@given(_rational_programs())
+def test_rational_programs_match_vertex_enumeration(program):
+    """On bounded programs with fractional coefficients, negative right-hand
+    sides, equalities and redundant rows, each optimum is the best vertex
+    of an independent enumeration, reached at one of those vertices."""
+    n, rows, objectives = program
+    vertices = lp_vertices_oracle(n, rows)
+    if not vertices:
+        with pytest.raises(Infeasible):
+            Polytope(n, rows)
+        return
+    polytope = Polytope(n, rows)
+    for c in objectives:
+        values = [sum(ci * xi for ci, xi in zip(c, v)) for v in vertices]
+        for solve, best in ((polytope.maximize, max), (polytope.minimize, min)):
+            value, x = solve(c)
+            assert value == best(values)
+            assert tuple(x) in vertices
+            assert value == sum(ci * xi for ci, xi in zip(c, x))
