@@ -14,15 +14,8 @@ from .am import (
     AMProgram,
     Argument,
     DialecticalNode,
-    arguments_for,
-    attacks,
-    build_dialectical_tree,
-    defeaters,
-    dialectical_forest,
     ground_program,
     instantiate,
-    prefers,
-    warrant_status,
 )
 from .attribution import (
     AttributionResult,
@@ -107,13 +100,8 @@ __all__ = [
     "Term",
     "World",
     "apply_evidence",
-    "arguments_for",
     "assemble",
-    "attacks",
-    "build_dialectical_tree",
     "conj",
-    "defeaters",
-    "dialectical_forest",
     "disj",
     "enumerate_worlds",
     "format_fraction",
@@ -129,9 +117,7 @@ __all__ = [
     "parse_kb",
     "parse_literal_text",
     "parse_query",
-    "prefers",
     "render_kb",
     "render_world",
-    "warrant_status",
     "worlds_satisfying",
 ]

@@ -633,35 +633,3 @@ class ProgramIndex:
 @lru_cache(maxsize=128)
 def index_for(program: AMProgram, specificity_cap: int = DEFAULT_SPECIFICITY_CAP) -> ProgramIndex:
     return ProgramIndex(program, specificity_cap)
-
-
-def arguments_for(program: AMProgram, literal: Literal) -> tuple[Argument, ...]:
-    return index_for(program).arguments_for(literal)
-
-
-def attacks(a2: Argument, a1: Argument, program: AMProgram) -> bool:
-    return index_for(program).attacks(a2, a1)
-
-
-def prefers_ps(a1: Argument, a2: Argument, program: AMProgram) -> bool:
-    return index_for(program).prefers_ps(a1, a2)
-
-
-def prefers(a1: Argument, a2: Argument, program: AMProgram) -> bool:
-    return index_for(program).prefers(a1, a2)
-
-
-def defeaters(a: Argument, program: AMProgram) -> tuple:
-    return index_for(program).defeaters(a)
-
-
-def build_dialectical_tree(root: Argument, program: AMProgram) -> DialecticalNode:
-    return index_for(program).build_tree(root)
-
-
-def dialectical_forest(literal: Literal, program: AMProgram) -> tuple[DialecticalNode, ...]:
-    return index_for(program).forest(literal)
-
-
-def warrant_status(literal: Literal, program: AMProgram) -> str:
-    return index_for(program).warrant_status(literal)

@@ -4,6 +4,11 @@ A document holds up to six sections: #sorts declares constant roles, #em the
 probabilistic formulas, #ic the oneOf constraints, #am the labeled program
 elements, #af the annotations, and #universe an optional explicit atom
 universe. Statements end with a period. parse_kb and render_kb round-trip.
+
+The sorts take effect when assemble grounds the program: its constant pool
+carries the declared roles, and schematic variables bind by them. Constants
+written in the parsed statements keep the plain role, wherever #sorts
+appears in the document.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .am import (
     AMElement,
@@ -36,7 +42,6 @@ from .language import (
     EM,
     ROLE_ACTOR,
     ROLE_OPERATION,
-    ROLE_PLAIN,
     Atom,
     Formula,
     Literal,
@@ -54,10 +59,21 @@ from .language import (
 
 SECTIONS = ("#sorts", "#em", "#ic", "#am", "#af", "#universe")
 
-_TWO_CHAR = ("+-", "<-", "-<", "!=")
-_ONE_CHAR = ".:,(){}[]~^/"
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"\d+(\.\d+)?")
+# One alternative per token kind, tried in this order at each position: '.'
+# is a symbol before a number can start, so ".5" reads as "." then "5". A
+# bare '#' and any other character match the last two alternatives so that
+# the scan never skips input.
+_TOKEN_RE = re.compile(
+    r"(?P<NEWLINE>\n)"
+    r"|(?P<SPACE>[^\S\n]+)"
+    r"|(?P<SECTION>#[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<SYMBOL>\+-|<-|-<|!=|[.:,(){}\[\]~^/])"
+    r"|(?P<NUMBER>\d+(?:\.\d+)?)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<HASH>#)"
+    r"|(?P<OTHER>.)",
+    re.DOTALL,
+)
 
 
 def format_fraction(value) -> str:
@@ -82,8 +98,7 @@ def format_fraction(value) -> str:
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # SECTION, IDENT, NUMBER, SYMBOL, EOF
     text: str
     line: int
@@ -92,57 +107,25 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    line, column = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
             line += 1
-            column = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch.isspace():
-            column += 1
-            i += 1
+        if kind == "SPACE":
             continue
-        if ch == "#":
-            m = _IDENT_RE.match(text, i + 1)
-            if not m:
-                raise ParseError("expected a section name after '#'", line, column)
-            word = "#" + m.group()
-            if word not in SECTIONS:
-                raise ParseError(f"unknown section {word}", line, column)
-            tokens.append(Token("SECTION", word, line, column))
-            column += len(word)
-            i = m.end()
-            continue
-        pair = text[i : i + 2]
-        if pair in _TWO_CHAR:
-            tokens.append(Token("SYMBOL", pair, line, column))
-            column += 2
-            i += 2
-            continue
-        if ch in _ONE_CHAR:
-            # a digit after '.' would have been consumed by the number below
-            tokens.append(Token("SYMBOL", ch, line, column))
-            column += 1
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(Token("NUMBER", m.group(), line, column))
-            column += len(m.group())
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(Token("IDENT", m.group(), line, column))
-            column += len(m.group())
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(Token("EOF", "", line, column))
+        word = m.group()
+        column = m.start() - line_start + 1
+        if kind == "HASH":
+            raise ParseError("expected a section name after '#'", line, column)
+        if kind == "OTHER":
+            raise ParseError(f"unexpected character {word!r}", line, column)
+        if kind == "SECTION" and word not in SECTIONS:
+            raise ParseError(f"unknown section {word}", line, column)
+        tokens.append(Token(kind, word, line, column))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -174,7 +157,7 @@ class KBDocument:
 
 class _Parser:
     def __init__(self, text: str):
-        self.lines = text.splitlines()
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         # arity bookkeeping, keyed by (model, predicate)
@@ -193,9 +176,8 @@ class _Parser:
 
     def error(self, message: str, token: Token | None = None):
         tok = token or self.peek()
-        snippet = ""
-        if 1 <= tok.line <= len(self.lines):
-            snippet = self.lines[tok.line - 1]
+        lines = self.text.splitlines()
+        snippet = lines[tok.line - 1] if tok.line <= len(lines) else ""
         raise ParseError(message, tok.line, tok.column, snippet)
 
     def expect_symbol(self, text: str) -> Token:
@@ -341,7 +323,7 @@ class _Parser:
         return label
 
 
-def _parse_document(parser: _Parser) -> dict:
+def _parse_document(parser: _Parser) -> KBDocument:
     sorts: list[tuple[str, str]] = []
     em: list[ProbabilisticFormula] = []
     ic: list[IntegrityConstraint] = []
@@ -451,14 +433,7 @@ def _parse_document(parser: _Parser) -> dict:
         if label not in labels and base not in labels:
             parser.error(f"annotation for unknown element {label}", tok)
 
-    return {
-        "sorts": sorts,
-        "em": em,
-        "ic": ic,
-        "am": am,
-        "af": af,
-        "universe": universe,
-    }
+    return KBDocument(sorts, em, ic, am, af, universe)
 
 
 def _parse_element(parser: _Parser, label: str) -> AMElement:
@@ -498,54 +473,10 @@ def _parse_element(parser: _Parser, label: str) -> AMElement:
     return AMElement(label, kind, head, tuple(body), tuple(guards))
 
 
-def _with_roles(roles: dict[str, str]):
-    def fix_term(t: Term) -> Term:
-        if t.is_variable:
-            return t
-        return Term(t.name, roles.get(t.name, ROLE_PLAIN))
-
-    def fix_atom(a: Atom) -> Atom:
-        return Atom(a.predicate, tuple(fix_term(t) for t in a.args), a.model)
-
-    def fix_literal(lit: Literal) -> Literal:
-        return Literal(fix_atom(lit.atom), lit.negated)
-
-    def fix_formula(f: Formula) -> Formula:
-        if f.atom is not None:
-            return Formula(f.op, fix_atom(f.atom))
-        return Formula(f.op, None, tuple(fix_formula(p) for p in f.parts))
-
-    return fix_atom, fix_literal, fix_formula
-
-
 def parse_kb(text: str) -> KBDocument:
     """Parse a knowledge-base document; the first problem raises ParseError
     with its 1-based position."""
-    parser = _Parser(text)
-    raw = _parse_document(parser)
-    roles = {name: role for role, name in raw["sorts"]}
-    fix_atom, fix_literal, fix_formula = _with_roles(roles)
-    em = tuple(
-        ProbabilisticFormula(fix_formula(f.formula), f.p, f.eps) for f in raw["em"]
-    )
-    ic = tuple(
-        IntegrityConstraint(tuple(fix_atom(a) for a in c.atoms)) for c in raw["ic"]
-    )
-    am = tuple(
-        AMElement(
-            e.label,
-            e.kind,
-            fix_literal(e.head),
-            tuple(fix_literal(b) for b in e.body),
-            e.guards,
-        )
-        for e in raw["am"]
-    )
-    af = tuple((label, fix_formula(f)) for label, f in raw["af"])
-    universe = raw["universe"]
-    if universe is not None:
-        universe = tuple(fix_atom(a) for a in universe)
-    return KBDocument(tuple(raw["sorts"]), em, ic, am, af, universe)
+    return _parse_document(_Parser(text))
 
 
 # -- rendering ---------------------------------------------------------------
@@ -602,12 +533,8 @@ def render_kb(doc: KBDocument) -> str:
 # -- fragment parsers for the command line -------------------------------------
 
 
-def _fragment(text: str) -> _Parser:
-    return _Parser(text)
-
-
 def parse_query(text: str) -> Formula:
-    parser = _fragment(text)
+    parser = _Parser(text)
     formula = parser.parse_formula(EM)
     if parser.peek().kind != "EOF":
         parser.error("unexpected trailing input")
@@ -615,7 +542,7 @@ def parse_query(text: str) -> Formula:
 
 
 def parse_literal_text(text: str) -> Literal:
-    parser = _fragment(text)
+    parser = _Parser(text)
     literal = parser.parse_literal()
     if parser.peek().kind != "EOF":
         parser.error("unexpected trailing input")
@@ -625,7 +552,7 @@ def parse_literal_text(text: str) -> Literal:
 def parse_world_spec(text: str) -> tuple[Atom, ...]:
     if not text.strip():
         return ()
-    parser = _fragment(text)
+    parser = _Parser(text)
     atoms = [parser.parse_atom(EM)]
     while parser.at_symbol(","):
         parser.advance()
@@ -637,7 +564,7 @@ def parse_world_spec(text: str) -> tuple[Atom, ...]:
 
 def parse_evidence(text: str) -> tuple[EvidenceItem, ...]:
     """Evidence statements: `atom.` (certain) or `atom : p +- e.`."""
-    parser = _fragment(text)
+    parser = _Parser(text)
     items = []
     while parser.peek().kind != "EOF":
         atom_tok = parser.peek()

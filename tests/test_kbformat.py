@@ -133,6 +133,31 @@ def test_parse_error_positions():
     assert "line 2" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        (
+            "#em\np(a) : 0.5 +- 0.\n\t$ q(a) : 0.5 +- 0.\n",
+            3, 2, "unexpected character '$'",
+        ),
+        ("#em\np(a) : 0.5 +- 0.\n  #bogus\n", 3, 3, "unknown section #bogus"),
+        ("#em\n# comment\n", 2, 1, "expected a section name after '#'"),
+        (
+            "#em\r\np(a) : 0.5 +- 0.\r\nq(a : 0.5 +- 0.\r\n",
+            3, 5, "expected ')', found ':'",
+        ),
+        ("#em\np(a) : 0.5 +- 0", 2, 16, "expected '.', found 'end of input'"),
+        ("#em\np : .5 +- 0.\n", 2, 5, "expected a number"),
+    ],
+    ids=["tab", "unknown-section", "bare-hash", "crlf", "eof", "leading-dot"],
+)
+def test_parse_error_exact_position(text, line, column, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_kb(text)
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
+    assert str(excinfo.value) == f"line {line}, column {column}: {message}"
+
+
 def test_parse_error_cases():
     bad = [
         "#bogus\n",                                   # unknown section
@@ -257,6 +282,22 @@ def test_assemble_grounds_schematic_rules():
     assert "de1[worm123,baja]" in labels
     assert "de1[worm123,mojave]" in labels
     assert fw.program.is_ground
+
+
+def test_sorts_after_am_ground_the_same_program():
+    sorts = "#sorts\nactor baja, mojave.\noperation worm123.\n"
+    am = (
+        "#am\n"
+        "f1 : fact evidOf(baja,worm123).\n"
+        "de1 : condOp(X,O) -< evidOf(X,O).\n"
+    )
+    first = assemble(parse_kb(sorts + am)).program.elements
+    last = assemble(parse_kb(am + sorts)).program.elements
+    assert [e.label for e in last] == [e.label for e in first]
+    assert last == first
+    assert {e.label for e in last} == {
+        "f1", "de1[worm123,baja]", "de1[worm123,mojave]",
+    }
 
 
 def test_assemble_rejects_conducting_facts():
