@@ -4,6 +4,13 @@ A program holds facts, strict rules, presumptions, and defeasible rules.
 Arguments are minimal defeasible proofs for a literal; competing arguments
 attack each other, and dialectical trees with a recursive U/D marking decide
 which literals come out warranted.
+
+Each ProgramIndex gives every literal of its ground program one bit, with a
+literal and its complement side by side, and every element one rule (body
+mask, head bit); facts and presumptions have body 0. One forward-chaining
+fixpoint over such rules and one contradiction test on the resulting mask
+serve derivability, argument consistency, strict supports, attacks,
+specificity and the consistency of dialectical lines.
 """
 
 from __future__ import annotations
@@ -232,32 +239,17 @@ def _check_ground(elements):
             raise GroundednessError(f"element {e.label} is not ground")
 
 
-def _closure(elements, extra=(), strict_only=False) -> frozenset[Literal]:
-    """Forward-chaining closure; facts and presumptions act as rules with an
-    empty body, extra literals are injected as given."""
-    if strict_only:
-        pool = [e for e in elements if e.kind in (FACT, STRICT_RULE)]
-    else:
-        pool = list(elements)
-    derived = set(extra)
-    rules = []
-    for e in pool:
-        if e.kind in (FACT, PRESUMPTION):
-            derived.add(e.head)
-        else:
-            rules.append(e)
+def _fixpoint(rules, mask: int) -> int:
+    """Forward-chaining closure of a literal bitmask under (body mask, head
+    bit) rules; a fact or presumption is a rule with body 0."""
     changed = True
     while changed:
         changed = False
-        for r in rules:
-            if r.head not in derived and all(b in derived for b in r.body):
-                derived.add(r.head)
+        for body, head in rules:
+            if not mask & head and mask & body == body:
+                mask |= head
                 changed = True
-    return frozenset(derived)
-
-
-def _contradictory(literals) -> bool:
-    return any(lit.complement() in literals for lit in literals)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -354,18 +346,36 @@ class ProgramIndex:
         self._defeaters: dict[Argument, tuple] = {}
         self._prefers_ps: dict[tuple[Argument, Argument], bool] = {}
         self._mask_memo: dict[tuple, dict[int, int]] = {}
-        self._bits: dict[Literal, int] | None = None
-        self._contra_pairs: list[tuple[int, int]] | None = None
+        # Atom i's literal takes bit 2i and its negation bit 2i + 1, so one
+        # shift tests every complementary pair at once.
+        atoms: dict = {}
+        self._bit: dict[Literal, int] = {}
 
-    # -- derivable literals ------------------------------------------------
+        def bit(lit: Literal) -> int:
+            b = self._bit.get(lit)
+            if b is None:
+                i = atoms.setdefault(lit.atom, len(atoms))
+                b = self._bit[lit] = 1 << (2 * i + lit.negated)
+            return b
 
-    @property
-    def derivable(self) -> frozenset[Literal]:
-        try:
-            return self._derivable
-        except AttributeError:
-            self._derivable = _closure(self.program.elements)
-            return self._derivable
+        self._rule: dict[str, tuple[int, int]] = {}
+        for e in program.elements:
+            body = 0
+            for b in e.body:
+                body |= bit(b)
+            self._rule[e.label] = (body, bit(e.head))
+        self._positive = sum(1 << 2 * i for i in range(len(atoms)))
+        self._strict_rules = self._rules_of(self.strict_elements)
+        self._derivable_mask = _fixpoint(self._rule.values(), 0)
+        self.derivable = frozenset(
+            lit for lit, b in self._bit.items() if self._derivable_mask & b
+        )
+
+    def _rules_of(self, elements) -> tuple[tuple[int, int], ...]:
+        return tuple(self._rule[e.label] for e in elements)
+
+    def _contradictory(self, mask: int) -> bool:
+        return bool(mask & (mask >> 1) & self._positive)
 
     # -- arguments ---------------------------------------------------------
 
@@ -393,10 +403,12 @@ class ProgramIndex:
     def _strict_support(self, defeasible_part: frozenset, literal: Literal) -> frozenset:
         # Drop strict elements one at a time (stable order) while the
         # conclusion still derives; what remains is the recorded strict part.
+        bit = self._bit[literal]
+        defeasible_rules = self._rules_of(defeasible_part)
         keep = sorted(self.strict_elements, key=lambda e: e.label)
         for e in list(keep):
             trial = [x for x in keep if x is not e]
-            if literal in _closure(tuple(defeasible_part) + tuple(trial)):
+            if _fixpoint(defeasible_rules + self._rules_of(trial), 0) & bit:
                 keep = trial
         return frozenset(keep)
 
@@ -406,11 +418,12 @@ class ProgramIndex:
             return self._arguments[key]
         proofs = self._proofs(literal, frozenset())
         candidates = {p & self.defeasible_elements for p in proofs}
-        strict = self.strict_elements
         valid = [
             d
             for d in candidates
-            if not _contradictory(_closure(strict + tuple(d)))
+            if not self._contradictory(
+                _fixpoint(self._strict_rules + self._rules_of(d), 0)
+            )
         ]
         minimal = [d for d in valid if not any(d2 < d for d2 in valid)]
         args = tuple(
@@ -439,71 +452,34 @@ class ProgramIndex:
     # -- attack ------------------------------------------------------------
 
     def attacks(self, a2: Argument, a1: Argument) -> bool:
-        shared = [
-            e
-            for e in a1.support | a2.support
-            if e.kind in (FACT, STRICT_RULE)
-        ]
+        shared = self._rules_of(
+            e for e in a1.support | a2.support if e.kind in (FACT, STRICT_RULE)
+        )
+        counter = self._bit[a2.conclusion]
         for sub in self.subarguments_of(a1):
-            closure = _closure(
-                shared,
-                extra=(a2.conclusion, sub.conclusion),
-                strict_only=True,
-            )
-            if _contradictory(closure):
+            closure = _fixpoint(shared, counter | self._bit[sub.conclusion])
+            if self._contradictory(closure):
                 return True
         return False
 
     # -- generalized specificity --------------------------------------------
 
-    def _literal_bits(self):
-        if self._bits is None:
-            universe = sorted(self.derivable, key=Literal.key)
-            if len(universe) > self.specificity_cap:
-                raise CapacityError(
-                    f"{len(universe)} defeasibly derivable literals exceed "
-                    f"the specificity cap of {self.specificity_cap}"
-                )
-            self._bits = {lit: 1 << i for i, lit in enumerate(universe)}
-            self._contra_pairs = [
-                (bit, self._bits[lit.complement()])
-                for lit, bit in self._bits.items()
-                if lit.complement() in self._bits and not lit.negated
-            ]
-        return self._bits
-
-    def _rule_masks(self, elements) -> tuple:
-        bits = self._literal_bits()
-        rules = []
-        for e in elements:
-            if e.kind not in (STRICT_RULE, DEFEASIBLE_RULE):
-                continue
-            if e.head not in bits or any(b not in bits for b in e.body):
-                continue  # can never fire from derivable literals
-            body = 0
-            for b in e.body:
-                body |= bits[b]
-            rules.append((body, bits[e.head]))
-        return tuple(rules)
+    def _derivable_rules(self, elements) -> tuple:
+        # A rule whose body is derivable has a derivable head, so this keeps
+        # exactly the rules that can fire from derivable literals. Sorted so
+        # that equal rule sets share one entry of the closure memo.
+        return tuple(sorted(
+            (body, head)
+            for body, head in self._rules_of(elements)
+            if body & self._derivable_mask == body
+        ))
 
     def _mask_closure(self, rules: tuple, mask: int) -> int:
         memo = self._mask_memo.setdefault(rules, {})
         cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        out = mask
-        changed = True
-        while changed:
-            changed = False
-            for body, head in rules:
-                if out & head == 0 and out & body == body:
-                    out |= head
-                    changed = True
-        memo[mask] = out
-        return out
-
-    def _mask_contradictory(self, mask: int) -> bool:
-        return any(mask & a and mask & b for a, b in self._contra_pairs)
+        if cached is None:
+            cached = memo[mask] = _fixpoint(rules, mask)
+        return cached
 
     def prefers_ps(self, a1: Argument, a2: Argument) -> bool:
         """Generalized specificity: a1 is strictly more specific than a2.
@@ -516,17 +492,17 @@ class ProgramIndex:
         key = (a1, a2)
         if key in self._prefers_ps:
             return self._prefers_ps[key]
-        bits = self._literal_bits()
+        if len(self.derivable) > self.specificity_cap:
+            raise CapacityError(
+                f"{len(self.derivable)} defeasibly derivable literals exceed "
+                f"the specificity cap of {self.specificity_cap}"
+            )
         omega = a1.omega | a2.omega
-        base_rules = self._rule_masks(sorted(omega, key=lambda e: e.label))
-        r1 = self._rule_masks(
-            sorted(omega | a1.delta, key=lambda e: e.label)
-        )
-        r2 = self._rule_masks(
-            sorted(omega | a2.delta, key=lambda e: e.label)
-        )
-        l1 = bits[a1.conclusion]
-        l2 = bits[a2.conclusion]
+        base_rules = self._derivable_rules(omega)
+        r1 = self._derivable_rules(omega | a1.delta)
+        r2 = self._derivable_rules(omega | a2.delta)
+        l1 = self._bit[a1.conclusion]
+        l2 = self._bit[a2.conclusion]
         relevant = l1 | l2
         for body, _ in base_rules + r1 + r2:
             relevant |= body
@@ -536,7 +512,7 @@ class ProgramIndex:
         sub = relevant
         while True:
             base = self._mask_closure(base_rules, sub)
-            if not self._mask_contradictory(base):
+            if not self._contradictory(base):
                 with1 = self._mask_closure(r1, sub)
                 with2 = self._mask_closure(r2, sub)
                 if with1 & l1 and not base & l1 and not with2 & l2:
@@ -582,10 +558,10 @@ class ProgramIndex:
         return result
 
     def _line_consistent(self, side_args) -> bool:
-        elements = set(self.strict_elements)
+        rules = self._strict_rules
         for arg in side_args:
-            elements |= arg.support
-        return not _contradictory(_closure(tuple(elements)))
+            rules += self._rules_of(arg.support)
+        return not self._contradictory(_fixpoint(rules, 0))
 
     def _expand(self, node: DialecticalNode, line: tuple, valid) -> None:
         for b, kind in self.defeaters(node.argument):

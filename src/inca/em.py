@@ -53,7 +53,9 @@ class ProbabilisticFormula:
         if self.formula.model != EM:
             raise ValueError("probabilistic formulas live in the environmental model")
         if not self.formula.is_ground:
-            raise GroundednessError(f"formula must be ground: {self.formula}")
+            raise GroundednessError(
+                f"formula must be ground: {render_formula(self.formula)}"
+            )
         if not 0 <= self.p <= 1:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         if not 0 <= self.eps <= min(self.p, 1 - self.p):

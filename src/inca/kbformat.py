@@ -36,7 +36,7 @@ from .em import (
     IntegrityConstraint,
     ProbabilisticFormula,
 )
-from .errors import AssemblyError, ParseError
+from .errors import AssemblyError, GroundednessError, ParseError
 from .language import (
     AM,
     EM,
@@ -125,8 +125,8 @@ def _tokenize(text: str) -> list[Token]:
         if kind == "SECTION" and word not in SECTIONS:
             raise ParseError(f"unknown section {word}", line, column)
         tokens.append(Token(kind, word, line, column))
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+    eof = Token("EOF", "", line, len(text) - line_start + 1)
+    return tokens + [eof, eof]
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,8 @@ class _Parser:
     # -- token plumbing ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        # ahead is 0 or 1; the second EOF token keeps pos + 1 in range
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -347,86 +348,85 @@ def _parse_document(parser: _Parser) -> KBDocument:
         if section is None:
             parser.error("statements must appear inside a section")
 
-        if section == "#sorts":
-            role_tok = parser.expect_ident("'actor' or 'operation'")
-            if role_tok.text == "actor":
-                role = ROLE_ACTOR
-            elif role_tok.text == "operation":
-                role = ROLE_OPERATION
-            else:
-                parser.error("expected 'actor' or 'operation'", role_tok)
-            while True:
-                name = parser.expect_ident("a constant name")
-                if name.text in declared:
-                    parser.error(f"{name.text} is already declared", name)
-                declared[name.text] = name
-                sorts.append((role, name.text))
-                if parser.at_symbol(","):
+        # A bad name or a non-ground formula that a constructor rejects is
+        # reported at the statement's first token.
+        try:
+            if section == "#sorts":
+                role_tok = parser.expect_ident("'actor' or 'operation'")
+                if role_tok.text == "actor":
+                    role = ROLE_ACTOR
+                elif role_tok.text == "operation":
+                    role = ROLE_OPERATION
+                else:
+                    parser.error("expected 'actor' or 'operation'", role_tok)
+                while True:
+                    name = parser.expect_ident("a constant name")
+                    if name.text in declared:
+                        parser.error(f"{name.text} is already declared", name)
+                    declared[name.text] = name
+                    sorts.append((role, name.text))
+                    if parser.at_symbol(","):
+                        parser.advance()
+                        continue
+                    break
+                parser.expect_symbol(".")
+            elif section == "#em":
+                formula = parser.parse_formula(EM)
+                parser.expect_symbol(":")
+                p, eps = parser.parse_bound()
+                dot = parser.peek()
+                parser.expect_symbol(".")
+                try:
+                    em.append(ProbabilisticFormula(formula, p, eps))
+                except ValueError as exc:  # an interval out of range
+                    parser.error(str(exc), dot)
+            elif section == "#ic":
+                kw = parser.expect_ident("'oneOf'")
+                if kw.text != "oneOf":
+                    parser.error("expected 'oneOf'", kw)
+                parser.expect_symbol("{")
+                atoms = [parser.parse_atom(EM)]
+                while parser.at_symbol(","):
                     parser.advance()
-                    continue
-                break
-            parser.expect_symbol(".")
-        elif section == "#em":
-            formula = parser.parse_formula(EM)
-            parser.expect_symbol(":")
-            p, eps = parser.parse_bound()
-            dot = parser.peek()
-            parser.expect_symbol(".")
-            try:
-                em.append(ProbabilisticFormula(formula, p, eps))
-            except ValueError as exc:
-                parser.error(str(exc), dot)
-        elif section == "#ic":
-            kw = parser.expect_ident("'oneOf'")
-            if kw.text != "oneOf":
-                parser.error("expected 'oneOf'", kw)
-            parser.expect_symbol("{")
-            atoms = [parser.parse_atom(EM)]
-            while parser.at_symbol(","):
-                parser.advance()
-                atoms.append(parser.parse_atom(EM))
-            parser.expect_symbol("}")
-            parser.expect_symbol(".")
-            try:
+                    atoms.append(parser.parse_atom(EM))
+                parser.expect_symbol("}")
+                parser.expect_symbol(".")
                 ic.append(IntegrityConstraint(tuple(atoms)))
-            except ValueError as exc:
-                parser.error(str(exc), kw)
-        elif section == "#am":
-            label_tok = parser.peek()
-            label = parser.parse_label()
-            if label in labels:
-                parser.error(f"duplicate element label {label}", label_tok)
-            labels[label] = label_tok
-            parser.expect_symbol(":")
-            try:
+            elif section == "#am":
+                label_tok = parser.peek()
+                label = parser.parse_label()
+                if label in labels:
+                    parser.error(f"duplicate element label {label}", label_tok)
+                labels[label] = label_tok
+                parser.expect_symbol(":")
                 am.append(_parse_element(parser, label))
-            except ValueError as exc:
-                parser.error(str(exc), label_tok)
-        elif section == "#af":
-            label_tok = parser.peek()
-            label = parser.parse_label()
-            if label in af_labels:
-                parser.error(f"duplicate annotation for {label}", label_tok)
-            af_labels[label] = label_tok
-            parser.expect_symbol(":")
-            formula = parser.parse_formula(EM)
-            parser.expect_symbol(".")
-            af.append((label, formula))
-        elif section == "#universe":
-            if universe is not None:
-                parser.error("the universe is already given")
-            universe = []
-            while True:
-                atom_tok = parser.peek()
-                atom = parser.parse_atom(EM)
-                if atom in universe:
-                    parser.error(f"duplicate universe atom {atom}", atom_tok)
-                universe.append(atom)
-                if parser.at_symbol(","):
-                    parser.advance()
-                    continue
-                break
-            parser.expect_symbol(".")
+            elif section == "#af":
+                label_tok = parser.peek()
+                label = parser.parse_label()
+                if label in af_labels:
+                    parser.error(f"duplicate annotation for {label}", label_tok)
+                af_labels[label] = label_tok
+                parser.expect_symbol(":")
+                formula = parser.parse_formula(EM)
+                parser.expect_symbol(".")
+                af.append((label, formula))
+            elif section == "#universe":
+                if universe is not None:
+                    parser.error("the universe is already given")
+                universe = []
+                while True:
+                    atom_tok = parser.peek()
+                    atom = parser.parse_atom(EM)
+                    if atom in universe:
+                        parser.error(f"duplicate universe atom {atom}", atom_tok)
+                    universe.append(atom)
+                    if parser.at_symbol(","):
+                        parser.advance()
+                        continue
+                    break
+                parser.expect_symbol(".")
+        except (ValueError, GroundednessError) as exc:
+            parser.error(str(exc), tok)
 
     for label, tok in af_labels.items():
         base = label.split("[", 1)[0]

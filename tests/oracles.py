@@ -10,7 +10,7 @@ subset of the derivable literals instead of the pruned bitmask universe.
 from fractions import Fraction
 from itertools import combinations, product
 
-from inca.am import DEFEASIBLE_RULE, STRICT_RULE
+from inca.am import DEFEASIBLE_RULE, FACT, STRICT_RULE
 from inca.em import enumerate_worlds
 from inca.language import satisfies
 from inca.simplex import EQ, GE, LE
@@ -155,9 +155,9 @@ def sample_distributions(kb, max_atoms=20, limit=3):
 # -- argumentation oracles ----------------------------------------------------
 
 
-def closure_oracle(elements):
-    """Literals reachable by forward chaining, ignoring nothing."""
-    known = {e.head for e in elements if not e.body}
+def closure_oracle(elements, start=()):
+    """Literals reachable by forward chaining from `start`, ignoring nothing."""
+    known = set(start) | {e.head for e in elements if not e.body}
     rules = [(e.head, e.body) for e in elements if e.body]
     changed = True
     while changed:
@@ -171,6 +171,26 @@ def closure_oracle(elements):
 
 def contradictory_oracle(literals):
     return any(l.complement() in literals for l in literals)
+
+
+def attacks_oracle(arguments, a2, a1):
+    """Whether a2 attacks a1, given every argument of the program.
+
+    The sub-arguments of a1 are the arguments whose support lies inside
+    a1's. a2 attacks a1 when the conclusion of one of them, a2's
+    conclusion, and the facts and strict rules of both supports close to a
+    contradiction.
+    """
+    shared = tuple(
+        e for e in a1.support | a2.support if e.kind in (FACT, STRICT_RULE)
+    )
+    return any(
+        contradictory_oracle(
+            closure_oracle(shared, (a2.conclusion, sub.conclusion))
+        )
+        for sub in arguments
+        if sub.support <= a1.support
+    )
 
 
 def consistent_subsets_oracle(program):

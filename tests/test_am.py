@@ -37,6 +37,7 @@ from conftest import (
 from generators import AM_LITERALS, random_am_program
 from oracles import (
     arguments_oracle,
+    attacks_oracle,
     closure_oracle,
     consistent_subsets_oracle,
     contradictory_oracle,
@@ -401,11 +402,31 @@ def test_arguments_match_subset_oracle():
     for _ in range(30):
         program = random_am_program(rng)
         index = index_for(program)
+        assert index.derivable == closure_oracle(program.elements)
         table = consistent_subsets_oracle(program)
         for literal in AM_LITERALS:
             expected = arguments_oracle(table, literal)
             got = {a.defeasible_part for a in index.arguments_for(literal)}
             assert got == expected
+            for a in index.arguments_for(literal):
+                assert literal in closure_oracle(a.support)
+                # the recorded strict part is minimal: each element is needed
+                for e in a.support - a.defeasible_part:
+                    assert literal not in closure_oracle(a.support - {e})
+
+
+def test_attacks_match_oracle():
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(100):
+        index = index_for(random_am_program(rng))
+        arguments = index.all_arguments()
+        for a in arguments:
+            for b in arguments:
+                expected = attacks_oracle(arguments, b, a)
+                assert index.attacks(b, a) == expected
+                outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_specificity_matches_exhaustive_oracle():

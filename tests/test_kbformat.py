@@ -148,8 +148,20 @@ def test_parse_error_positions():
         ),
         ("#em\np(a) : 0.5 +- 0", 2, 16, "expected '.', found 'end of input'"),
         ("#em\np : .5 +- 0.\n", 2, 5, "expected a number"),
+        ("#em\nq(a) : 0.5 +- 0.\np(1.5) : 0.5 +- 0.\n", 3, 1,
+         "bad term name: '1.5'"),
+        ("#em\nX : 0.5 +- 0.\n", 2, 1, "bad predicate name: 'X'"),
+        ("#em\n  p(X) ^ q(a) : 0.5 +- 0.\n", 2, 3,
+         "formula must be ground: p(X) ^ q(a)"),
+        ("#em\np(a) : 1.5 +- 0.\n", 2, 16, "p must be in [0, 1], got 3/2"),
+        ("#ic\noneOf{p(a), q(1.5)}.\n", 2, 1, "bad term name: '1.5'"),
+        ("#am\nf1 : fact p(a).\n#af\nf1 : Q(a).\n", 4, 1,
+         "bad predicate name: 'Q'"),
+        ("#universe\np(a), q(1.5).\n", 2, 1, "bad term name: '1.5'"),
     ],
-    ids=["tab", "unknown-section", "bare-hash", "crlf", "eof", "leading-dot"],
+    ids=["tab", "unknown-section", "bare-hash", "crlf", "eof", "leading-dot",
+         "em-term", "em-predicate", "em-not-ground", "em-interval",
+         "ic-term", "af-predicate", "universe-term"],
 )
 def test_parse_error_exact_position(text, line, column, message):
     with pytest.raises(ParseError) as excinfo:
