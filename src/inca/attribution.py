@@ -189,10 +189,11 @@ def most_probable_suspects(
     traces = []
     for name in most:
         literal = _conducting_literal(name, operation)
-        nec = extended.nec_set(literal)
+        nec = extended.nec_mask(literal)
         if not nec:
             continue
-        world = nec[0]
+        # The lowest warranting world, without listing the others.
+        world = extended.space.world((nec & -nec).bit_length() - 1)
         traces.append(
             Trace(name, literal, world, extended.forest_in(world, literal))
         )

@@ -6,6 +6,12 @@ whose annotations hold are available, so each world induces its own
 subprogram, its own dialectical forests, and its own warranted literals.
 Probability bounds for a literal then come from the worlds that necessarily
 (respectively possibly) warrant it.
+
+Worlds where the same annotations hold induce the same subprogram, so the
+framework splits the world space (see `em.WorldSpace`) into classes by the
+truth values of its distinct annotations and decides warrant once per class
+and literal. The nec and poss sets are unions of class masks that go to the
+LP as they are; they are listed as worlds only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -26,9 +32,12 @@ from .em import (
     DEFAULT_MAX_ATOMS,
     EMKnowledgeBase,
     ProbabilityInterval,
-    conforming_worlds,
-    enumerate_worlds,  # noqa: F401  (bench/tracer.py wraps this name)
-    lp_extrema,
+    WorldSpace,
+    _linear_program,
+    enumerate_worlds,
+    lp_extrema,  # noqa: F401  (bench/tracer.py wraps this name)
+    refine,
+    world_space,
 )
 from .errors import AssemblyError, DistributionError, GroundednessError
 from .language import (
@@ -38,7 +47,7 @@ from .language import (
     TOP,
     World,
     formula_atoms,
-    satisfies,
+    satisfies,  # noqa: F401  (bench/tracer.py wraps this name)
 )
 
 
@@ -119,74 +128,111 @@ class InCAFramework:
                         "outside the atom universe"
                     )
         self._warrants: dict[tuple, bool] = {}
-        self._valid_labels: dict[World, frozenset[str]] = {}
 
     @cached_property
     def index(self):
         return index_for(self.program, self.specificity_cap)
 
     @cached_property
+    def space(self) -> WorldSpace:
+        return world_space(self.em, self.max_atoms)
+
+    @cached_property
     def worlds(self) -> tuple[World, ...]:
-        return conforming_worlds(self.em, self.max_atoms)
+        return tuple(enumerate_worlds(self.em, self.max_atoms))
 
     # -- validity -----------------------------------------------------------
 
-    def valid_labels(self, world: World) -> frozenset[str]:
-        cached = self._valid_labels.get(world)
-        if cached is None:
-            cached = frozenset(
-                e.label
-                for e in self.program.elements
-                if satisfies(world, self.annotations.annotation_for(e.label))
+    @cached_property
+    def _label_classes(self) -> tuple[tuple[int, frozenset[str], bool], ...]:
+        """Every world in one class per set of valid labels: (class mask,
+        the labels valid in its worlds, whether its worlds conform)."""
+        annotation = {
+            e.label: self.annotations.annotation_for(e.label)
+            for e in self.program.elements
+        }
+        tables = {f: self.space.table(f) for f in dict.fromkeys(annotation.values())}
+        conforming = self.space.conforming
+        return tuple(
+            (
+                c,
+                frozenset(label for label, f in annotation.items() if c & tables[f]),
+                c & conforming != 0,
             )
-            self._valid_labels[world] = cached
-        return cached
+            for c in refine(self.space.full, [conforming, *tables.values()])
+        )
+
+    def valid_labels(self, world: World) -> frozenset[str]:
+        w = self.space.number(world)
+        return next(labels for c, labels, _ in self._label_classes if c >> w & 1)
 
     def is_valid(self, argument: Argument, world: World) -> bool:
         """An argument can be used in a world iff the annotation of every
         element in its support holds there."""
-        labels = self.valid_labels(world)
-        return all(e.label in labels for e in argument.support)
+        return self._validity_test(self.valid_labels(world))(argument)
 
     # -- world-indexed warrant ----------------------------------------------
 
-    def _validity_test(self, world: World):
-        labels = self.valid_labels(world)
+    @staticmethod
+    def _validity_test(labels: frozenset[str]):
         return lambda a: all(e.label in labels for e in a.support)
 
-    def warrants_in(self, world: World, literal: Literal) -> bool:
-        key = (self.valid_labels(world), literal.key())
+    def _warranted(self, labels: frozenset[str], literal: Literal) -> bool:
+        """Whether the subprogram of the valid labels warrants the literal;
+        decided once per label set."""
+        key = (labels, literal.key())
         cached = self._warrants.get(key)
         if cached is None:
-            status = self.index.warrant_status(literal, self._validity_test(world))
+            status = self.index.warrant_status(literal, self._validity_test(labels))
             cached = status == WARRANTED
             self._warrants[key] = cached
         return cached
 
+    def warrants_in(self, world: World, literal: Literal) -> bool:
+        return self._warranted(self.valid_labels(world), literal)
+
     def forest_in(self, world: World, literal: Literal) -> tuple[DialecticalNode, ...]:
-        return self.index.forest(literal, self._validity_test(world))
+        return self.index.forest(
+            literal, self._validity_test(self.valid_labels(world))
+        )
 
     def warrant_status_in(self, world: World, literal: Literal) -> str:
-        return self.index.warrant_status(literal, self._validity_test(world))
+        return self.index.warrant_status(
+            literal, self._validity_test(self.valid_labels(world))
+        )
 
     # -- nec / poss ----------------------------------------------------------
 
+    def nec_mask(self, literal: Literal) -> int:
+        """The nec set as a mask of self.space."""
+        mask = 0
+        for c, labels, conforms in self._label_classes:
+            if conforms and self._warranted(labels, literal):
+                mask |= c
+        return mask
+
+    def poss_mask(self, literal: Literal) -> int:
+        """The poss set as a mask of self.space."""
+        arguments = self.index.arguments_for(literal)
+        complement = literal.complement()
+        mask = 0
+        for c, labels, conforms in self._label_classes:
+            if (
+                conforms
+                and any(map(self._validity_test(labels), arguments))
+                and not self._warranted(labels, complement)
+            ):
+                mask |= c
+        return mask
+
     def nec_set(self, literal: Literal) -> tuple[World, ...]:
         """Worlds whose induced subprogram warrants the literal."""
-        return tuple(w for w in self.worlds if self.warrants_in(w, literal))
+        return tuple(self.space.decode(self.nec_mask(literal)))
 
     def poss_set(self, literal: Literal) -> tuple[World, ...]:
         """Worlds where some argument for the literal is available and the
         complement is not warranted."""
-        arguments = self.index.arguments_for(literal)
-        out = []
-        for w in self.worlds:
-            if not any(self.is_valid(a, w) for a in arguments):
-                continue
-            if self.warrants_in(w, literal.complement()):
-                continue
-            out.append(w)
-        return tuple(out)
+        return tuple(self.space.decode(self.poss_mask(literal)))
 
     # -- probabilities --------------------------------------------------------
 
@@ -194,8 +240,10 @@ class InCAFramework:
         """Tight probability interval for the literal being warranted: the
         least mass on the necessary worlds and the most on the possible
         ones."""
-        lower, _ = lp_extrema(self.em, self.nec_set(literal), self.max_atoms)
-        _, upper = lp_extrema(self.em, self.poss_set(literal), self.max_atoms)
+        nec = self.nec_mask(literal)
+        lp = _linear_program(self.em, self.max_atoms)
+        lower, _ = lp.extrema(nec)
+        _, upper = lp.extrema(self.poss_mask(literal))
         return ProbabilityInterval(lower, upper)
 
     def prob_from_distribution(

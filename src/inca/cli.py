@@ -9,6 +9,7 @@ apply. Exit codes: 0 success, 1 domain errors, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -271,10 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves no state in the parser, so one serves every call.
+    return build_parser()
+
+
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

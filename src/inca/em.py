@@ -6,11 +6,16 @@ constraints; queries are answered by optimizing the query's probability over
 all such distributions, which reduces to a linear program with one variable
 per class of conforming worlds that satisfy the same formulas. That program
 is built, and its phase 1 solved, once per knowledge base.
+
+Inside the engine a set of worlds is a Python int over the knowledge base's
+`WorldSpace`: bit w stands for world w. Formulas compile to such truth
+tables with `&`, `|` and `^`, and the LP's classes come from splitting the
+conforming worlds by those tables, so `check` and `entail` list no worlds.
+Frozenset worlds appear only where the API hands worlds in or out.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,6 +25,11 @@ from . import simplex
 from .errors import CapacityError, GroundednessError, InconsistentKBError
 from .language import (
     EM,
+    F_AND,
+    F_ATOM,
+    F_NOT,
+    F_OR,
+    F_TOP,
     Atom,
     Formula,
     World,
@@ -134,38 +144,115 @@ class EMKnowledgeBase:
                     seen.append(a)
         return seen
 
-    def conforms(self, world: World) -> bool:
-        return all(ic.allows(world) for ic in self.constraints)
 
+class WorldSpace:
+    """The worlds over a knowledge base's universe, as bits of Python ints.
 
-def enumerate_worlds(kb: EMKnowledgeBase, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[World]:
-    """All worlds over the universe that satisfy the integrity constraints.
-
-    Worlds come out in binary-counting order: bit j of the counter decides
-    whether the j-th universe atom is in the world.
+    World w, in binary-counting order, holds the j-th universe atom iff bit
+    j of w is set. A set of worlds is the int whose bit w is set iff world w
+    is in the set; a formula's truth table is the set of worlds where it
+    holds.
     """
-    universe = kb.atom_universe
-    if len(universe) > max_atoms:
-        raise CapacityError(
-            f"universe has {len(universe)} atoms, limit is {max_atoms}"
-        )
-    worlds = []
-    for mask in range(1 << len(universe)):
-        w: World = frozenset(
-            universe[j] for j in range(len(universe)) if mask >> j & 1
-        )
-        if kb.conforms(w):
-            worlds.append(w)
-    return worlds
+
+    def __init__(self, kb: EMKnowledgeBase):
+        self.universe = kb.atom_universe
+        self.position = {atom: j for j, atom in enumerate(self.universe)}
+        size = 1 << len(self.universe)
+        self.full = (1 << size) - 1
+        self.tables: dict[Atom, int] = {}
+        for j, atom in enumerate(self.universe):
+            # 2^j worlds without the atom, then 2^j with it, repeated by
+            # doubling the pattern up to all 2^n worlds.
+            width = 2 << j
+            table = ((1 << (1 << j)) - 1) << (1 << j)
+            while width < size:
+                table |= table << width
+                width <<= 1
+            self.tables[atom] = table
+        self.conforming = self.full
+        for ic in kb.constraints:
+            seen = twice = 0
+            for atom in ic.atoms:
+                twice |= seen & self.tables[atom]
+                seen |= self.tables[atom]
+            self.conforming &= self.full ^ twice
+
+    def table(self, f: Formula) -> int:
+        """The worlds where a ground formula over the universe holds."""
+        if f.op == F_ATOM:
+            return self.tables[f.atom]
+        if f.op == F_NOT:
+            return self.full ^ self.table(f.parts[0])
+        if f.op == F_AND:
+            return self.table(f.parts[0]) & self.table(f.parts[1])
+        if f.op == F_OR:
+            return self.table(f.parts[0]) | self.table(f.parts[1])
+        return self.full if f.op == F_TOP else 0
+
+    def number(self, world: World) -> int:
+        """The index of a world; atoms outside the universe are ignored."""
+        return sum(1 << self.position[a] for a in world if a in self.position)
+
+    def world(self, w: int) -> World:
+        return frozenset(a for j, a in enumerate(self.universe) if w >> j & 1)
+
+    def decode(self, mask: int) -> list[World]:
+        """The worlds of a mask in binary-counting order, read off one scan
+        of its binary digits."""
+        digits = bin(mask)[:1:-1]
+        worlds = []
+        w = digits.find("1")
+        while w >= 0:
+            worlds.append(self.world(w))
+            w = digits.find("1", w + 1)
+        return worlds
+
+    def mask_of(self, worlds: Iterable[World]) -> int:
+        """The mask of a set of worlds. A world with an atom outside the
+        universe is not one of these worlds and is left out."""
+        marks = bytearray((self.full.bit_length() + 7) // 8)
+        for world in worlds:
+            if all(a in self.position for a in world):
+                w = self.number(world)
+                marks[w >> 3] |= 1 << (w & 7)
+        return int.from_bytes(marks, "little")
+
+
+def refine(mask: int, tables: Iterable[int]) -> list[int]:
+    """Split the worlds of mask into classes that agree on every table,
+    ordered by their lowest world."""
+    classes = [mask] if mask else []
+    for table in tables:
+        split = []
+        for c in classes:
+            inside = c & table
+            if inside:
+                split.append(inside)
+            if inside != c:
+                split.append(c ^ inside)
+        classes = split
+    return sorted(classes, key=lambda c: c & -c)
 
 
 @lru_cache(maxsize=1)
-def conforming_worlds(
+def world_space(
     kb: EMKnowledgeBase, max_atoms: int = DEFAULT_MAX_ATOMS
-) -> tuple[World, ...]:
-    """`enumerate_worlds`, run once per (kb, max_atoms) and shared by the
-    LP and the bridge. It does not need kb to be consistent."""
-    return tuple(enumerate_worlds(kb, max_atoms))
+) -> WorldSpace:
+    """The world space of kb, built once per (kb, max_atoms) and shared by
+    the LP and the bridge. It does not need kb to be consistent."""
+    if len(kb.atom_universe) > max_atoms:
+        raise CapacityError(
+            f"universe has {len(kb.atom_universe)} atoms, limit is {max_atoms}"
+        )
+    return WorldSpace(kb)
+
+
+def enumerate_worlds(kb: EMKnowledgeBase, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[World]:
+    """All worlds over the universe that satisfy the integrity constraints,
+    in binary-counting order: bit j of the counter decides whether the j-th
+    universe atom is in the world."""
+    space = world_space(kb, max_atoms)
+    return space.decode(space.conforming)
 
 
 @dataclass(frozen=True)
@@ -211,16 +298,12 @@ class _EMLinearProgram:
     """
 
     def __init__(self, kb: EMKnowledgeBase, max_atoms: int):
-        self.worlds = conforming_worlds(kb, max_atoms)
-        classes: dict[tuple[bool, ...], int] = {}
-        self.class_of: dict[World, int] = {}
-        for w in self.worlds:
-            signature = tuple(satisfies(w, pf.formula) for pf in kb.formulas)
-            self.class_of[w] = classes.setdefault(signature, len(classes))
-        self.class_sizes = Counter(self.class_of.values())
-        rows = [([1] * len(classes), simplex.EQ, 1)]
-        for i, pf in enumerate(kb.formulas):
-            coeffs = [int(signature[i]) for signature in classes]
+        self.space = world_space(kb, max_atoms)
+        tables = [self.space.table(pf.formula) for pf in kb.formulas]
+        self.classes = refine(self.space.conforming, tables)
+        rows = [([1] * len(self.classes), simplex.EQ, 1)]
+        for pf, table in zip(kb.formulas, tables):
+            coeffs = [int(c & table == c) for c in self.classes]
             if pf.lower == pf.upper:
                 rows.append((coeffs, simplex.EQ, pf.lower))
                 continue
@@ -230,21 +313,20 @@ class _EMLinearProgram:
             if pf.upper < 1:
                 rows.append((coeffs, simplex.LE, pf.upper))
         try:
-            self.polytope = simplex.Polytope(len(classes), rows)
+            self.polytope = simplex.Polytope(len(self.classes), rows)
         except simplex.Infeasible:
             raise InconsistentKBError(
                 "no probability distribution satisfies the knowledge base"
             ) from None
 
-    def extrema(self, target: frozenset[World]) -> tuple[Fraction, Fraction]:
-        hits = Counter(self.class_of[w] for w in target if w in self.class_of)
+    def extrema(self, target: int) -> tuple[Fraction, Fraction]:
+        """(min, max) mass on a mask of worlds of self.space."""
         # A class can keep all of its mass inside the target only if all of
         # its worlds are there, and can put some there if any one is.
-        classes = range(len(self.class_sizes))
         lo, _ = self.polytope.minimize(
-            [int(hits[j] == self.class_sizes[j]) for j in classes]
+            [int(c & target == c) for c in self.classes]
         )
-        hi, _ = self.polytope.maximize([int(j in hits) for j in classes])
+        hi, _ = self.polytope.maximize([int(c & target != 0) for c in self.classes])
         return lo, hi
 
 
@@ -260,16 +342,16 @@ def lp_extrema(
 ) -> tuple[Fraction, Fraction]:
     """Exact (min, max) of the mass on `worlds` over all distributions
     satisfying kb. Worlds that do not conform to kb carry no mass."""
-    return _linear_program(kb, max_atoms).extrema(frozenset(worlds))
+    lp = _linear_program(kb, max_atoms)
+    return lp.extrema(lp.space.mask_of(worlds))
 
 
 def lp_bounds(
     kb: EMKnowledgeBase, query: Formula, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> ProbabilityInterval:
     _check_query(kb, query)
-    worlds = worlds_satisfying(_linear_program(kb, max_atoms).worlds, query)
-    lo, hi = lp_extrema(kb, worlds, max_atoms)
-    return ProbabilityInterval(lo, hi)
+    lp = _linear_program(kb, max_atoms)
+    return ProbabilityInterval(*lp.extrema(lp.space.table(query)))
 
 
 def max_entailment(

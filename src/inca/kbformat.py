@@ -533,8 +533,20 @@ def render_kb(doc: KBDocument) -> str:
 # -- fragment parsers for the command line -------------------------------------
 
 
+class _FragmentParser(_Parser):
+    """A parser for one command-line fragment. A bad name is reported at
+    the first token of its atom."""
+
+    def parse_atom(self, model: str) -> Atom:
+        tok = self.peek()
+        try:
+            return super().parse_atom(model)
+        except ValueError as exc:
+            self.error(str(exc), tok)
+
+
 def parse_query(text: str) -> Formula:
-    parser = _Parser(text)
+    parser = _FragmentParser(text)
     formula = parser.parse_formula(EM)
     if parser.peek().kind != "EOF":
         parser.error("unexpected trailing input")
@@ -542,7 +554,7 @@ def parse_query(text: str) -> Formula:
 
 
 def parse_literal_text(text: str) -> Literal:
-    parser = _Parser(text)
+    parser = _FragmentParser(text)
     literal = parser.parse_literal()
     if parser.peek().kind != "EOF":
         parser.error("unexpected trailing input")
@@ -552,7 +564,7 @@ def parse_literal_text(text: str) -> Literal:
 def parse_world_spec(text: str) -> tuple[Atom, ...]:
     if not text.strip():
         return ()
-    parser = _Parser(text)
+    parser = _FragmentParser(text)
     atoms = [parser.parse_atom(EM)]
     while parser.at_symbol(","):
         parser.advance()
@@ -564,7 +576,7 @@ def parse_world_spec(text: str) -> tuple[Atom, ...]:
 
 def parse_evidence(text: str) -> tuple[EvidenceItem, ...]:
     """Evidence statements: `atom.` (certain) or `atom : p +- e.`."""
-    parser = _Parser(text)
+    parser = _FragmentParser(text)
     items = []
     while parser.peek().kind != "EOF":
         atom_tok = parser.peek()

@@ -59,6 +59,19 @@ def random_em_kb(rng, max_atom_count=4):
     return EMKnowledgeBase(tuple(formulas), constraints, tuple(atoms))
 
 
+def with_constraints(rng, kb):
+    """kb with up to two unmentioned atoms added to its universe and up to
+    two more oneOf constraints over the result."""
+    pads = tuple(Atom(f"pad{i}", (Term("c"),), EM) for i in range(rng.randint(0, 2)))
+    universe = kb.atom_universe + pads
+    constraints = list(kb.constraints)
+    if len(universe) >= 2:
+        for _ in range(rng.randint(0, 2)):
+            size = rng.randint(2, min(3, len(universe)))
+            constraints.append(IntegrityConstraint(tuple(rng.sample(universe, size))))
+    return EMKnowledgeBase(kb.formulas, tuple(constraints), universe)
+
+
 AM_LITERALS = tuple(
     Literal(Atom(p, (Term(c),), AM), negated)
     for p in ("p", "q", "r", "s")

@@ -2,18 +2,34 @@
 
 These deliberately use different algorithms from the package. Linear
 programs and probability bounds come from polytope vertex enumeration
-instead of simplex; arguments come from exhaustive subset search instead
-of backward proof search; the specificity check quantifies over every
-subset of the derivable literals instead of the pruned bitmask universe.
+instead of simplex; worlds, and the nec and poss sets, are listed one
+frozenset world at a time instead of as truth-table masks; arguments come
+from exhaustive subset search instead of backward proof search; the
+specificity check quantifies over every subset of the derivable literals
+instead of the pruned bitmask universe.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from inca.am import DEFEASIBLE_RULE, FACT, STRICT_RULE
-from inca.em import enumerate_worlds
+from inca.am import DEFEASIBLE_RULE, FACT, STRICT_RULE, WARRANTED
+from inca.errors import CapacityError
 from inca.language import satisfies
 from inca.simplex import EQ, GE, LE
+
+
+def worlds_oracle(kb, max_atoms=20):
+    """The worlds that conform to kb's constraints, in binary-counting
+    order: bit j of the counter puts the j-th universe atom in the world."""
+    universe = kb.atom_universe
+    if len(universe) > max_atoms:
+        raise CapacityError(f"universe has {len(universe)} atoms")
+    worlds = []
+    for mask in range(1 << len(universe)):
+        w = frozenset(universe[j] for j in range(len(universe)) if mask >> j & 1)
+        if all(ic.allows(w) for ic in kb.constraints):
+            worlds.append(w)
+    return worlds
 
 
 def _solve(matrix, rhs):
@@ -99,7 +115,7 @@ def _feasible_vertices(class_rows, bounds):
 
 def lp_bounds_oracle(kb, query, max_atoms=20):
     """Exact (min, max) of P(query), or None if the KB is inconsistent."""
-    worlds = enumerate_worlds(kb, max_atoms)
+    worlds = worlds_oracle(kb, max_atoms)
     groups = {}
     for w in worlds:
         sig = tuple(bool(satisfies(w, pf.formula)) for pf in kb.formulas)
@@ -130,7 +146,7 @@ def distribution_probability(distribution, query):
 
 def sample_distributions(kb, max_atoms=20, limit=3):
     """A few distributions satisfying the KB, one per polytope vertex."""
-    worlds = enumerate_worlds(kb, max_atoms)
+    worlds = worlds_oracle(kb, max_atoms)
     groups = {}
     for w in worlds:
         sig = tuple(bool(satisfies(w, pf.formula)) for pf in kb.formulas)
@@ -150,6 +166,50 @@ def sample_distributions(kb, max_atoms=20, limit=3):
             if len(out) >= limit:
                 break
     return out
+
+
+# -- bridge oracles -------------------------------------------------------------
+
+
+def valid_labels_oracle(framework, world):
+    """Labels of the elements whose annotation holds at the world."""
+    return frozenset(
+        e.label
+        for e in framework.program.elements
+        if satisfies(world, framework.annotations.annotation_for(e.label))
+    )
+
+
+def _warrants_oracle(framework, world, literal):
+    labels = valid_labels_oracle(framework, world)
+    status = framework.index.warrant_status(
+        literal, lambda a: all(e.label in labels for e in a.support)
+    )
+    return status == WARRANTED
+
+
+def nec_oracle(framework, literal):
+    """Worlds whose induced subprogram warrants the literal, decided one
+    world at a time."""
+    return tuple(
+        w for w in worlds_oracle(framework.em)
+        if _warrants_oracle(framework, w, literal)
+    )
+
+
+def poss_oracle(framework, literal):
+    """Worlds where some argument for the literal is valid and the
+    complement is not warranted, decided one world at a time."""
+    arguments = framework.index.arguments_for(literal)
+    out = []
+    for w in worlds_oracle(framework.em):
+        labels = valid_labels_oracle(framework, w)
+        if not any(all(e.label in labels for e in a.support) for a in arguments):
+            continue
+        if _warrants_oracle(framework, w, literal.complement()):
+            continue
+        out.append(w)
+    return tuple(out)
 
 
 # -- argumentation oracles ----------------------------------------------------

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inca import bridge, em
 from inca.am import AMElement, AMProgram, FACT, NOT_WARRANTED, PRESUMPTION, WARRANTED
@@ -37,7 +38,8 @@ from conftest import (
     worm_em_kb,
     worm_elements,
 )
-from generators import random_framework
+from generators import random_framework, with_constraints
+from oracles import nec_oracle, poss_oracle, valid_labels_oracle
 
 F = Fraction
 
@@ -197,11 +199,12 @@ def test_prob_bounds_enumerates_worlds_once(monkeypatch, worm_program):
     # Both modules bind the name; count calls through either.
     monkeypatch.setattr(em, "enumerate_worlds", counted)
     monkeypatch.setattr(bridge, "enumerate_worlds", counted)
-    em.conforming_worlds.cache_clear()
+    em.world_space.cache_clear()
     em._linear_program.cache_clear()
     fw = InCAFramework(worm_em_kb(), worm_program, worm_annotations())
     fw.prob_bounds(IS_CAP)
-    assert len(calls) == 1
+    # nec and poss reach the LP as masks; no world is listed.
+    assert calls == []
 
 
 def test_worlds_do_not_need_a_consistent_em(worm_program):
@@ -265,3 +268,25 @@ def test_framework_invariants_hold_on_random_instances():
             assert not nec & set(fw.nec_set(literal.complement()))
             iv = fw.prob_bounds(literal)
             assert 0 <= iv.lower <= iv.upper <= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_nec_and_poss_match_per_world_oracles(rng):
+    base = random_framework(rng)
+    kb = with_constraints(rng, base.em)
+    fw = InCAFramework(kb, base.program, base.annotations)
+    # Every world, conforming or not, gets the labels of its own class.
+    for w in range(fw.space.full.bit_length()):
+        world = fw.space.world(w)
+        assert fw.valid_labels(world) == valid_labels_oracle(fw, world)
+    consistent = em.is_consistent(kb)
+    heads = list(dict.fromkeys(e.head for e in fw.program.elements))[:4]
+    for literal in heads + [h.complement() for h in heads]:
+        nec, poss = fw.nec_set(literal), fw.poss_set(literal)
+        assert nec == nec_oracle(fw, literal)
+        assert poss == poss_oracle(fw, literal)
+        if consistent:
+            iv = fw.prob_bounds(literal)
+            assert iv.lower == em.lp_extrema(kb, nec)[0]
+            assert iv.upper == em.lp_extrema(kb, poss)[1]

@@ -99,23 +99,25 @@ def run_json(capsys, *argv):
 
 # -- golden outputs ---------------------------------------------------------------
 
-# The padded copy's universe adds seven atoms that no formula mentions: 1024
-# worlds and the same answers. The padding atoms come last in the universe, so
-# the attribution trace still shows the first warranting world of worm123.
-PADDED_UNIVERSE = ["govCybLab(baja)", "cybCapAge(baja,5)", "mseTT(baja,2)"] + [
-    f"pad{i}(x)" for i in range(7)
-]
-GOLDEN_KBS = pytest.mark.parametrize("padded", [False, True], ids=["worm123", "padded"])
+# The padded copies' universes add 7 or 17 atoms that no formula mentions:
+# 1024 or 2^20 worlds (the default --max-atoms cap) and the same answers. The
+# padding atoms come last in the universe, so the attribution trace still
+# shows the first warranting world of worm123.
+WORM_UNIVERSE = ["govCybLab(baja)", "cybCapAge(baja,5)", "mseTT(baja,2)"]
+GOLDEN_KBS = pytest.mark.parametrize(
+    "padded", [0, 7, 17], ids=["worm123", "padded", "padded20"]
+)
 
 
 def golden_kb(padded, tmp_path, monkeypatch):
     monkeypatch.chdir(FIXTURES)
     if not padded:
         return "worm123.inca"
+    universe = WORM_UNIVERSE + [f"pad{i}(x)" for i in range(padded)]
     path = tmp_path / "worm123.inca"
     path.write_text(
         (FIXTURES / "worm123.inca").read_text()
-        + "\n#universe\n" + ", ".join(PADDED_UNIVERSE) + ".\n"
+        + "\n#universe\n" + ", ".join(universe) + ".\n"
     )
     return str(path)
 
@@ -334,6 +336,30 @@ def test_usage_error(capsys):
     assert code == 2
     code, _, _ = run(capsys, "frobnicate", KB)
     assert code == 2
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys, monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    code, out, err = run(capsys, "entail", "worm123.inca")  # missing -q
+    assert code == 2 and out == "" and "-q/--query" in err
+    code, out, _ = run(
+        capsys, "entail", "worm123.inca", "-q", "govCybLab(baja) v mseTT(baja,2)"
+    )
+    assert code == 0 and out == (GOLDEN / "entail.txt").read_text()
+    # Options given to one call do not reach the next.
+    payload = run_json(
+        capsys, "warrant", KB, "-l", "isCap(baja,worm123)", "-w", "govCybLab(baja)",
+        "--json",
+    )
+    assert payload == {"query": "warrant", "result": "warranted"}
+    code, out, _ = run(capsys, "warrant", KB, "-l", "isCap(baja,worm123)")
+    assert code == 0 and out == "undecided\n"
+
+
+def test_fragment_parse_error_reports_position(capsys):
+    code, out, err = run(capsys, "entail", KB, "-q", "p(1.5)")
+    assert code == 1 and out == ""
+    assert err == "error: line 1, column 1: bad term name: '1.5'\n"
 
 
 def test_help_exits_zero(capsys):

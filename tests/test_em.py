@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inca.em import (
     EMKnowledgeBase,
@@ -13,15 +14,31 @@ from inca.em import (
     lp_bounds,
     lp_extrema,
     max_entailment,
+    world_space,
     worlds_satisfying,
 )
 from inca.errors import CapacityError, GroundednessError, InconsistentKBError
-from inca.language import Atom, Term, atom_formula, conj, disj, neg, satisfies
+from inca.language import (
+    BOTTOM,
+    TOP,
+    Atom,
+    Term,
+    atom_formula,
+    conj,
+    disj,
+    neg,
+    satisfies,
+)
 from inca.simplex import EQ, GE, LE, maximize, minimize
 
 from conftest import AGE, GOV, MSE, ematom, worm_em_kb
-from generators import random_em_kb, random_formula
-from oracles import distribution_probability, lp_bounds_oracle, sample_distributions
+from generators import random_em_kb, random_formula, with_constraints
+from oracles import (
+    distribution_probability,
+    lp_bounds_oracle,
+    sample_distributions,
+    worlds_oracle,
+)
 
 F = Fraction
 
@@ -83,6 +100,22 @@ def test_enumerate_worlds_respects_constraints():
     worlds = enumerate_worlds(kb)
     assert frozenset({GOV, AGE}) not in worlds
     assert len(worlds) == 3
+
+
+def test_world_space_truth_tables():
+    f = ProbabilisticFormula(atom_formula(GOV), F(1, 2), F(1, 2))
+    kb = EMKnowledgeBase((f,), (IntegrityConstraint((GOV, AGE)),), (GOV, AGE, MSE))
+    space = world_space(kb)
+    assert space.full == 0xFF
+    assert [space.tables[a] for a in (GOV, AGE, MSE)] == [0xAA, 0xCC, 0xF0]
+    assert space.conforming == 0xFF ^ 0x88  # worlds 3 and 7 hold GOV and AGE
+    assert (space.table(TOP), space.table(BOTTOM)) == (0xFF, 0)
+    assert space.table(conj(atom_formula(GOV), neg(atom_formula(MSE)))) == 0x0A
+    assert space.decode(0x0A) == [frozenset({GOV}), frozenset({GOV, AGE})]
+    assert space.decode(0) == []
+    outside = frozenset({GOV, ematom("other")})
+    assert space.mask_of([frozenset({GOV}), outside]) == 0x02
+    assert space.number(outside) == 1
 
 
 def test_capacity_error_over_max_atoms():
@@ -176,6 +209,26 @@ def test_bounds_match_vertex_oracle_on_random_kbs():
         except InconsistentKBError:
             engine = None
         assert engine == lp_bounds_oracle(kb, query)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_truth_tables_and_bounds_match_per_world_oracles(rng):
+    kb = with_constraints(rng, random_em_kb(rng))
+    worlds = enumerate_worlds(kb)
+    assert worlds == worlds_oracle(kb)
+    space = world_space(kb)
+    query = random_formula(rng, list(kb.atom_universe))
+    for f in [pf.formula for pf in kb.formulas] + [query]:
+        table = space.table(f) & space.conforming
+        assert space.decode(table) == worlds_satisfying(worlds, f)
+        assert space.mask_of(worlds_satisfying(worlds, f)) == table
+    try:
+        iv = lp_bounds(kb, query)
+        engine = (iv.lower, iv.upper)
+    except InconsistentKBError:
+        engine = None
+    assert engine == lp_bounds_oracle(kb, query)
 
 
 def test_sampled_distributions_conform():

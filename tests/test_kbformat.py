@@ -134,38 +134,46 @@ def test_parse_error_positions():
 
 
 @pytest.mark.parametrize(
-    "text, line, column, message",
+    "parse, text, line, column, message",
     [
         (
-            "#em\np(a) : 0.5 +- 0.\n\t$ q(a) : 0.5 +- 0.\n",
+            parse_kb, "#em\np(a) : 0.5 +- 0.\n\t$ q(a) : 0.5 +- 0.\n",
             3, 2, "unexpected character '$'",
         ),
-        ("#em\np(a) : 0.5 +- 0.\n  #bogus\n", 3, 3, "unknown section #bogus"),
-        ("#em\n# comment\n", 2, 1, "expected a section name after '#'"),
+        (parse_kb, "#em\np(a) : 0.5 +- 0.\n  #bogus\n", 3, 3, "unknown section #bogus"),
+        (parse_kb, "#em\n# comment\n", 2, 1, "expected a section name after '#'"),
         (
-            "#em\r\np(a) : 0.5 +- 0.\r\nq(a : 0.5 +- 0.\r\n",
+            parse_kb, "#em\r\np(a) : 0.5 +- 0.\r\nq(a : 0.5 +- 0.\r\n",
             3, 5, "expected ')', found ':'",
         ),
-        ("#em\np(a) : 0.5 +- 0", 2, 16, "expected '.', found 'end of input'"),
-        ("#em\np : .5 +- 0.\n", 2, 5, "expected a number"),
-        ("#em\nq(a) : 0.5 +- 0.\np(1.5) : 0.5 +- 0.\n", 3, 1,
+        (parse_kb, "#em\np(a) : 0.5 +- 0", 2, 16, "expected '.', found 'end of input'"),
+        (parse_kb, "#em\np : .5 +- 0.\n", 2, 5, "expected a number"),
+        (parse_kb, "#em\nq(a) : 0.5 +- 0.\np(1.5) : 0.5 +- 0.\n", 3, 1,
          "bad term name: '1.5'"),
-        ("#em\nX : 0.5 +- 0.\n", 2, 1, "bad predicate name: 'X'"),
-        ("#em\n  p(X) ^ q(a) : 0.5 +- 0.\n", 2, 3,
+        (parse_kb, "#em\nX : 0.5 +- 0.\n", 2, 1, "bad predicate name: 'X'"),
+        (parse_kb, "#em\n  p(X) ^ q(a) : 0.5 +- 0.\n", 2, 3,
          "formula must be ground: p(X) ^ q(a)"),
-        ("#em\np(a) : 1.5 +- 0.\n", 2, 16, "p must be in [0, 1], got 3/2"),
-        ("#ic\noneOf{p(a), q(1.5)}.\n", 2, 1, "bad term name: '1.5'"),
-        ("#am\nf1 : fact p(a).\n#af\nf1 : Q(a).\n", 4, 1,
+        (parse_kb, "#em\np(a) : 1.5 +- 0.\n", 2, 16, "p must be in [0, 1], got 3/2"),
+        (parse_kb, "#ic\noneOf{p(a), q(1.5)}.\n", 2, 1, "bad term name: '1.5'"),
+        (parse_kb, "#am\nf1 : fact p(a).\n#af\nf1 : Q(a).\n", 4, 1,
          "bad predicate name: 'Q'"),
-        ("#universe\np(a), q(1.5).\n", 2, 1, "bad term name: '1.5'"),
+        (parse_kb, "#universe\np(a), q(1.5).\n", 2, 1, "bad term name: '1.5'"),
+        # The command-line fragment parsers report the bad atom.
+        (parse_query, "p(1.5)", 1, 1, "bad term name: '1.5'"),
+        (parse_query, "p(a) ^ ~Q(a)", 1, 9, "bad predicate name: 'Q'"),
+        (parse_literal_text, "neg isCap(1.5,x)", 1, 5, "bad term name: '1.5'"),
+        (parse_world_spec, "p(a), q(1.5)", 1, 7, "bad term name: '1.5'"),
+        (parse_evidence, "p(a).\n  q(1.5) : 1/2 +- 0.\n", 2, 3,
+         "bad term name: '1.5'"),
     ],
     ids=["tab", "unknown-section", "bare-hash", "crlf", "eof", "leading-dot",
          "em-term", "em-predicate", "em-not-ground", "em-interval",
-         "ic-term", "af-predicate", "universe-term"],
+         "ic-term", "af-predicate", "universe-term", "query-term",
+         "query-predicate", "literal-term", "world-term", "evidence-term"],
 )
-def test_parse_error_exact_position(text, line, column, message):
+def test_parse_error_exact_position(parse, text, line, column, message):
     with pytest.raises(ParseError) as excinfo:
-        parse_kb(text)
+        parse(text)
     assert (excinfo.value.line, excinfo.value.column) == (line, column)
     assert str(excinfo.value) == f"line {line}, column {column}: {message}"
 
