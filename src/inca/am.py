@@ -5,6 +5,11 @@ Arguments are minimal defeasible proofs for a literal; competing arguments
 attack each other, and dialectical trees with a recursive U/D marking decide
 which literals come out warranted.
 
+Whether a defeater may extend a dialectical line depends on the line alone,
+so each subprogram's tree is the full tree cut to its available arguments,
+and one walk over masks of subprograms, pruned as in DeLP, decides warrant
+in all of them; marked trees are built only to be shown.
+
 Each ProgramIndex gives every literal of its ground program one bit, with a
 literal and its complement side by side, and every element one rule (body
 mask, head bit); facts and presumptions have body 0. One forward-chaining
@@ -563,17 +568,22 @@ class ProgramIndex:
             rules += self._rules_of(arg.support)
         return not self._contradictory(_fixpoint(rules, 0))
 
+    def _acceptable(self, line: tuple, kind: str | None, b: Argument, b_kind: str) -> bool:
+        """Whether defeater b (a defeat of b_kind) may extend the line, whose
+        last argument defeats its parent by kind (None at the root). It
+        depends on the line only, never on a world."""
+        # A blocking defeater may only be answered by a proper one.
+        if kind == BLOCKING and b_kind != PROPER:
+            return False
+        if any(b.support <= earlier.support for earlier in line):
+            return False
+        return self._line_consistent(line[len(line) % 2 :: 2] + (b,))
+
     def _expand(self, node: DialecticalNode, line: tuple, valid) -> None:
         for b, kind in self.defeaters(node.argument):
             if valid is not None and not valid(b):
                 continue
-            # A blocking defeater may only be answered by a proper one.
-            if node.defeat_kind == BLOCKING and kind != PROPER:
-                continue
-            if any(b.support <= earlier.support for earlier in line):
-                continue
-            side = line[len(line) % 2 :: 2] + (b,)
-            if not self._line_consistent(side):
+            if not self._acceptable(line, node.defeat_kind, b, kind):
                 continue
             child = DialecticalNode(b, kind)
             node.children.append(child)
@@ -585,6 +595,7 @@ class ProgramIndex:
         return node
 
     def forest(self, literal: Literal, valid=None) -> tuple[DialecticalNode, ...]:
+        """The full marked trees, for display and as a reference."""
         roots = [
             a
             for a in self.arguments_for(literal)
@@ -592,13 +603,42 @@ class ProgramIndex:
         ]
         return tuple(mark_tree(self.build_tree(a, valid)) for a in roots)
 
-    def warrant_status(self, literal: Literal, valid=None) -> str:
-        pro = any(t.mark == "U" for t in self.forest(literal, valid))
-        con = any(t.mark == "U" for t in self.forest(literal.complement(), valid))
-        if pro and con:
+    def _undefeated(self, line: tuple, kind: str | None, mask: int, available) -> int:
+        """The worlds of mask where the line's last argument, a defeat of the
+        given kind, is marked U in its world's tree. A world's tree is the
+        full tree cut to the arguments available there, so each defeater is
+        followed only on the worlds where it is available and its parent is
+        not yet beaten, and the walk stops once every world is beaten."""
+        beaten = 0
+        for b, b_kind in self.defeaters(line[-1]):
+            if beaten == mask:
+                break
+            here = mask & ~beaten & available(b)
+            if here and self._acceptable(line, kind, b, b_kind):
+                beaten |= self._undefeated(line + (b,), b_kind, here, available)
+        return mask & ~beaten
+
+    def warrant_masks(self, literal: Literal, available, mask: int = 1) -> tuple[int, int]:
+        """The worlds of mask that warrant the literal and those that warrant
+        its complement. available(argument) is the mask of the worlds where
+        the argument can be used."""
+        pro = con = 0
+        for a in self.arguments_for(literal):
+            pro |= self._undefeated((a,), None, mask & ~pro & available(a), available)
+        for a in self.arguments_for(literal.complement()):
+            con |= self._undefeated((a,), None, mask & ~con & available(a), available)
+        if pro & con:
             raise InternalInconsistencyError(
                 f"both {literal} and its complement are warranted"
             )
+        return pro, con
+
+    def warrant_status(self, literal: Literal, valid=None) -> str:
+        """warrant_masks in one world, where valid (default: every argument)
+        says which arguments are available."""
+        pro, con = self.warrant_masks(
+            literal, lambda a: 1 if valid is None or valid(a) else 0
+        )
         if pro:
             return WARRANTED
         if con:

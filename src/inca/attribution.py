@@ -189,7 +189,7 @@ def most_probable_suspects(
     traces = []
     for name in most:
         literal = _conducting_literal(name, operation)
-        nec = extended.nec_mask(literal)
+        nec, _ = extended.masks(literal)
         if not nec:
             continue
         # The lowest warranting world, without listing the others.

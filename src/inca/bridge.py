@@ -7,11 +7,13 @@ subprogram, its own dialectical forests, and its own warranted literals.
 Probability bounds for a literal then come from the worlds that necessarily
 (respectively possibly) warrant it.
 
-Worlds where the same annotations hold induce the same subprogram, so the
-framework splits the world space (see `em.WorldSpace`) into classes by the
-truth values of its distinct annotations and decides warrant once per class
-and literal. The nec and poss sets are unions of class masks that go to the
-LP as they are; they are listed as worlds only when a caller asks for them.
+Each element's annotation is a truth table over the world space (see
+`em.WorldSpace`), and an argument is available on the AND of the tables of
+its support. One pruned walk of the dialectical trees over those masks
+(`ProgramIndex.warrant_masks`) gives the worlds that warrant a literal and
+those that warrant its complement; nec and poss are masks read off them
+that go to the LP as they are. They are listed as worlds only when a
+caller asks for them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .em import (
     _linear_program,
     enumerate_worlds,
     lp_extrema,  # noqa: F401  (bench/tracer.py wraps this name)
-    refine,
     world_space,
 )
 from .errors import AssemblyError, DistributionError, GroundednessError
@@ -127,7 +128,7 @@ class InCAFramework:
                         f"annotation for {label} mentions {atom}, which is "
                         "outside the atom universe"
                     )
-        self._warrants: dict[tuple, bool] = {}
+        self._available: dict[Argument, int] = {}
 
     @cached_property
     def index(self):
@@ -141,98 +142,54 @@ class InCAFramework:
     def worlds(self) -> tuple[World, ...]:
         return tuple(enumerate_worlds(self.em, self.max_atoms))
 
-    # -- validity -----------------------------------------------------------
+    # -- availability and world-indexed warrant -----------------------------
 
-    @cached_property
-    def _label_classes(self) -> tuple[tuple[int, frozenset[str], bool], ...]:
-        """Every world in one class per set of valid labels: (class mask,
-        the labels valid in its worlds, whether its worlds conform)."""
-        annotation = {
-            e.label: self.annotations.annotation_for(e.label)
-            for e in self.program.elements
-        }
-        tables = {f: self.space.table(f) for f in dict.fromkeys(annotation.values())}
-        conforming = self.space.conforming
-        return tuple(
-            (
-                c,
-                frozenset(label for label, f in annotation.items() if c & tables[f]),
-                c & conforming != 0,
-            )
-            for c in refine(self.space.full, [conforming, *tables.values()])
-        )
+    def available(self, argument: Argument) -> int:
+        """The worlds, as a mask of self.space, where an argument can be
+        used: those where the annotation of every element of its support
+        holds."""
+        mask = self._available.get(argument)
+        if mask is None:
+            mask = self.space.full
+            for e in argument.support:
+                mask &= self.space.table(self.annotations.annotation_for(e.label))
+            self._available[argument] = mask
+        return mask
 
-    def valid_labels(self, world: World) -> frozenset[str]:
+    def _in(self, world: World):
         w = self.space.number(world)
-        return next(labels for c, labels, _ in self._label_classes if c >> w & 1)
-
-    def is_valid(self, argument: Argument, world: World) -> bool:
-        """An argument can be used in a world iff the annotation of every
-        element in its support holds there."""
-        return self._validity_test(self.valid_labels(world))(argument)
-
-    # -- world-indexed warrant ----------------------------------------------
-
-    @staticmethod
-    def _validity_test(labels: frozenset[str]):
-        return lambda a: all(e.label in labels for e in a.support)
-
-    def _warranted(self, labels: frozenset[str], literal: Literal) -> bool:
-        """Whether the subprogram of the valid labels warrants the literal;
-        decided once per label set."""
-        key = (labels, literal.key())
-        cached = self._warrants.get(key)
-        if cached is None:
-            status = self.index.warrant_status(literal, self._validity_test(labels))
-            cached = status == WARRANTED
-            self._warrants[key] = cached
-        return cached
+        return lambda a: self.available(a) >> w & 1
 
     def warrants_in(self, world: World, literal: Literal) -> bool:
-        return self._warranted(self.valid_labels(world), literal)
+        return self.index.warrant_status(literal, self._in(world)) == WARRANTED
 
     def forest_in(self, world: World, literal: Literal) -> tuple[DialecticalNode, ...]:
-        return self.index.forest(
-            literal, self._validity_test(self.valid_labels(world))
-        )
+        return self.index.forest(literal, self._in(world))
 
     def warrant_status_in(self, world: World, literal: Literal) -> str:
-        return self.index.warrant_status(
-            literal, self._validity_test(self.valid_labels(world))
-        )
+        return self.index.warrant_status(literal, self._in(world))
 
     # -- nec / poss ----------------------------------------------------------
 
-    def nec_mask(self, literal: Literal) -> int:
-        """The nec set as a mask of self.space."""
-        mask = 0
-        for c, labels, conforms in self._label_classes:
-            if conforms and self._warranted(labels, literal):
-                mask |= c
-        return mask
-
-    def poss_mask(self, literal: Literal) -> int:
-        """The poss set as a mask of self.space."""
-        arguments = self.index.arguments_for(literal)
-        complement = literal.complement()
-        mask = 0
-        for c, labels, conforms in self._label_classes:
-            if (
-                conforms
-                and any(map(self._validity_test(labels), arguments))
-                and not self._warranted(labels, complement)
-            ):
-                mask |= c
-        return mask
+    def masks(self, literal: Literal) -> tuple[int, int]:
+        """The nec and poss sets as masks of self.space: the conforming
+        worlds that warrant the literal, and those where some argument for
+        it is available and its complement is not warranted."""
+        conforming = self.space.conforming
+        nec, con = self.index.warrant_masks(literal, self.available, conforming)
+        poss = 0
+        for a in self.index.arguments_for(literal):
+            poss |= self.available(a)
+        return nec, poss & conforming & ~con
 
     def nec_set(self, literal: Literal) -> tuple[World, ...]:
         """Worlds whose induced subprogram warrants the literal."""
-        return tuple(self.space.decode(self.nec_mask(literal)))
+        return tuple(self.space.decode(self.masks(literal)[0]))
 
     def poss_set(self, literal: Literal) -> tuple[World, ...]:
         """Worlds where some argument for the literal is available and the
         complement is not warranted."""
-        return tuple(self.space.decode(self.poss_mask(literal)))
+        return tuple(self.space.decode(self.masks(literal)[1]))
 
     # -- probabilities --------------------------------------------------------
 
@@ -240,10 +197,10 @@ class InCAFramework:
         """Tight probability interval for the literal being warranted: the
         least mass on the necessary worlds and the most on the possible
         ones."""
-        nec = self.nec_mask(literal)
+        nec, poss = self.masks(literal)
         lp = _linear_program(self.em, self.max_atoms)
         lower, _ = lp.extrema(nec)
-        _, upper = lp.extrema(self.poss_mask(literal))
+        _, upper = lp.extrema(poss)
         return ProbabilityInterval(lower, upper)
 
     def prob_from_distribution(

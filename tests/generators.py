@@ -85,7 +85,7 @@ def _random_body(rng):
     return tuple(dict.fromkeys(picks))
 
 
-def random_am_program(rng, max_defeasible=8):
+def random_am_program(rng, max_defeasible=8, min_defeasible=1):
     elements = []
     for i in range(rng.randint(0, 3)):
         if rng.random() < 0.5:
@@ -94,7 +94,7 @@ def random_am_program(rng, max_defeasible=8):
             elements.append(
                 AMElement(f"b{i}", STRICT_RULE, rng.choice(AM_LITERALS), _random_body(rng))
             )
-    for i in range(rng.randint(1, max_defeasible)):
+    for i in range(rng.randint(min_defeasible, max_defeasible)):
         if rng.random() < 0.4:
             elements.append(AMElement(f"d{i}", PRESUMPTION, rng.choice(AM_LITERALS)))
         else:
@@ -115,4 +115,24 @@ def random_framework(rng):
     for element in program.elements:
         if rng.random() < 0.5:
             mapping[element.label] = random_formula(rng, atoms, depth=1)
+    return InCAFramework(kb, program, AnnotationFunction(mapping))
+
+
+def wide20_framework(rng):
+    """A framework over a 20-atom universe and a 3-formula EM whose element
+    j is annotated with atom e{j mod 20}; the program has at least 20
+    elements, so it has 20 distinct annotations."""
+    atoms = [Atom(f"e{i}", (Term("c"),), EM) for i in range(20)]
+    while True:
+        formulas = tuple(
+            ProbabilisticFormula(random_formula(rng, atoms), *random_bound(rng))
+            for _ in range(3)
+        )
+        kb = EMKnowledgeBase(formulas, (), tuple(atoms))
+        if is_consistent(kb):
+            break
+    program = random_am_program(rng, max_defeasible=20, min_defeasible=20)
+    mapping = {
+        e.label: atom_formula(atoms[j % 20]) for j, e in enumerate(program.elements)
+    }
     return InCAFramework(kb, program, AnnotationFunction(mapping))

@@ -6,13 +6,14 @@ instead of simplex; worlds, and the nec and poss sets, are listed one
 frozenset world at a time instead of as truth-table masks; arguments come
 from exhaustive subset search instead of backward proof search; the
 specificity check quantifies over every subset of the derivable literals
-instead of the pruned bitmask universe.
+instead of the pruned bitmask universe; warrant is read off fully built and
+marked dialectical trees instead of the pruned walk over world masks.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from inca.am import DEFEASIBLE_RULE, FACT, STRICT_RULE, WARRANTED
+from inca.am import DEFEASIBLE_RULE, FACT, STRICT_RULE
 from inca.errors import CapacityError
 from inca.language import satisfies
 from inca.simplex import EQ, GE, LE
@@ -180,12 +181,33 @@ def valid_labels_oracle(framework, world):
     )
 
 
-def _warrants_oracle(framework, world, literal):
+def available_oracle(framework, argument, world):
+    """Whether the annotation of every element of the argument's support
+    holds at the world."""
     labels = valid_labels_oracle(framework, world)
-    status = framework.index.warrant_status(
-        literal, lambda a: all(e.label in labels for e in a.support)
+    return all(e.label in labels for e in argument.support)
+
+
+def forest_warrants_oracle(index, literal, valid=None):
+    """Whether some root of the literal's full marked forest, cut to the
+    arguments valid accepts, is undefeated."""
+    return any(t.mark == "U" for t in index.forest(literal, valid))
+
+
+def nec_at_oracle(framework, world, literal):
+    """Whether the world's induced subprogram warrants the literal."""
+    return forest_warrants_oracle(
+        framework.index, literal, lambda a: available_oracle(framework, a, world)
     )
-    return status == WARRANTED
+
+
+def poss_at_oracle(framework, world, literal):
+    """Whether some argument for the literal is available at the world and
+    the complement is not warranted there."""
+    return any(
+        available_oracle(framework, a, world)
+        for a in framework.index.arguments_for(literal)
+    ) and not nec_at_oracle(framework, world, literal.complement())
 
 
 def nec_oracle(framework, literal):
@@ -193,23 +215,17 @@ def nec_oracle(framework, literal):
     world at a time."""
     return tuple(
         w for w in worlds_oracle(framework.em)
-        if _warrants_oracle(framework, w, literal)
+        if nec_at_oracle(framework, w, literal)
     )
 
 
 def poss_oracle(framework, literal):
     """Worlds where some argument for the literal is valid and the
     complement is not warranted, decided one world at a time."""
-    arguments = framework.index.arguments_for(literal)
-    out = []
-    for w in worlds_oracle(framework.em):
-        labels = valid_labels_oracle(framework, w)
-        if not any(all(e.label in labels for e in a.support) for a in arguments):
-            continue
-        if _warrants_oracle(framework, w, literal.complement()):
-            continue
-        out.append(w)
-    return tuple(out)
+    return tuple(
+        w for w in worlds_oracle(framework.em)
+        if poss_at_oracle(framework, w, literal)
+    )
 
 
 # -- argumentation oracles ----------------------------------------------------

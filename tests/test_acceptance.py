@@ -49,6 +49,7 @@ from generators import (
 )
 from oracles import (
     arguments_oracle,
+    available_oracle,
     consistent_subsets_oracle,
     lp_bounds_oracle,
     sample_distributions,
@@ -202,7 +203,8 @@ def test_criterion_6(parsed_framework):
         fw = parsed_framework
         (a5,) = fw.index.arguments_for(IS_CAP)
         assert frozenset(labels_of(a5)) == NAMED_ARGUMENTS["A5"]
-        valid_on = {w for w in fw.worlds if fw.is_valid(a5, w)}
+        valid_on = {w for w in fw.worlds if fw.available(a5) >> fw.space.number(w) & 1}
+        assert valid_on == {w for w in fw.worlds if available_oracle(fw, a5, w)}
         assert valid_on == {
             world(GOV), world(MSE), world(GOV, MSE),
             world(GOV, AGE), world(AGE, MSE), world(GOV, AGE, MSE),

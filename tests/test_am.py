@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inca.am import (
     AMElement,
@@ -21,7 +22,7 @@ from inca.am import (
     instantiate,
     mark_tree,
 )
-from inca.errors import AssemblyError, CapacityError
+from inca.errors import AssemblyError, CapacityError, InternalInconsistencyError
 from inca.language import AM, Atom, Literal, ROLE_ACTOR, ROLE_OPERATION, Term
 
 from conftest import (
@@ -41,6 +42,7 @@ from oracles import (
     closure_oracle,
     consistent_subsets_oracle,
     contradictory_oracle,
+    forest_warrants_oracle,
     specificity_oracle,
 )
 
@@ -443,3 +445,51 @@ def test_specificity_matches_exhaustive_oracle():
             for b in arguments:
                 if a is not b:
                     assert index.prefers_ps(a, b) == specificity_oracle(program, a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_warrant_masks_match_full_forests(rng):
+    """Bit w of the pruned walk equals the marks of the full forests cut to
+    the arguments available in world w; one more world checks the one-world
+    warrant_status with an arbitrary validity test."""
+    # 16 defeasible elements give more arguments with defeaters; half the
+    # elements hold in every world, so long supports are still available.
+    index = index_for(random_am_program(rng, max_defeasible=16))
+    element_masks = {
+        e.label: 0xFF if rng.random() < 0.5 else rng.randrange(256)
+        for e in index.program.elements
+    }
+
+    def available(a):
+        mask = 0xFF
+        for e in a.support:
+            mask &= element_masks[e.label]
+        return mask
+
+    chosen = {e.label for e in index.program.elements if rng.random() < 0.7}
+
+    def valid(a):
+        return all(e.label in chosen for e in a.support)
+
+    for literal in AM_LITERALS:
+        complement = literal.complement()
+        pro = con = 0
+        for w in range(8):
+            in_w = lambda a: available(a) >> w & 1
+            pro |= forest_warrants_oracle(index, literal, in_w) << w
+            con |= forest_warrants_oracle(index, complement, in_w) << w
+        if pro & con:
+            with pytest.raises(InternalInconsistencyError):
+                index.warrant_masks(literal, available, 0xFF)
+        else:
+            assert index.warrant_masks(literal, available, 0xFF) == (pro, con)
+
+        pro = forest_warrants_oracle(index, literal, valid)
+        con = forest_warrants_oracle(index, complement, valid)
+        if pro and con:
+            with pytest.raises(InternalInconsistencyError):
+                index.warrant_status(literal, valid)
+        else:
+            expected = WARRANTED if pro else NOT_WARRANTED if con else UNDECIDED
+            assert index.warrant_status(literal, valid) == expected

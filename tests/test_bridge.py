@@ -33,13 +33,21 @@ from conftest import (
     IS_CAP,
     MSE,
     NOT_IS_CAP,
+    argument_by_labels,
+    labels_of,
     lit,
     worm_annotations,
     worm_em_kb,
     worm_elements,
 )
-from generators import random_framework, with_constraints
-from oracles import nec_oracle, poss_oracle, valid_labels_oracle
+from generators import random_framework, wide20_framework, with_constraints
+from oracles import (
+    available_oracle,
+    nec_at_oracle,
+    nec_oracle,
+    poss_at_oracle,
+    poss_oracle,
+)
 
 F = Fraction
 
@@ -125,20 +133,31 @@ def test_annotations_accept_instance_labels_of_program_elements():
 
 
 def test_validity_of_capability_argument(worm_framework):
-    (a5,) = worm_framework.index.arguments_for(IS_CAP)
-    valid_worlds = {w for w in worm_framework.worlds if worm_framework.is_valid(a5, w)}
+    fw = worm_framework
+    (a5,) = fw.index.arguments_for(IS_CAP)
+    valid_worlds = {w for w in fw.worlds if fw.available(a5) >> fw.space.number(w) & 1}
+    assert valid_worlds == {w for w in fw.worlds if available_oracle(fw, a5, w)}
     assert valid_worlds == {
         world(GOV, AGE, MSE), world(GOV, AGE), world(GOV, MSE),
         world(AGE, MSE), world(GOV), world(MSE),
     }
 
 
-def test_valid_labels_cached_per_world(worm_framework):
-    labels = worm_framework.valid_labels(world(GOV))
-    assert "ph1" in labels and "ph3" not in labels
-    assert "th1a" in labels  # unannotated elements hold everywhere
-    again = worm_framework.valid_labels(world(GOV))
-    assert labels is again
+def test_available_bits_per_world(worm_framework):
+    fw = worm_framework
+    arguments = fw.index.all_arguments()
+    th1a = argument_by_labels(arguments, ["th1a"])
+    assert fw.available(th1a) == fw.space.full  # unannotated: every world
+    gov = fw.space.number(world(GOV))
+    with_ph1 = [a for a in arguments if "ph1" in labels_of(a)]
+    with_ph3 = [a for a in arguments if "ph3" in labels_of(a)]
+    assert with_ph1 and with_ph3
+    assert all(fw.available(a) >> gov & 1 for a in with_ph1 if a not in with_ph3)
+    assert not any(fw.available(a) >> gov & 1 for a in with_ph3)
+    # Every world, conforming or not, against the per-world labels.
+    for w in range(fw.space.full.bit_length()):
+        for a in arguments:
+            assert fw.available(a) >> w & 1 == available_oracle(fw, a, fw.space.world(w))
 
 
 def test_warrant_status_by_world(worm_framework):
@@ -276,10 +295,11 @@ def test_nec_and_poss_match_per_world_oracles(rng):
     base = random_framework(rng)
     kb = with_constraints(rng, base.em)
     fw = InCAFramework(kb, base.program, base.annotations)
-    # Every world, conforming or not, gets the labels of its own class.
+    # Every world, conforming or not, against the per-world labels.
     for w in range(fw.space.full.bit_length()):
         world = fw.space.world(w)
-        assert fw.valid_labels(world) == valid_labels_oracle(fw, world)
+        for a in fw.index.all_arguments():
+            assert fw.available(a) >> w & 1 == available_oracle(fw, a, world)
     consistent = em.is_consistent(kb)
     heads = list(dict.fromkeys(e.head for e in fw.program.elements))[:4]
     for literal in heads + [h.complement() for h in heads]:
@@ -290,3 +310,28 @@ def test_nec_and_poss_match_per_world_oracles(rng):
             iv = fw.prob_bounds(literal)
             assert iv.lower == em.lp_extrema(kb, nec)[0]
             assert iv.upper == em.lp_extrema(kb, poss)[1]
+
+
+def test_wide20_bounds_match_masks_and_sampled_worlds():
+    """20 distinct annotations over a 20-atom universe, so up to 2^20
+    different induced subprograms: bounds, nec and poss come from one walk
+    over masks of all the worlds."""
+    rng = random.Random("wide20")
+    fw = wide20_framework(rng)
+    annotations = {fw.annotations.annotation_for(e.label) for e in fw.program.elements}
+    assert len(fw.em.atom_universe) == 20 and len(annotations) == 20
+    lp = em._linear_program(fw.em, fw.max_atoms)
+    samples = rng.sample(range(fw.space.full.bit_length()), 64)
+    seen = set()
+    heads = list(dict.fromkeys(e.head for e in fw.program.elements))[:4]
+    for literal in heads + [h.complement() for h in heads]:
+        iv = fw.prob_bounds(literal)
+        nec, poss = fw.masks(literal)
+        assert (iv.lower, iv.upper) == (lp.extrema(nec)[0], lp.extrema(poss)[1])
+        assert nec & ~poss == 0
+        for w in samples:
+            world = fw.space.world(w)
+            assert nec >> w & 1 == nec_at_oracle(fw, world, literal)
+            assert poss >> w & 1 == poss_at_oracle(fw, world, literal)
+            seen.add((nec >> w & 1, poss >> w & 1))
+    assert seen == {(0, 0), (0, 1), (1, 1)}
