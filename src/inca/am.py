@@ -136,6 +136,11 @@ class AMProgram:
                     f"{e.label}: condOp literals must be defeasible; "
                     "use a presumption or a rule"
                 )
+        # Hashed once: index_for looks the program up on every query.
+        object.__setattr__(self, "_hash", hash(self.elements))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _of_kind(self, kind: str) -> tuple[AMElement, ...]:
         return tuple(e for e in self.elements if e.kind == kind)

@@ -131,6 +131,15 @@ class EMKnowledgeBase:
                     + ", ".join(str(a) for a in missing)
                 )
             object.__setattr__(self, "atom_universe", universe)
+        # Hashed once: the cached world space and LP are looked up by kb.
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.formulas, self.constraints, self.atom_universe)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _mentioned_atoms(self) -> list[Atom]:
         seen: list[Atom] = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import islice
 
 from .am import (
     AMElement,
@@ -59,21 +59,16 @@ from .language import (
 
 SECTIONS = ("#sorts", "#em", "#ic", "#am", "#af", "#universe")
 
-# One alternative per token kind, tried in this order at each position: '.'
-# is a symbol before a number can start, so ".5" reads as "." then "5". A
-# bare '#' and any other character match the last two alternatives so that
-# the scan never skips input.
+# One token after optional whitespace. The alternatives are tried in this
+# order at each position: '.' is a symbol before a number can start, so ".5"
+# reads as "." then "5". The last alternative takes any other non-space
+# character, a bare '#' included, so that the scan never skips input;
+# _tokenize rejects those.
 _TOKEN_RE = re.compile(
-    r"(?P<NEWLINE>\n)"
-    r"|(?P<SPACE>[^\S\n]+)"
-    r"|(?P<SECTION>#[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<SYMBOL>\+-|<-|-<|!=|[.:,(){}\[\]~^/])"
-    r"|(?P<NUMBER>\d+(?:\.\d+)?)"
-    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<HASH>#)"
-    r"|(?P<OTHER>.)",
-    re.DOTALL,
+    r"\s*(#[A-Za-z_][A-Za-z0-9_]*|\+-|<-|-<|!=|[.:,(){}\[\]~^/]"
+    r"|\d+(?:\.\d+)?|[A-Za-z_][A-Za-z0-9_]*|\S)"
 )
+_SYMBOLS = frozenset(["+-", "<-", "-<", "!=", *".:,(){}[]~^/"])
 
 
 def format_fraction(value) -> str:
@@ -98,35 +93,41 @@ def format_fraction(value) -> str:
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
 
-class Token(NamedTuple):
-    kind: str  # SECTION, IDENT, NUMBER, SYMBOL, EOF
-    text: str
-    line: int
-    column: int
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text as strings, then two "" end-of-input tokens; the
+    second keeps a one-token lookahead in range. A token's kind is read off
+    its first character: '#' starts a section, a decimal digit a number, an
+    ASCII letter or '_' an identifier, and any other token is a symbol. Any
+    other character raises here, so an identifier token is exactly one for
+    which str.isidentifier() holds."""
+    tokens = _TOKEN_RE.findall(text)
+    problems: dict[str, str] = {}
+    for word in set(tokens):
+        first = word[0]
+        if first == "#":
+            if word == "#":
+                problems[word] = "expected a section name after '#'"
+            elif word not in SECTIONS:
+                problems[word] = f"unknown section {word}"
+        elif word not in _SYMBOLS and not (
+            first.isdecimal() or first == "_" or first.isascii() and first.isalpha()
+        ):
+            problems[word] = f"unexpected character {word!r}"
+    if problems:
+        i = min(tokens.index(word) for word in problems)
+        raise _parse_error(text, i, problems[tokens[i]])
+    return tokens + ["", ""]
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "NEWLINE":
-            line += 1
-            line_start = m.end()
-            continue
-        if kind == "SPACE":
-            continue
-        word = m.group()
-        column = m.start() - line_start + 1
-        if kind == "HASH":
-            raise ParseError("expected a section name after '#'", line, column)
-        if kind == "OTHER":
-            raise ParseError(f"unexpected character {word!r}", line, column)
-        if kind == "SECTION" and word not in SECTIONS:
-            raise ParseError(f"unknown section {word}", line, column)
-        tokens.append(Token(kind, word, line, column))
-    eof = Token("EOF", "", line, len(text) - line_start + 1)
-    return tokens + [eof, eof]
+def _parse_error(text: str, i: int, message: str) -> ParseError:
+    """The ParseError at token i of text, or at the end of input when text
+    has no token i. Positions are found only here, by scanning again."""
+    match = next(islice(_TOKEN_RE.finditer(text), i, None), None)
+    offset = match.start(1) if match else len(text)
+    line_start = text.rfind("\n", 0, offset) + 1
+    line = text.count("\n", 0, line_start) + 1
+    snippet = text.split("\n")[line - 1].removesuffix("\r")
+    return ParseError(message, line, offset - line_start + 1, snippet)
 
 
 @dataclass(frozen=True)
@@ -156,92 +157,86 @@ class KBDocument:
 
 
 class _Parser:
+    """A recursive-descent parser over the token list of one text. A token
+    is referred to by its index, which error() turns into a position."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         # arity bookkeeping, keyed by (model, predicate)
         self.arities: dict[tuple[str, str], int] = {}
+        # Each distinct term and atom of this text is built once; the tables
+        # live only as long as the parse.
+        self.terms: dict[str, Term] = {}
+        self.atoms: dict[tuple[str, str, tuple[Term, ...]], Atom] = {}
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        # ahead is 0 or 1; the second EOF token keeps pos + 1 in range
-        return self.tokens[self.pos + ahead]
+    def peek(self) -> str:
+        return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def error(self, message: str, index: int | None = None):
+        raise _parse_error(self.text, self.pos if index is None else index, message)
+
+    def expect_symbol(self, text: str) -> None:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+        if tok != text:
+            self.error(f"expected {text!r}, found {tok or 'end of input'!r}")
+        self.pos += 1
+
+    def expect_ident(self, what: str = "an identifier") -> str:
+        tok = self.tokens[self.pos]
+        if not tok.isidentifier():
+            self.error(f"expected {what}")
+        self.pos += 1
         return tok
 
-    def error(self, message: str, token: Token | None = None):
-        tok = token or self.peek()
-        lines = self.text.splitlines()
-        snippet = lines[tok.line - 1] if tok.line <= len(lines) else ""
-        raise ParseError(message, tok.line, tok.column, snippet)
-
-    def expect_symbol(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "SYMBOL" or tok.text != text:
-            found = tok.text or "end of input"
-            self.error(f"expected {text!r}, found {found!r}")
-        return self.advance()
-
-    def expect_ident(self, what: str = "an identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            self.error(f"expected {what}")
-        return self.advance()
-
     def at_symbol(self, text: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind == "SYMBOL" and tok.text == text
+        return self.tokens[self.pos + ahead] == text
 
     def at_keyword(self, word: str) -> bool:
         # contextual keyword: an identifier not used as a predicate
-        tok = self.peek()
-        return (
-            tok.kind == "IDENT"
-            and tok.text == word
-            and not self.at_symbol("(", 1)
-        )
+        return self.tokens[self.pos] == word and self.tokens[self.pos + 1] != "("
 
     # -- shared pieces --------------------------------------------------------
 
     def parse_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            return Term(tok.text)
-        if tok.kind == "IDENT":
-            self.advance()
-            return Term(tok.text)
-        self.error("expected a constant, variable, or number")
+        tok = self.tokens[self.pos]
+        if not (tok.isidentifier() or tok[:1].isdecimal()):
+            self.error("expected a constant, variable, or number")
+        self.pos += 1
+        term = self.terms.get(tok)
+        if term is None:
+            term = self.terms[tok] = Term(tok)
+        return term
 
     def parse_atom(self, model: str) -> Atom:
-        tok = self.expect_ident("a predicate name")
+        start = self.pos
+        name = self.expect_ident("a predicate name")
         args = []
-        if self.at_symbol("("):
-            self.advance()
+        if self.tokens[self.pos] == "(":
+            self.pos += 1
             args.append(self.parse_term())
-            while self.at_symbol(","):
-                self.advance()
+            while self.tokens[self.pos] == ",":
+                self.pos += 1
                 args.append(self.parse_term())
             self.expect_symbol(")")
-        key = (model, tok.text)
-        arity = self.arities.setdefault(key, len(args))
+        arity = self.arities.setdefault((model, name), len(args))
         if arity != len(args):
             self.error(
-                f"{tok.text} used with {len(args)} argument(s), "
-                f"earlier with {arity}",
-                tok,
+                f"{name} used with {len(args)} argument(s), earlier with {arity}",
+                start,
             )
-        return Atom(tok.text, tuple(args), model)
+        key = (model, name, tuple(args))
+        atom = self.atoms.get(key)
+        if atom is None:
+            atom = self.atoms[key] = Atom(name, key[2], model)
+        return atom
 
     def parse_literal(self) -> Literal:
         if self.at_keyword("neg"):
-            self.advance()
+            self.pos += 1
             return Literal(self.parse_atom(AM), negated=True)
         return Literal(self.parse_atom(AM))
 
@@ -249,52 +244,54 @@ class _Parser:
         # after a complete conjunct a bare identifier can only be the `v`
         # connective, so no parenthesis lookahead here
         left = self.parse_conjunct(model)
-        while self.peek().kind == "IDENT" and self.peek().text == "v":
-            self.advance()
+        while self.tokens[self.pos] == "v":
+            self.pos += 1
             left = disj(left, self.parse_conjunct(model))
         return left
 
     def parse_conjunct(self, model: str) -> Formula:
         left = self.parse_unary(model)
-        while self.at_symbol("^"):
-            self.advance()
+        while self.tokens[self.pos] == "^":
+            self.pos += 1
             left = conj(left, self.parse_unary(model))
         return left
 
     def parse_unary(self, model: str) -> Formula:
-        if self.at_symbol("~"):
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok == "~":
+            self.pos += 1
             return neg(self.parse_unary(model))
-        if self.at_symbol("("):
-            self.advance()
+        if tok == "(":
+            self.pos += 1
             inner = self.parse_formula(model)
             self.expect_symbol(")")
             return inner
         if self.at_keyword("true"):
-            self.advance()
+            self.pos += 1
             return TOP
         if self.at_keyword("false"):
-            self.advance()
+            self.pos += 1
             return BOTTOM
         return atom_formula(self.parse_atom(model))
 
     def parse_rational(self) -> Fraction:
-        tok = self.peek()
-        if tok.kind != "NUMBER":
+        num = self.pos
+        tok = self.tokens[num]
+        if not tok[:1].isdecimal():
             self.error("expected a number")
-        self.advance()
-        value = Fraction(tok.text)
+        self.pos += 1
+        value = Fraction(tok)
         if self.at_symbol("/"):
-            self.advance()
-            den = self.peek()
-            if den.kind != "NUMBER" or "." in den.text:
+            self.pos += 1
+            den = self.tokens[self.pos]
+            if not den[:1].isdecimal() or "." in den:
                 self.error("expected an integer denominator")
-            self.advance()
-            if int(den.text) == 0:
-                self.error("zero denominator", den)
-            if "." in tok.text:
-                self.error("a/b rationals take integers", tok)
-            value = Fraction(int(tok.text), int(den.text))
+            self.pos += 1
+            if int(den) == 0:
+                self.error("zero denominator", self.pos - 1)
+            if "." in tok:
+                self.error("a/b rationals take integers", num)
+            value = Fraction(int(tok), int(den))
         return value
 
     def parse_bound(self) -> tuple[Fraction, Fraction]:
@@ -304,19 +301,18 @@ class _Parser:
         return p, eps
 
     def parse_label(self) -> str:
-        tok = self.expect_ident("an element label")
-        label = tok.text
+        label = self.expect_ident("an element label")
         if self.at_symbol("["):
-            self.advance()
+            self.pos += 1
             parts = []
             while True:
-                inner = self.peek()
-                if inner.kind not in ("IDENT", "NUMBER"):
+                inner = self.tokens[self.pos]
+                if not (inner.isidentifier() or inner[:1].isdecimal()):
                     self.error("expected a constant inside the label")
-                self.advance()
-                parts.append(inner.text)
+                self.pos += 1
+                parts.append(inner)
                 if self.at_symbol(","):
-                    self.advance()
+                    self.pos += 1
                     continue
                 break
             self.expect_symbol("]")
@@ -332,18 +328,19 @@ def _parse_document(parser: _Parser) -> KBDocument:
     af: list[tuple[str, Formula]] = []
     universe: list[Atom] | None = None
 
-    declared: dict[str, Token] = {}
-    labels: dict[str, Token] = {}
-    af_labels: dict[str, Token] = {}
+    declared: set[str] = set()
+    labels: set[str] = set()
+    af_labels: dict[str, int] = {}  # label -> index of its first token
 
     section = None
     while True:
-        tok = parser.peek()
-        if tok.kind == "EOF":
+        start = parser.pos
+        tok = parser.tokens[start]
+        if not tok:
             break
-        if tok.kind == "SECTION":
-            parser.advance()
-            section = tok.text
+        if tok[0] == "#":
+            parser.pos += 1
+            section = tok
             continue
         if section is None:
             parser.error("statements must appear inside a section")
@@ -352,21 +349,18 @@ def _parse_document(parser: _Parser) -> KBDocument:
         # reported at the statement's first token.
         try:
             if section == "#sorts":
-                role_tok = parser.expect_ident("'actor' or 'operation'")
-                if role_tok.text == "actor":
-                    role = ROLE_ACTOR
-                elif role_tok.text == "operation":
-                    role = ROLE_OPERATION
-                else:
-                    parser.error("expected 'actor' or 'operation'", role_tok)
+                role = parser.expect_ident("'actor' or 'operation'")
+                if role not in (ROLE_ACTOR, ROLE_OPERATION):
+                    parser.error("expected 'actor' or 'operation'", start)
                 while True:
+                    name_at = parser.pos
                     name = parser.expect_ident("a constant name")
-                    if name.text in declared:
-                        parser.error(f"{name.text} is already declared", name)
-                    declared[name.text] = name
-                    sorts.append((role, name.text))
+                    if name in declared:
+                        parser.error(f"{name} is already declared", name_at)
+                    declared.add(name)
+                    sorts.append((role, name))
                     if parser.at_symbol(","):
-                        parser.advance()
+                        parser.pos += 1
                         continue
                     break
                 parser.expect_symbol(".")
@@ -374,38 +368,35 @@ def _parse_document(parser: _Parser) -> KBDocument:
                 formula = parser.parse_formula(EM)
                 parser.expect_symbol(":")
                 p, eps = parser.parse_bound()
-                dot = parser.peek()
+                dot = parser.pos
                 parser.expect_symbol(".")
                 try:
                     em.append(ProbabilisticFormula(formula, p, eps))
                 except ValueError as exc:  # an interval out of range
                     parser.error(str(exc), dot)
             elif section == "#ic":
-                kw = parser.expect_ident("'oneOf'")
-                if kw.text != "oneOf":
-                    parser.error("expected 'oneOf'", kw)
+                if parser.expect_ident("'oneOf'") != "oneOf":
+                    parser.error("expected 'oneOf'", start)
                 parser.expect_symbol("{")
                 atoms = [parser.parse_atom(EM)]
                 while parser.at_symbol(","):
-                    parser.advance()
+                    parser.pos += 1
                     atoms.append(parser.parse_atom(EM))
                 parser.expect_symbol("}")
                 parser.expect_symbol(".")
                 ic.append(IntegrityConstraint(tuple(atoms)))
             elif section == "#am":
-                label_tok = parser.peek()
                 label = parser.parse_label()
                 if label in labels:
-                    parser.error(f"duplicate element label {label}", label_tok)
-                labels[label] = label_tok
+                    parser.error(f"duplicate element label {label}", start)
+                labels.add(label)
                 parser.expect_symbol(":")
                 am.append(_parse_element(parser, label))
             elif section == "#af":
-                label_tok = parser.peek()
                 label = parser.parse_label()
                 if label in af_labels:
-                    parser.error(f"duplicate annotation for {label}", label_tok)
-                af_labels[label] = label_tok
+                    parser.error(f"duplicate annotation for {label}", start)
+                af_labels[label] = start
                 parser.expect_symbol(":")
                 formula = parser.parse_formula(EM)
                 parser.expect_symbol(".")
@@ -415,33 +406,33 @@ def _parse_document(parser: _Parser) -> KBDocument:
                     parser.error("the universe is already given")
                 universe = []
                 while True:
-                    atom_tok = parser.peek()
+                    atom_at = parser.pos
                     atom = parser.parse_atom(EM)
                     if atom in universe:
-                        parser.error(f"duplicate universe atom {atom}", atom_tok)
+                        parser.error(f"duplicate universe atom {atom}", atom_at)
                     universe.append(atom)
                     if parser.at_symbol(","):
-                        parser.advance()
+                        parser.pos += 1
                         continue
                     break
                 parser.expect_symbol(".")
         except (ValueError, GroundednessError) as exc:
-            parser.error(str(exc), tok)
+            parser.error(str(exc), start)
 
-    for label, tok in af_labels.items():
+    for label, at in af_labels.items():
         base = label.split("[", 1)[0]
         if label not in labels and base not in labels:
-            parser.error(f"annotation for unknown element {label}", tok)
+            parser.error(f"annotation for unknown element {label}", at)
 
     return KBDocument(sorts, em, ic, am, af, universe)
 
 
 def _parse_element(parser: _Parser, label: str) -> AMElement:
     if parser.at_keyword("fact") or parser.at_keyword("presume"):
-        kw = parser.advance()
+        kind = FACT if parser.peek() == "fact" else PRESUMPTION
+        parser.pos += 1
         head = parser.parse_literal()
         parser.expect_symbol(".")
-        kind = FACT if kw.text == "fact" else PRESUMPTION
         return AMElement(label, kind, head)
     head = parser.parse_literal()
     if parser.at_symbol("<-"):
@@ -450,23 +441,24 @@ def _parse_element(parser: _Parser, label: str) -> AMElement:
         kind = DEFEASIBLE_RULE
     else:
         parser.error("expected '<-' or '-<'")
-    parser.advance()
+    parser.pos += 1
     body: list[Literal] = []
     guards: list[tuple[str, str]] = []
     while True:
-        tok = parser.peek()
-        if tok.kind == "IDENT" and parser.at_symbol("!=", 1):
-            left = parser.advance()
-            parser.advance()
+        left_at = parser.pos
+        left = parser.tokens[left_at]
+        if left.isidentifier() and parser.at_symbol("!=", 1):
+            parser.pos += 2
+            right_at = parser.pos
             right = parser.expect_ident("a variable")
-            for t in (left, right):
-                if not t.text[0].isupper():
-                    parser.error("inequality guards compare variables", t)
-            guards.append((left.text, right.text))
+            for at in (left_at, right_at):
+                if not parser.tokens[at][0].isupper():
+                    parser.error("inequality guards compare variables", at)
+            guards.append((left, right))
         else:
             body.append(parser.parse_literal())
         if parser.at_symbol(","):
-            parser.advance()
+            parser.pos += 1
             continue
         break
     parser.expect_symbol(".")
@@ -538,17 +530,17 @@ class _FragmentParser(_Parser):
     the first token of its atom."""
 
     def parse_atom(self, model: str) -> Atom:
-        tok = self.peek()
+        start = self.pos
         try:
             return super().parse_atom(model)
         except ValueError as exc:
-            self.error(str(exc), tok)
+            self.error(str(exc), start)
 
 
 def parse_query(text: str) -> Formula:
     parser = _FragmentParser(text)
     formula = parser.parse_formula(EM)
-    if parser.peek().kind != "EOF":
+    if parser.peek():
         parser.error("unexpected trailing input")
     return formula
 
@@ -556,7 +548,7 @@ def parse_query(text: str) -> Formula:
 def parse_literal_text(text: str) -> Literal:
     parser = _FragmentParser(text)
     literal = parser.parse_literal()
-    if parser.peek().kind != "EOF":
+    if parser.peek():
         parser.error("unexpected trailing input")
     return literal
 
@@ -567,9 +559,9 @@ def parse_world_spec(text: str) -> tuple[Atom, ...]:
     parser = _FragmentParser(text)
     atoms = [parser.parse_atom(EM)]
     while parser.at_symbol(","):
-        parser.advance()
+        parser.pos += 1
         atoms.append(parser.parse_atom(EM))
-    if parser.peek().kind != "EOF":
+    if parser.peek():
         parser.error("unexpected trailing input")
     return tuple(atoms)
 
@@ -578,18 +570,18 @@ def parse_evidence(text: str) -> tuple[EvidenceItem, ...]:
     """Evidence statements: `atom.` (certain) or `atom : p +- e.`."""
     parser = _FragmentParser(text)
     items = []
-    while parser.peek().kind != "EOF":
-        atom_tok = parser.peek()
+    while parser.peek():
+        start = parser.pos
         atom = parser.parse_atom(EM)
         p, eps = Fraction(1), Fraction(0)
         if parser.at_symbol(":"):
-            parser.advance()
+            parser.pos += 1
             p, eps = parser.parse_bound()
         parser.expect_symbol(".")
         try:
             items.append(EvidenceItem(atom, p, eps))
         except ValueError as exc:
-            parser.error(str(exc), atom_tok)
+            parser.error(str(exc), start)
     return tuple(items)
 
 

@@ -32,6 +32,9 @@ class Term:
     Constants may carry a role used by sorted grounding; the role is not part
     of term identity, so a constant parsed without sort context still compares
     equal to its declared counterpart.
+
+    Term, Atom, Literal and Formula compute their hash once, at construction,
+    from their compared fields; it is not a field, so equality ignores it.
     """
 
     name: str
@@ -45,6 +48,10 @@ class Term:
             raise ValueError(f"bad term name: {self.name!r}")
         if self.role not in ROLES:
             raise ValueError(f"bad role: {self.role!r}")
+        object.__setattr__(self, "_hash", hash(self.name))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_variable(self) -> bool:
@@ -67,6 +74,10 @@ class Atom:
             raise ValueError(f"bad predicate name: {self.predicate!r}")
         if self.model not in (EM, AM):
             raise ValueError(f"bad model tag: {self.model!r}")
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args, self.model)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_ground(self) -> bool:
@@ -94,6 +105,10 @@ class Literal:
     def __post_init__(self):
         if self.atom.model != AM:
             raise ValueError("literals belong to the analytical model")
+        object.__setattr__(self, "_hash", hash((self.atom, self.negated)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def complement(self) -> Literal:
         return Literal(self.atom, not self.negated)
@@ -150,6 +165,10 @@ class Formula:
             p.is_ground for p in self.parts
         )
         object.__setattr__(self, "is_ground", ground)
+        object.__setattr__(self, "_hash", hash((self.op, self.atom, self.parts)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def model(self) -> str | None:

@@ -8,13 +8,16 @@ from exhaustive subset search instead of backward proof search; the
 specificity check quantifies over every subset of the derivable literals
 instead of the pruned bitmask universe; warrant is read off fully built and
 marked dialectical trees instead of the pruned walk over world masks.
+Tokens and their positions come from one named-group scan that tracks lines
+as it goes, instead of a findall and a second scan on error.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
 from inca.am import DEFEASIBLE_RULE, FACT, STRICT_RULE
-from inca.errors import CapacityError
+from inca.errors import CapacityError, ParseError
 from inca.language import satisfies
 from inca.simplex import EQ, GE, LE
 
@@ -330,3 +333,47 @@ def specificity_oracle(program, a1, a2):
         if l2 in with2 and l2 not in base and l1 not in with1:
             cond2 = True
     return cond1 and cond2
+
+
+# -- tokenizer oracle -----------------------------------------------------------
+
+_SECTIONS = ("#sorts", "#em", "#ic", "#am", "#af", "#universe")
+
+# One alternative per token kind, tried in this order at each position.
+_TOKEN_RE = re.compile(
+    r"(?P<NEWLINE>\n)"
+    r"|(?P<SPACE>[^\S\n]+)"
+    r"|(?P<SECTION>#[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<SYMBOL>\+-|<-|-<|!=|[.:,(){}\[\]~^/])"
+    r"|(?P<NUMBER>\d+(?:\.\d+)?)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<HASH>#)"
+    r"|(?P<OTHER>.)",
+    re.DOTALL,
+)
+
+
+def tokens_oracle(text):
+    """(kind, text, line, column) of every token, then one ("EOF", "", line,
+    column) entry; the first bad token raises ParseError (without a
+    snippet). Lines count "\n" only and columns are 1-based."""
+    tokens = []
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
+            line += 1
+            line_start = m.end()
+            continue
+        if kind == "SPACE":
+            continue
+        word = m.group()
+        column = m.start() - line_start + 1
+        if kind == "HASH":
+            raise ParseError("expected a section name after '#'", line, column)
+        if kind == "OTHER":
+            raise ParseError(f"unexpected character {word!r}", line, column)
+        if kind == "SECTION" and word not in _SECTIONS:
+            raise ParseError(f"unknown section {word}", line, column)
+        tokens.append((kind, word, line, column))
+    return tokens + [("EOF", "", line, len(text) - line_start + 1)]

@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from inca.em import max_entailment
 from inca.errors import AssemblyError, ParseError
 from inca.kbformat import (
     KBDocument,
+    _parse_error,
+    _tokenize,
     assemble,
     format_fraction,
     load_kb,
@@ -18,9 +21,11 @@ from inca.kbformat import (
     render_kb,
     render_world,
 )
-from inca.language import atom_formula, conj, disj, neg, render_formula
+from inca.language import atom_formula, conj, disj, formula_atoms, neg, render_formula
 
 from conftest import AGE, FIXTURES, GOV, MSE, ematom, lit
+from generators import random_am_program, random_em_kb
+from oracles import tokens_oracle
 
 F = Fraction
 
@@ -190,6 +195,109 @@ def test_parse_error_cases():
     for text in bad:
         with pytest.raises(ParseError):
             parse_kb(text)
+
+
+@pytest.mark.parametrize(
+    "text, line, snippet",
+    [
+        # splitlines() would also break at \x0b, \x0c and \u2028
+        ("#em\x0bq(a) : 0.5 +- 0.\np(a : 0.5 +- 0.\n", 2, "p(a : 0.5 +- 0."),
+        ("#em\x0cq(a) : 0.5 +- 0.\u2028p(a : 0.5 +- 0.\n", 1,
+         "#em\x0cq(a) : 0.5 +- 0.\u2028p(a : 0.5 +- 0."),
+        ("#em\r\np(a) : 0.5 +- 0.\r\n\t$ q(a).\r\n", 3, "\t$ q(a)."),
+        ("#em\np(a) : 0.5 +- 0.\n  #bogus\n", 3, "  #bogus"),
+        ("#em\n# comment\n", 2, "# comment"),
+        ("#em\np(a) : 0.5 +- 0\n", 3, ""),
+    ],
+    ids=["vertical-tab", "form-feed", "character", "section", "bare-hash", "eof"],
+)
+def test_parse_error_snippet_is_the_reported_line(text, line, snippet):
+    with pytest.raises(ParseError) as excinfo:
+        parse_kb(text)
+    assert (excinfo.value.line, excinfo.value.snippet) == (line, snippet)
+
+
+# Inserted characters: the tokenizer's error cases, its whitespace (a lone
+# \r and \x0b included), symbol halves, and the start of each token kind.
+_NOISE = ["#", "#em", "#x", "$", "\t", "\r", "\r\n", "\n", " ", "\x0b", "é", "٣",
+          "+", "-", "<", "!", ".", ",", "(", ")", "a", "X", "_", "7", "0.5"]
+
+
+@st.composite
+def mutated_kb_texts(draw):
+    if draw(st.booleans()):
+        text = (FIXTURES / "worm123.inca").read_text()
+    else:
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        kb, program = random_em_kb(rng), random_am_program(rng)
+        text = render_kb(KBDocument(em=kb.formulas, am=program.elements))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, max(len(text) - 1, 0)))
+        if text and draw(st.booleans()):
+            text = text[:at] + text[at + 1:]
+        else:
+            noise = draw(st.one_of(st.sampled_from(_NOISE), st.characters()))
+            text = text[:at] + noise + text[at:]
+    return text + draw(st.sampled_from(["", "\n", "\r\n", " "]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_kb_texts())
+def test_tokenizer_matches_oracle(text):
+    try:
+        expected = tokens_oracle(text)
+    except ParseError as oracle_error:
+        want = (oracle_error.line, oracle_error.column, str(oracle_error))
+        for parse in (_tokenize, parse_kb):  # it wins over any syntax error
+            with pytest.raises(ParseError) as excinfo:
+                parse(text)
+            assert (excinfo.value.line, excinfo.value.column, str(excinfo.value)) == want
+        return
+    tokens = _tokenize(text)
+    assert tokens == [word for _, word, _, _ in expected] + [""]
+    for kind, word, _, _ in expected[:-1]:
+        # the parser tells kinds apart by these tests alone
+        assert word.isidentifier() == (kind == "IDENT")
+        assert word[:1].isdecimal() == (kind == "NUMBER")
+    n = len(expected) - 1  # the index of the end of input
+    for i in sorted({*range(0, n, max(1, n // 40)), n - 1, n} - {-1}):
+        error = _parse_error(text, i, "message")
+        assert (error.line, error.column) == expected[i][2:]
+
+
+def _mentioned_atoms(doc):
+    atoms = [a for f in doc.em for a in formula_atoms(f.formula)]
+    atoms += [a for _, f in doc.af for a in formula_atoms(f)]
+    return atoms + [lit.atom for e in doc.am for lit in (e.head, *e.body)]
+
+
+def test_equal_atoms_of_one_parse_are_one_object():
+    doc = parse_kb(
+        "#em\np2(c0) : 0.5 +- 0.\n"
+        "#am\nf1 : fact p2(c0).\nr1 : q(c0) -< p2(c0).\n"
+        "#af\nr1 : p2(c0) v ~p2(c0).\n"
+    )
+    em_atom = doc.em[0].formula.atom
+    assert doc.af[0][1].parts[0].atom is em_atom
+    assert doc.af[0][1].parts[1].parts[0].atom is em_atom
+    assert doc.am[0].head.atom is doc.am[1].body[0].atom
+    assert doc.am[0].head.atom is not em_atom  # another model
+    assert doc.am[1].head.atom.args[0] is em_atom.args[0]
+
+
+def test_parses_share_no_atoms():
+    # no table outlives a parse: equal documents, no common objects
+    text = (FIXTURES / "worm123.inca").read_text()
+    first, second = parse_kb(text), parse_kb(text)
+    assert first == second
+    first_ids = {id(a) for a in _mentioned_atoms(first)}
+    first_ids |= {id(t) for a in _mentioned_atoms(first) for t in a.args}
+    assert not first_ids & {id(a) for a in _mentioned_atoms(second)}
+    assert not first_ids & {id(t) for a in _mentioned_atoms(second) for t in a.args}
+    # the assembled knowledge base and program compare and hash alike
+    one, two = assemble(first), assemble(second)
+    assert one.em == two.em and hash(one.em) == hash(two.em)
+    assert one.program == two.program and hash(one.program) == hash(two.program)
 
 
 def test_predicate_arity_is_checked_per_model():

@@ -20,8 +20,10 @@ from inca.language import (
     neg,
     render_formula,
     satisfies,
+    substitute_atom,
     substitute_literal,
 )
+from inca.kbformat import parse_literal_text, parse_query
 
 from conftest import ematom, lit
 
@@ -41,6 +43,28 @@ def test_term_constants_and_variables():
 def test_term_role_is_not_part_of_identity():
     assert Term("baja", ROLE_ACTOR) == Term("baja")
     assert hash(Term("baja", ROLE_ACTOR)) == hash(Term("baja"))
+
+
+def test_equal_values_hash_alike_however_built():
+    # parsed, constructed directly, and bound by substitution; the bound
+    # constant carries a role, which identity ignores
+    parsed = parse_literal_text("neg p2(c0,d)")
+    direct = Literal(Atom("p2", (Term("c0"), Term("d")), AM), negated=True)
+    schematic = Atom("p2", (Term("X"), Term("d")), AM)
+    bound = substitute_atom(schematic, {"X": Term("c0", ROLE_ACTOR)})
+    assert bound.args[0].role == ROLE_ACTOR
+    for value in (direct, Literal(bound, negated=True)):
+        assert value == parsed and hash(value) == hash(parsed)
+    for atom in (direct.atom, bound):
+        assert atom == parsed.atom and hash(atom) == hash(parsed.atom)
+    for term in (direct.atom.args[0], bound.args[0]):
+        assert term == parsed.atom.args[0] and hash(term) == hash(parsed.atom.args[0])
+    em_atom = Atom("p2", (Term("c0"), Term("d")), EM)
+    formula = conj(atom_formula(em_atom), neg(atom_formula(Atom("q"))))
+    assert formula == parse_query("p2(c0,d) ^ ~q")
+    assert hash(formula) == hash(parse_query("p2(c0,d) ^ ~q"))
+    # equal values collapse in a set, unequal ones do not
+    assert len({parsed, parsed.complement(), Literal(bound)}) == 2
 
 
 def test_atom_basics():
