@@ -14,7 +14,6 @@ from .am import (
     AMProgram,
     Argument,
     DialecticalNode,
-    ground_program,
     instantiate,
 )
 from .attribution import (
@@ -105,7 +104,6 @@ __all__ = [
     "disj",
     "enumerate_worlds",
     "format_fraction",
-    "ground_program",
     "instantiate",
     "is_consistent",
     "load_kb",

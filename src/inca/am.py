@@ -11,11 +11,15 @@ and one walk over masks of subprograms, pruned as in DeLP, decides warrant
 in all of them; marked trees are built only to be shown.
 
 Each ProgramIndex gives every literal of its ground program one bit, with a
-literal and its complement side by side, and every element one rule (body
-mask, head bit); facts and presumptions have body 0. One forward-chaining
-fixpoint over such rules and one contradiction test on the resulting mask
-serve derivability, argument consistency, strict supports, attacks,
-specificity and the consistency of dialectical lines.
+literal and its complement side by side, and every element one bit, in
+program order, and one rule (body mask, head bit); facts and presumptions
+have body 0. One forward-chaining fixpoint over such rules and one
+contradiction test on the resulting mask serve derivability, argument
+consistency, strict supports, attacks, specificity and the consistency of
+dialectical lines. An argument's support is an element mask: one ATMS label
+pass gives every literal its minimal consistent defeasible supports, so it
+builds every argument, and sub-arguments, attacks, preference and the
+acceptability of a line's next argument are tests on those masks.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     AssemblyError,
@@ -88,20 +92,23 @@ class AMElement:
         else:
             if not self.body:
                 raise ValueError(f"rule {self.label} needs a nonempty body")
-        names = self.variables()
-        for a, b in self.guards:
-            if a not in names or b not in names:
-                raise ValueError(
-                    f"guard {a} != {b} on {self.label} names an unused variable"
-                )
+        # Not a field: grounding and every index check it.
+        object.__setattr__(
+            self,
+            "is_ground",
+            self.head.is_ground and all(b.is_ground for b in self.body),
+        )
+        if self.guards:
+            names = self.variables()
+            for a, b in self.guards:
+                if a not in names or b not in names:
+                    raise ValueError(
+                        f"guard {a} != {b} on {self.label} names an unused variable"
+                    )
 
     @property
     def is_defeasible(self) -> bool:
         return self.kind in (PRESUMPTION, DEFEASIBLE_RULE)
-
-    @property
-    def is_ground(self) -> bool:
-        return self.head.is_ground and all(b.is_ground for b in self.body)
 
     def variables(self) -> frozenset[str]:
         out = set(self.head.atom.variables())
@@ -146,10 +153,6 @@ class AMProgram:
         return tuple(e for e in self.elements if e.kind == kind)
 
     @property
-    def theta(self) -> tuple[AMElement, ...]:
-        return self._of_kind(FACT)
-
-    @property
     def omega(self) -> tuple[AMElement, ...]:
         return self._of_kind(STRICT_RULE)
 
@@ -164,12 +167,6 @@ class AMProgram:
     @property
     def is_ground(self) -> bool:
         return all(e.is_ground for e in self.elements)
-
-    def by_label(self, label: str) -> AMElement:
-        for e in self.elements:
-            if e.label == label:
-                return e
-        raise KeyError(label)
 
 
 def _role_constraints(literals) -> dict[str, set[str]]:
@@ -236,13 +233,6 @@ def instantiate(item, constants) -> tuple:
     return tuple(out)
 
 
-def ground_program(program: AMProgram, constants) -> AMProgram:
-    elements = []
-    for e in program.elements:
-        elements.extend(instantiate(e, constants))
-    return AMProgram(tuple(elements))
-
-
 def _check_ground(elements):
     for e in elements:
         if not e.is_ground:
@@ -262,6 +252,14 @@ def _fixpoint(rules, mask: int) -> int:
     return mask
 
 
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Argument:
     """A conclusion plus its support: the minimal defeasible elements that
@@ -272,33 +270,20 @@ class Argument:
 
     def __post_init__(self):
         object.__setattr__(self, "support", frozenset(self.support))
+        # The dataclass hash, computed once: the walk and the bridge look
+        # arguments up at every step.
+        object.__setattr__(self, "_hash", hash((self.support, self.conclusion)))
 
-    def _of_kind(self, kind: str) -> frozenset:
-        return frozenset(e for e in self.support if e.kind == kind)
-
-    @property
-    def theta(self) -> frozenset:
-        return self._of_kind(FACT)
-
-    @property
-    def omega(self) -> frozenset:
-        return self._of_kind(STRICT_RULE)
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def phi(self) -> frozenset:
-        return self._of_kind(PRESUMPTION)
-
-    @property
-    def delta(self) -> frozenset:
-        return self._of_kind(DEFEASIBLE_RULE)
+        return frozenset(e for e in self.support if e.kind == PRESUMPTION)
 
     @property
     def defeasible_part(self) -> frozenset:
         return frozenset(e for e in self.support if e.is_defeasible)
-
-    @property
-    def is_presumptive(self) -> bool:
-        return bool(self.phi)
 
     @property
     def is_factual(self) -> bool:
@@ -345,17 +330,13 @@ class ProgramIndex:
         self.strict_elements = tuple(
             e for e in program.elements if not e.is_defeasible
         )
-        self.defeasible_elements = frozenset(
-            e for e in program.elements if e.is_defeasible
-        )
-        self._by_head: dict[tuple, list[AMElement]] = {}
-        for e in program.elements:
-            self._by_head.setdefault(e.head.key(), []).append(e)
-        self._arguments: dict[tuple, tuple[Argument, ...]] = {}
+        self._arguments: dict[Literal, tuple[Argument, ...]] = {}
         self._all_arguments: tuple[Argument, ...] | None = None
+        self._mask: dict[Argument, int] = {}
         self._defeaters: dict[Argument, tuple] = {}
-        self._prefers_ps: dict[tuple[Argument, Argument], bool] = {}
+        self._prefers_ps: dict[tuple, bool] = {}
         self._mask_memo: dict[tuple, dict[int, int]] = {}
+        self._closures: dict[int, int] = {}
         # Atom i's literal takes bit 2i and its negation bit 2i + 1, so one
         # shift tests every complementary pair at once.
         atoms: dict = {}
@@ -368,84 +349,105 @@ class ProgramIndex:
                 b = self._bit[lit] = 1 << (2 * i + lit.negated)
             return b
 
-        self._rule: dict[str, tuple[int, int]] = {}
-        for e in program.elements:
-            body = 0
-            for b in e.body:
-                body |= bit(b)
-            self._rule[e.label] = (body, bit(e.head))
+        # Element i takes bit i of an element mask and one rule (body mask,
+        # head bit); _body keeps its body literals' bits one by one.
+        self._rule: list[tuple[int, int]] = []
+        self._body: list[tuple[int, ...]] = []
+        self._kind = dict.fromkeys(KINDS, 0)
+        self._position: dict[str, int] = {}
+        for i, e in enumerate(program.elements):
+            self._position[e.label] = i
+            self._body.append(tuple(bit(b) for b in e.body))
+            self._rule.append((sum(set(self._body[i])), bit(e.head)))
+            self._kind[e.kind] |= 1 << i
+        self._strict = self._kind[FACT] | self._kind[STRICT_RULE]
+        self._strict_order = sorted(
+            (i for i in range(len(self._rule)) if self._strict >> i & 1),
+            key=lambda i: program.elements[i].label,
+        )
         self._positive = sum(1 << 2 * i for i in range(len(atoms)))
-        self._strict_rules = self._rules_of(self.strict_elements)
-        self._derivable_mask = _fixpoint(self._rule.values(), 0)
+        self._derivable_mask = _fixpoint(self._rule, 0)
         self.derivable = frozenset(
             lit for lit, b in self._bit.items() if self._derivable_mask & b
         )
 
-    def _rules_of(self, elements) -> tuple[tuple[int, int], ...]:
-        return tuple(self._rule[e.label] for e in elements)
+    def _rules_in(self, mask: int) -> list[tuple[int, int]]:
+        return [self._rule[i] for i in _bits(mask)]
 
     def _contradictory(self, mask: int) -> bool:
         return bool(mask & (mask >> 1) & self._positive)
 
+    def _closure(self, elements: int) -> int:
+        """What the elements of the mask derive with every strict element;
+        memoized per mask."""
+        mask = elements | self._strict
+        closure = self._closures.get(mask)
+        if closure is None:
+            closure = self._closures[mask] = _fixpoint(self._rules_in(mask), 0)
+        return closure
+
     # -- arguments ---------------------------------------------------------
 
-    def _proofs(self, literal: Literal, visiting: frozenset) -> list[frozenset]:
-        if literal in visiting:
-            return []
-        below = visiting | {literal}
-        out: list[frozenset] = []
-        seen: set[frozenset] = set()
-        for e in self._by_head.get(literal.key(), ()):
-            if e.kind in (FACT, PRESUMPTION):
-                candidates = [frozenset((e,))]
-            else:
-                body_proofs = [self._proofs(b, below) for b in e.body]
-                candidates = [
-                    frozenset((e,)).union(*combo)
-                    for combo in itertools.product(*body_proofs)
-                ]
-            for c in candidates:
-                if c not in seen:
-                    seen.add(c)
-                    out.append(c)
-        return out
+    @cached_property
+    def _labels(self) -> dict[int, list[int]]:
+        """The ATMS label of each literal bit (de Kleer 1986): the antichain
+        of minimal defeasible-element masks from which, with the strict
+        elements, it derives consistently. A rule ORs one label entry per
+        body literal and its own bit if defeasible; an entry is kept if no
+        entry is a subset of it and its closure is consistent (subsets of a
+        consistent set are), and it drops the entries it subsumes. Labels
+        only grow upwards, so this ends on cyclic rules too."""
+        labels: dict[int, list[int]] = {}
+        defeasible = ~self._strict
+        changed = True
+        while changed:
+            changed = False
+            for i, (_, head) in enumerate(self._rule):
+                envs = [defeasible & 1 << i]
+                for b in self._body[i]:
+                    envs = [env | x for env in envs for x in labels.get(b, ())]
+                label = labels.setdefault(head, [])
+                for env in envs:
+                    if any(x & env == x for x in label) or self._contradictory(
+                        self._closure(env)
+                    ):
+                        continue
+                    label[:] = [x for x in label if x & env != env]
+                    label.append(env)
+                    changed = True
+        return labels
 
-    def _strict_support(self, defeasible_part: frozenset, literal: Literal) -> frozenset:
-        # Drop strict elements one at a time (stable order) while the
-        # conclusion still derives; what remains is the recorded strict part.
-        bit = self._bit[literal]
-        defeasible_rules = self._rules_of(defeasible_part)
-        keep = sorted(self.strict_elements, key=lambda e: e.label)
-        for e in list(keep):
-            trial = [x for x in keep if x is not e]
-            if _fixpoint(defeasible_rules + self._rules_of(trial), 0) & bit:
-                keep = trial
-        return frozenset(keep)
+    def _strict_part(self, env: int, bit: int) -> int:
+        # Drop strict elements one at a time, in label order, while the
+        # conclusion still derives; what remains is the recorded strict
+        # part. One that never fires from env and every strict element is
+        # dropped up front, as the greedy would drop it anyway.
+        closure = self._closure(env)
+        used = env | sum(
+            1 << i for i in _bits(self._strict)
+            if self._rule[i][0] & closure == self._rule[i][0]
+        )
+        for i in self._strict_order:
+            trial = used & ~(1 << i)
+            if trial != used and _fixpoint(self._rules_in(trial), 0) & bit:
+                used = trial
+        return used & self._strict
 
     def arguments_for(self, literal: Literal) -> tuple[Argument, ...]:
-        key = literal.key()
-        if key in self._arguments:
-            return self._arguments[key]
-        proofs = self._proofs(literal, frozenset())
-        candidates = {p & self.defeasible_elements for p in proofs}
-        valid = [
-            d
-            for d in candidates
-            if not self._contradictory(
-                _fixpoint(self._strict_rules + self._rules_of(d), 0)
+        args = self._arguments.get(literal)
+        if args is not None:
+            return args
+        bit = self._bit.get(literal, 0)
+        out = []
+        for env in self._labels.get(bit, ()):
+            mask = env | self._strict_part(env, bit)
+            a = Argument(
+                frozenset(self.program.elements[i] for i in _bits(mask)),
+                literal,
             )
-        ]
-        minimal = [d for d in valid if not any(d2 < d for d2 in valid)]
-        args = tuple(
-            sorted(
-                (
-                    Argument(d | self._strict_support(d, literal), literal)
-                    for d in minimal
-                ),
-                key=Argument.sort_key,
-            )
-        )
-        self._arguments[key] = args
+            self._mask[a] = mask
+            out.append(a)
+        args = self._arguments[literal] = tuple(sorted(out, key=Argument.sort_key))
         return args
 
     def all_arguments(self) -> tuple[Argument, ...]:
@@ -456,31 +458,39 @@ class ProgramIndex:
             self._all_arguments = tuple(out)
         return self._all_arguments
 
+    def _mask_of(self, a: Argument) -> int:
+        """The element mask of an argument's support; set when the index
+        builds the argument, computed for one built elsewhere."""
+        mask = self._mask.get(a)
+        if mask is None:
+            mask = self._mask[a] = sum(1 << self._position[e.label] for e in a.support)
+        return mask
+
     def subarguments_of(self, a: Argument) -> tuple[Argument, ...]:
-        return tuple(b for b in self.all_arguments() if b.support <= a.support)
+        m = self._mask_of(a)
+        return tuple(
+            b for b in self.all_arguments() if (mb := self._mask_of(b)) & m == mb
+        )
 
     # -- attack ------------------------------------------------------------
 
     def attacks(self, a2: Argument, a1: Argument) -> bool:
-        shared = self._rules_of(
-            e for e in a1.support | a2.support if e.kind in (FACT, STRICT_RULE)
-        )
+        shared = self._rules_in((self._mask_of(a1) | self._mask_of(a2)) & self._strict)
         counter = self._bit[a2.conclusion]
-        for sub in self.subarguments_of(a1):
-            closure = _fixpoint(shared, counter | self._bit[sub.conclusion])
-            if self._contradictory(closure):
-                return True
-        return False
+        return any(
+            self._contradictory(_fixpoint(shared, counter | self._bit[b.conclusion]))
+            for b in self.subarguments_of(a1)
+        )
 
     # -- generalized specificity --------------------------------------------
 
-    def _derivable_rules(self, elements) -> tuple:
+    def _derivable_rules(self, elements: int) -> tuple:
         # A rule whose body is derivable has a derivable head, so this keeps
         # exactly the rules that can fire from derivable literals. Sorted so
         # that equal rule sets share one entry of the closure memo.
         return tuple(sorted(
             (body, head)
-            for body, head in self._rules_of(elements)
+            for body, head in self._rules_in(elements)
             if body & self._derivable_mask == body
         ))
 
@@ -499,7 +509,10 @@ class ProgramIndex:
         cannot change any of the tested derivations, so H ranges over the
         relevant ones only.
         """
-        key = (a1, a2)
+        m1, m2 = self._mask_of(a1), self._mask_of(a2)
+        l1 = self._bit[a1.conclusion]
+        l2 = self._bit[a2.conclusion]
+        key = (m1, l1, m2, l2)
         if key in self._prefers_ps:
             return self._prefers_ps[key]
         if len(self.derivable) > self.specificity_cap:
@@ -507,14 +520,13 @@ class ProgramIndex:
                 f"{len(self.derivable)} defeasibly derivable literals exceed "
                 f"the specificity cap of {self.specificity_cap}"
             )
-        omega = a1.omega | a2.omega
+        omega = (m1 | m2) & self._kind[STRICT_RULE]
+        delta = self._kind[DEFEASIBLE_RULE]
         base_rules = self._derivable_rules(omega)
-        r1 = self._derivable_rules(omega | a1.delta)
-        r2 = self._derivable_rules(omega | a2.delta)
-        l1 = self._bit[a1.conclusion]
-        l2 = self._bit[a2.conclusion]
+        r1 = self._derivable_rules(omega | m1 & delta)
+        r2 = self._derivable_rules(omega | m2 & delta)
         relevant = l1 | l2
-        for body, _ in base_rules + r1 + r2:
+        for body, _ in r1 + r2:
             relevant |= body
 
         cond1 = True
@@ -538,17 +550,13 @@ class ProgramIndex:
         return result
 
     def prefers(self, a1: Argument, a2: Argument) -> bool:
-        if a1.is_factual and a2.is_factual:
+        """Fewer presumptions win (a factual argument has none); equal ones
+        go to specificity."""
+        p1 = self._mask_of(a1) & self._kind[PRESUMPTION]
+        p2 = self._mask_of(a2) & self._kind[PRESUMPTION]
+        if p1 == p2:
             return self.prefers_ps(a1, a2)
-        if a1.is_factual:
-            return True
-        if a2.is_factual:
-            return False
-        if a1.phi < a2.phi:
-            return True
-        if a1.phi == a2.phi:
-            return self.prefers_ps(a1, a2)
-        return False
+        return p1 & p2 == p1
 
     # -- defeat and dialectical trees ---------------------------------------
 
@@ -567,36 +575,37 @@ class ProgramIndex:
         self._defeaters[a] = result
         return result
 
-    def _line_consistent(self, side_args) -> bool:
-        rules = self._strict_rules
-        for arg in side_args:
-            rules += self._rules_of(arg.support)
-        return not self._contradictory(_fixpoint(rules, 0))
-
-    def _acceptable(self, line: tuple, kind: str | None, b: Argument, b_kind: str) -> bool:
-        """Whether defeater b (a defeat of b_kind) may extend the line, whose
-        last argument defeats its parent by kind (None at the root). It
-        depends on the line only, never on a world."""
+    def _acceptable(self, line: tuple, own: int, kind: str | None, b: int, b_kind: str) -> bool:
+        """Whether a defeater with element mask b (a defeat of b_kind) may
+        extend the line, given as its arguments' element masks, whose last
+        argument defeats its parent by kind (None at the root); own is the
+        mask of the line's side that b joins. It depends on the line only,
+        never on a world."""
         # A blocking defeater may only be answered by a proper one.
         if kind == BLOCKING and b_kind != PROPER:
             return False
-        if any(b.support <= earlier.support for earlier in line):
-            return False
-        return self._line_consistent(line[len(line) % 2 :: 2] + (b,))
+        # No sub-argument of an argument already on the line.
+        for m in line:
+            if b & m == b:
+                return False
+        return not self._contradictory(self._closure(own | b))
 
-    def _expand(self, node: DialecticalNode, line: tuple, valid) -> None:
+    def _expand(self, node: DialecticalNode, line: tuple, sides: tuple, valid) -> None:
+        own, other = sides
         for b, kind in self.defeaters(node.argument):
             if valid is not None and not valid(b):
                 continue
-            if not self._acceptable(line, node.defeat_kind, b, kind):
+            m = self._mask_of(b)
+            if not self._acceptable(line, own, node.defeat_kind, m, kind):
                 continue
             child = DialecticalNode(b, kind)
             node.children.append(child)
-            self._expand(child, line + (b,), valid)
+            self._expand(child, line + (m,), (other, own | m), valid)
 
     def build_tree(self, root: Argument, valid=None) -> DialecticalNode:
         node = DialecticalNode(root)
-        self._expand(node, (root,), valid)
+        m = self._mask_of(root)
+        self._expand(node, (m,), (0, m), valid)
         return node
 
     def forest(self, literal: Literal, valid=None) -> tuple[DialecticalNode, ...]:
@@ -608,30 +617,42 @@ class ProgramIndex:
         ]
         return tuple(mark_tree(self.build_tree(a, valid)) for a in roots)
 
-    def _undefeated(self, line: tuple, kind: str | None, mask: int, available) -> int:
-        """The worlds of mask where the line's last argument, a defeat of the
-        given kind, is marked U in its world's tree. A world's tree is the
-        full tree cut to the arguments available there, so each defeater is
-        followed only on the worlds where it is available and its parent is
-        not yet beaten, and the walk stops once every world is beaten."""
+    def _undefeated(self, a: Argument, kind: str | None, line: tuple, sides: tuple,
+                    mask: int, available) -> int:
+        """The worlds of mask where a, the line's last argument and a defeat
+        of the given kind, is marked U in its world's tree; line and sides
+        are as for _expand. A world's tree is the full tree cut to the
+        arguments available there, so each defeater is followed only on the
+        worlds where it is available and its parent is not yet beaten, and
+        the walk stops once every world is beaten."""
+        own, other = sides
         beaten = 0
-        for b, b_kind in self.defeaters(line[-1]):
+        for b, b_kind in self.defeaters(a):
             if beaten == mask:
                 break
             here = mask & ~beaten & available(b)
-            if here and self._acceptable(line, kind, b, b_kind):
-                beaten |= self._undefeated(line + (b,), b_kind, here, available)
+            if here:
+                m = self._mask_of(b)
+                if self._acceptable(line, own, kind, m, b_kind):
+                    beaten |= self._undefeated(
+                        b, b_kind, line + (m,), (other, own | m), here, available
+                    )
         return mask & ~beaten
 
     def warrant_masks(self, literal: Literal, available, mask: int = 1) -> tuple[int, int]:
         """The worlds of mask that warrant the literal and those that warrant
         its complement. available(argument) is the mask of the worlds where
         the argument can be used."""
-        pro = con = 0
-        for a in self.arguments_for(literal):
-            pro |= self._undefeated((a,), None, mask & ~pro & available(a), available)
-        for a in self.arguments_for(literal.complement()):
-            con |= self._undefeated((a,), None, mask & ~con & available(a), available)
+        found = []
+        for lit in (literal, literal.complement()):
+            out = 0
+            for a in self.arguments_for(lit):
+                m = self._mask_of(a)
+                out |= self._undefeated(
+                    a, None, (m,), (0, m), mask & ~out & available(a), available
+                )
+            found.append(out)
+        pro, con = found
         if pro & con:
             raise InternalInconsistencyError(
                 f"both {literal} and its complement are warranted"

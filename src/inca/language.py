@@ -75,13 +75,13 @@ class Atom:
         if self.model not in (EM, AM):
             raise ValueError(f"bad model tag: {self.model!r}")
         object.__setattr__(self, "_hash", hash((self.predicate, self.args, self.model)))
+        # Not a field either: grounding checks read it on every element.
+        object.__setattr__(
+            self, "is_ground", not any(t.is_variable for t in self.args)
+        )
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def is_ground(self) -> bool:
-        return not any(t.is_variable for t in self.args)
 
     def variables(self) -> frozenset[str]:
         return frozenset(t.name for t in self.args if t.is_variable)

@@ -80,12 +80,19 @@ AM_LITERALS = tuple(
 )
 
 
-def _random_body(rng):
-    picks = [rng.choice(AM_LITERALS) for _ in range(rng.randint(1, 2))]
+def _random_body(rng, literals=AM_LITERALS):
+    picks = [rng.choice(literals) for _ in range(rng.randint(1, 2))]
     return tuple(dict.fromkeys(picks))
 
 
-def random_am_program(rng, max_defeasible=8, min_defeasible=1):
+def random_am_program(rng, max_defeasible=8, min_defeasible=1, max_strict=None):
+    """Up to 3 facts or strict rules; then, if max_strict is given, up to
+    max_strict more facts (30%) and strict rules over the p and q literals
+    only, so that strict cycles and alternative strict derivations are
+    common; then the presumptions and defeasible rules. The extra elements
+    are labeled ..., a1, a0: their label order is the reverse of their
+    program order and comes before the b labels. Without max_strict no
+    extra draw is made, so seeded callers keep their programs."""
     elements = []
     for i in range(rng.randint(0, 3)):
         if rng.random() < 0.5:
@@ -94,6 +101,15 @@ def random_am_program(rng, max_defeasible=8, min_defeasible=1):
             elements.append(
                 AMElement(f"b{i}", STRICT_RULE, rng.choice(AM_LITERALS), _random_body(rng))
             )
+    if max_strict is not None:
+        count = rng.randint(0, max_strict)
+        for i in range(count):
+            label, head = f"a{count - 1 - i}", rng.choice(AM_LITERALS[:8])
+            if rng.random() < 0.3:
+                elements.append(AMElement(label, FACT, head))
+            else:
+                body = _random_body(rng, AM_LITERALS[:8])
+                elements.append(AMElement(label, STRICT_RULE, head, body))
     for i in range(rng.randint(min_defeasible, max_defeasible)):
         if rng.random() < 0.4:
             elements.append(AMElement(f"d{i}", PRESUMPTION, rng.choice(AM_LITERALS)))

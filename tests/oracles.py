@@ -4,7 +4,8 @@ These deliberately use different algorithms from the package. Linear
 programs and probability bounds come from polytope vertex enumeration
 instead of simplex; worlds, and the nec and poss sets, are listed one
 frozenset world at a time instead of as truth-table masks; arguments come
-from exhaustive subset search instead of backward proof search; the
+from exhaustive subset search instead of a label pass over element masks,
+and their strict parts from a greedy over frozensets of elements; the
 specificity check quantifies over every subset of the derivable literals
 instead of the pruned bitmask universe; warrant is read off fully built and
 marked dialectical trees instead of the pruned walk over world masks.
@@ -16,7 +17,14 @@ import re
 from fractions import Fraction
 from itertools import combinations, product
 
-from inca.am import DEFEASIBLE_RULE, FACT, STRICT_RULE
+from inca.am import (
+    AMProgram,
+    DEFEASIBLE_RULE,
+    FACT,
+    PRESUMPTION,
+    STRICT_RULE,
+    instantiate,
+)
 from inca.errors import CapacityError, ParseError
 from inca.language import satisfies
 from inca.simplex import EQ, GE, LE
@@ -234,6 +242,30 @@ def poss_oracle(framework, literal):
 # -- argumentation oracles ----------------------------------------------------
 
 
+def ground_program(program, constants):
+    """Every element of the program replaced by its ground instances."""
+    elements = []
+    for e in program.elements:
+        elements.extend(instantiate(e, constants))
+    return AMProgram(tuple(elements))
+
+
+def theta(program):
+    """The facts of a program."""
+    return tuple(e for e in program.elements if e.kind == FACT)
+
+
+def by_label(program, label):
+    for e in program.elements:
+        if e.label == label:
+            return e
+    raise KeyError(label)
+
+
+def is_presumptive(argument):
+    return any(e.kind == PRESUMPTION for e in argument.support)
+
+
 def closure_oracle(elements, start=()):
     """Literals reachable by forward chaining from `start`, ignoring nothing."""
     known = set(start) | {e.head for e in elements if not e.body}
@@ -275,7 +307,7 @@ def attacks_oracle(arguments, a2, a1):
 def consistent_subsets_oracle(program):
     """(defeasible subset, closure) for every consistent choice of
     presumptions and defeasible rules, by plain enumeration."""
-    base = tuple(program.theta) + tuple(program.omega)
+    base = theta(program) + tuple(program.omega)
     defeasibles = tuple(program.phi) + tuple(program.delta)
     table = []
     for r in range(len(defeasibles) + 1):
@@ -290,6 +322,20 @@ def arguments_oracle(table, literal):
     """Minimal consistent defeasible subsets deriving the literal."""
     hits = [subset for subset, closed in table if literal in closed]
     return {d for d in hits if not any(e < d for e in hits)}
+
+
+def strict_support_oracle(program, defeasible_part, literal):
+    """The recorded strict part of the argument for literal on
+    defeasible_part: the program's facts and strict rules, less each one in
+    label order whose removal still leaves the literal derivable."""
+    keep = sorted(
+        (e for e in program.elements if not e.is_defeasible), key=lambda e: e.label
+    )
+    for e in list(keep):
+        trial = [x for x in keep if x is not e]
+        if literal in closure_oracle(tuple(defeasible_part) + tuple(trial)):
+            keep = trial
+    return frozenset(keep)
 
 
 def specificity_oracle(program, a1, a2):

@@ -17,7 +17,6 @@ from inca.am import (
     STRICT_RULE,
     UNDECIDED,
     WARRANTED,
-    ground_program,
     index_for,
     instantiate,
     mark_tree,
@@ -39,11 +38,16 @@ from generators import AM_LITERALS, random_am_program
 from oracles import (
     arguments_oracle,
     attacks_oracle,
+    by_label,
     closure_oracle,
     consistent_subsets_oracle,
     contradictory_oracle,
     forest_warrants_oracle,
+    ground_program,
+    is_presumptive,
     specificity_oracle,
+    strict_support_oracle,
+    theta,
 )
 
 
@@ -84,11 +88,11 @@ def test_element_validation():
 
 def test_program_partitions_and_validation():
     program = AMProgram(worm_elements())
-    assert len(program.theta) == 3
+    assert len(theta(program)) == 3
     assert len(program.omega) == 4
     assert len(program.phi) == 3
     assert len(program.delta) == 7
-    assert program.by_label("de4").head == IS_CAP
+    assert by_label(program, "de4").head == IS_CAP
     assert program.is_ground
 
     with pytest.raises(AssemblyError):
@@ -204,11 +208,37 @@ def test_single_argument_literals(worm_index):
     assert labels_of(a7) == {"ph3", "de5a"}
 
 
+def test_later_smaller_support_replaces_earlier_one():
+    # In program order p(a) is first derived on {hr, hq, d1}; the strict
+    # rule s1 then derives r(a) from q(a), and {hq, d1} must replace it.
+    elements = (
+        AMElement("hr", PRESUMPTION, lit("r", "a")),
+        AMElement("hq", PRESUMPTION, lit("q", "a")),
+        AMElement("d1", DEFEASIBLE_RULE, lit("p", "a"), (lit("q", "a"), lit("r", "a"))),
+        AMElement("s1", STRICT_RULE, lit("r", "a"), (lit("q", "a"),)),
+    )
+    (a,) = index_for(AMProgram(elements)).arguments_for(lit("p", "a"))
+    assert labels_of(a) == {"hq", "d1", "s1"}
+
+
+def test_strict_part_drops_in_label_order():
+    # p(a) is a fact and also follows from the fact q(a) by a0; trying a0
+    # first (label order) keeps b0 alone, trying b0 first would keep b1, a0.
+    elements = (
+        AMElement("b0", FACT, lit("p", "a")),
+        AMElement("b1", FACT, lit("q", "a")),
+        AMElement("a0", STRICT_RULE, lit("p", "a"), (lit("q", "a"),)),
+        AMElement("d1", DEFEASIBLE_RULE, lit("r", "a"), (lit("p", "a"),)),
+    )
+    (a,) = index_for(AMProgram(elements)).arguments_for(lit("r", "a"))
+    assert labels_of(a) == {"b0", "d1"}
+
+
 def test_argument_properties(worm_index):
     a1 = argument_by_labels(worm_index.arguments_for(COND_BAJA), {"th1a", "de1a"})
-    assert a1.is_factual and not a1.is_presumptive
+    assert a1.is_factual and not is_presumptive(a1)
     (a5,) = worm_index.arguments_for(IS_CAP)
-    assert a5.is_presumptive
+    assert is_presumptive(a5)
     assert str(a5) == "<{de4, ph1}, isCap(baja,worm123)>"
     assert a5.labels == ("de4", "ph1")
 
@@ -415,6 +445,34 @@ def test_arguments_match_subset_oracle():
                 # the recorded strict part is minimal: each element is needed
                 for e in a.support - a.defeasible_part:
                     assert literal not in closure_oracle(a.support - {e})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_label_pass_matches_oracles(rng):
+    """On programs with up to 6 extra strict rules, cycles among them
+    common: the defeasible parts of each literal's arguments are the minimal
+    consistent subsets, each strict part is the label-order greedy over
+    frozensets, and the sub-arguments are the arguments whose support lies
+    inside. Each argument is one object, however it is reached."""
+    program = random_am_program(rng, max_defeasible=6, max_strict=6)
+    index = index_for(program)
+    table = consistent_subsets_oracle(program)
+    everything = index.all_arguments()
+    built = {id(a) for a in everything}
+    for literal in AM_LITERALS + (lit("absent", "x"),):
+        arguments = index.arguments_for(literal)
+        assert {a.defeasible_part for a in arguments} == arguments_oracle(table, literal)
+        for a in arguments:
+            strict = strict_support_oracle(program, a.defeasible_part, literal)
+            assert a.support - a.defeasible_part == strict
+            assert id(a) in built
+        again = index.arguments_for(literal)
+        assert [id(a) for a in again] == [id(a) for a in arguments]
+    assert index.arguments_for(lit("absent", "x")) == ()
+    for a in everything:
+        expected = tuple(b for b in everything if b.support <= a.support)
+        assert index.subarguments_of(a) == expected
 
 
 def test_attacks_match_oracle():
