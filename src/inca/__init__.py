@@ -32,7 +32,6 @@ from .em import (
     is_consistent,
     lp_bounds,
     max_entailment,
-    worlds_satisfying,
 )
 from .errors import (
     AssemblyError,
@@ -117,5 +116,4 @@ __all__ = [
     "parse_query",
     "render_kb",
     "render_world",
-    "worlds_satisfying",
 ]

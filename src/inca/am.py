@@ -16,10 +16,12 @@ program order, and one rule (body mask, head bit); facts and presumptions
 have body 0. One forward-chaining fixpoint over such rules and one
 contradiction test on the resulting mask serve derivability, argument
 consistency, strict supports, attacks, specificity and the consistency of
-dialectical lines. An argument's support is an element mask: one ATMS label
-pass gives every literal its minimal consistent defeasible supports, so it
-builds every argument, and sub-arguments, attacks, preference and the
-acceptability of a line's next argument are tests on those masks.
+dialectical lines; one memo of closures, keyed by the element mask and the
+seed literals, serves all but derivability and attacks. An argument's
+support is an element mask: one ATMS label pass gives every literal its
+minimal consistent defeasible supports, so it builds every argument, and
+sub-arguments, attacks, preference and the acceptability of a line's next
+argument are tests on those masks.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ SORTED_PREDICATES = {
     "tgt": (ROLE_ACTOR, ROLE_OPERATION),
 }
 
-DEFAULT_SPECIFICITY_CAP = 16
+# Most literals one specificity comparison may enumerate activation sets
+# over: 2^16 subsets, each closed three times.
+SPECIFICITY_CAP = 16
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\[[A-Za-z0-9_,]+\])?\Z")
 
@@ -148,21 +152,6 @@ class AMProgram:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def _of_kind(self, kind: str) -> tuple[AMElement, ...]:
-        return tuple(e for e in self.elements if e.kind == kind)
-
-    @property
-    def omega(self) -> tuple[AMElement, ...]:
-        return self._of_kind(STRICT_RULE)
-
-    @property
-    def phi(self) -> tuple[AMElement, ...]:
-        return self._of_kind(PRESUMPTION)
-
-    @property
-    def delta(self) -> tuple[AMElement, ...]:
-        return self._of_kind(DEFEASIBLE_RULE)
 
     @property
     def is_ground(self) -> bool:
@@ -278,16 +267,8 @@ class Argument:
         return self._hash
 
     @property
-    def phi(self) -> frozenset:
-        return frozenset(e for e in self.support if e.kind == PRESUMPTION)
-
-    @property
     def defeasible_part(self) -> frozenset:
         return frozenset(e for e in self.support if e.is_defeasible)
-
-    @property
-    def is_factual(self) -> bool:
-        return not self.phi
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -323,10 +304,9 @@ def mark_tree(node: DialecticalNode) -> DialecticalNode:
 class ProgramIndex:
     """Cached argumentation machinery over one ground program."""
 
-    def __init__(self, program: AMProgram, specificity_cap: int = DEFAULT_SPECIFICITY_CAP):
+    def __init__(self, program: AMProgram):
         _check_ground(program.elements)
         self.program = program
-        self.specificity_cap = specificity_cap
         self.strict_elements = tuple(
             e for e in program.elements if not e.is_defeasible
         )
@@ -335,7 +315,6 @@ class ProgramIndex:
         self._mask: dict[Argument, int] = {}
         self._defeaters: dict[Argument, tuple] = {}
         self._prefers_ps: dict[tuple, bool] = {}
-        self._mask_memo: dict[tuple, dict[int, int]] = {}
         self._closures: dict[int, int] = {}
         # Atom i's literal takes bit 2i and its negation bit 2i + 1, so one
         # shift tests every complementary pair at once.
@@ -366,10 +345,8 @@ class ProgramIndex:
             key=lambda i: program.elements[i].label,
         )
         self._positive = sum(1 << 2 * i for i in range(len(atoms)))
-        self._derivable_mask = _fixpoint(self._rule, 0)
-        self.derivable = frozenset(
-            lit for lit, b in self._bit.items() if self._derivable_mask & b
-        )
+        derivable = _fixpoint(self._rule, 0)
+        self.derivable = frozenset(lit for lit, b in self._bit.items() if derivable & b)
 
     def _rules_in(self, mask: int) -> list[tuple[int, int]]:
         return [self._rule[i] for i in _bits(mask)]
@@ -377,13 +354,13 @@ class ProgramIndex:
     def _contradictory(self, mask: int) -> bool:
         return bool(mask & (mask >> 1) & self._positive)
 
-    def _closure(self, elements: int) -> int:
-        """What the elements of the mask derive with every strict element;
-        memoized per mask."""
-        mask = elements | self._strict
-        closure = self._closures.get(mask)
+    def _closure(self, elements: int, seed: int = 0) -> int:
+        """What the rules of the element mask derive from the literal mask
+        seed; memoized per pair, keyed by one int."""
+        key = seed << len(self._rule) | elements
+        closure = self._closures.get(key)
         if closure is None:
-            closure = self._closures[mask] = _fixpoint(self._rules_in(mask), 0)
+            closure = self._closures[key] = _fixpoint(self._rules_in(elements), seed)
         return closure
 
     # -- arguments ---------------------------------------------------------
@@ -409,7 +386,7 @@ class ProgramIndex:
                 label = labels.setdefault(head, [])
                 for env in envs:
                     if any(x & env == x for x in label) or self._contradictory(
-                        self._closure(env)
+                        self._closure(env | self._strict)
                     ):
                         continue
                     label[:] = [x for x in label if x & env != env]
@@ -422,7 +399,7 @@ class ProgramIndex:
         # conclusion still derives; what remains is the recorded strict
         # part. One that never fires from env and every strict element is
         # dropped up front, as the greedy would drop it anyway.
-        closure = self._closure(env)
+        closure = self._closure(env | self._strict)
         used = env | sum(
             1 << i for i in _bits(self._strict)
             if self._rule[i][0] & closure == self._rule[i][0]
@@ -484,30 +461,14 @@ class ProgramIndex:
 
     # -- generalized specificity --------------------------------------------
 
-    def _derivable_rules(self, elements: int) -> tuple:
-        # A rule whose body is derivable has a derivable head, so this keeps
-        # exactly the rules that can fire from derivable literals. Sorted so
-        # that equal rule sets share one entry of the closure memo.
-        return tuple(sorted(
-            (body, head)
-            for body, head in self._rules_in(elements)
-            if body & self._derivable_mask == body
-        ))
-
-    def _mask_closure(self, rules: tuple, mask: int) -> int:
-        memo = self._mask_memo.setdefault(rules, {})
-        cached = memo.get(mask)
-        if cached is None:
-            cached = memo[mask] = _fixpoint(rules, mask)
-        return cached
-
     def prefers_ps(self, a1: Argument, a2: Argument) -> bool:
         """Generalized specificity: a1 is strictly more specific than a2.
 
         Quantifies activation sets H over the defeasibly derivable literals;
         literals outside every rule body and distinct from both conclusions
         cannot change any of the tested derivations, so H ranges over the
-        relevant ones only.
+        relevant ones only. A comparison with more than SPECIFICITY_CAP
+        relevant literals raises CapacityError.
         """
         m1, m2 = self._mask_of(a1), self._mask_of(a2)
         l1 = self._bit[a1.conclusion]
@@ -515,28 +476,27 @@ class ProgramIndex:
         key = (m1, l1, m2, l2)
         if key in self._prefers_ps:
             return self._prefers_ps[key]
-        if len(self.derivable) > self.specificity_cap:
-            raise CapacityError(
-                f"{len(self.derivable)} defeasibly derivable literals exceed "
-                f"the specificity cap of {self.specificity_cap}"
-            )
         omega = (m1 | m2) & self._kind[STRICT_RULE]
         delta = self._kind[DEFEASIBLE_RULE]
-        base_rules = self._derivable_rules(omega)
-        r1 = self._derivable_rules(omega | m1 & delta)
-        r2 = self._derivable_rules(omega | m2 & delta)
+        rules1 = omega | m1 & delta
+        rules2 = omega | m2 & delta
         relevant = l1 | l2
-        for body, _ in r1 + r2:
-            relevant |= body
+        for i in _bits(rules1 | rules2):
+            relevant |= self._rule[i][0]
+        if relevant.bit_count() > SPECIFICITY_CAP:
+            raise CapacityError(
+                f"{relevant.bit_count()} literals are relevant to one "
+                f"specificity comparison, more than the cap of {SPECIFICITY_CAP}"
+            )
 
         cond1 = True
         cond2 = False
         sub = relevant
         while True:
-            base = self._mask_closure(base_rules, sub)
+            base = self._closure(omega, sub)
             if not self._contradictory(base):
-                with1 = self._mask_closure(r1, sub)
-                with2 = self._mask_closure(r2, sub)
+                with1 = self._closure(rules1, sub)
+                with2 = self._closure(rules2, sub)
                 if with1 & l1 and not base & l1 and not with2 & l2:
                     cond1 = False
                     break
@@ -588,7 +548,7 @@ class ProgramIndex:
         for m in line:
             if b & m == b:
                 return False
-        return not self._contradictory(self._closure(own | b))
+        return not self._contradictory(self._closure(own | b | self._strict))
 
     def _expand(self, node: DialecticalNode, line: tuple, sides: tuple, valid) -> None:
         own, other = sides
@@ -673,5 +633,5 @@ class ProgramIndex:
 
 
 @lru_cache(maxsize=128)
-def index_for(program: AMProgram, specificity_cap: int = DEFAULT_SPECIFICITY_CAP) -> ProgramIndex:
-    return ProgramIndex(program, specificity_cap)
+def index_for(program: AMProgram) -> ProgramIndex:
+    return ProgramIndex(program)

@@ -99,7 +99,6 @@ def apply_evidence(framework: InCAFramework, evidence) -> InCAFramework:
         program=framework.program,
         annotations=framework.annotations,
         max_atoms=framework.max_atoms,
-        specificity_cap=framework.specificity_cap,
     )
 
 

@@ -25,7 +25,6 @@ from functools import cached_property
 from .am import (
     AMProgram,
     Argument,
-    DEFAULT_SPECIFICITY_CAP,
     DialecticalNode,
     WARRANTED,
     index_for,
@@ -107,7 +106,6 @@ class InCAFramework:
     program: AMProgram
     annotations: AnnotationFunction = field(default_factory=AnnotationFunction)
     max_atoms: int = DEFAULT_MAX_ATOMS
-    specificity_cap: int = DEFAULT_SPECIFICITY_CAP
 
     def __post_init__(self):
         if isinstance(self.annotations, dict):
@@ -132,7 +130,7 @@ class InCAFramework:
 
     @cached_property
     def index(self):
-        return index_for(self.program, self.specificity_cap)
+        return index_for(self.program)
 
     @cached_property
     def space(self) -> WorldSpace:
@@ -199,9 +197,7 @@ class InCAFramework:
         ones."""
         nec, poss = self.masks(literal)
         lp = _linear_program(self.em, self.max_atoms)
-        lower, _ = lp.extrema(nec)
-        _, upper = lp.extrema(poss)
-        return ProbabilityInterval(lower, upper)
+        return ProbabilityInterval(*lp.extrema(nec, poss))
 
     def prob_from_distribution(
         self, literal: Literal, distribution: dict[World, Fraction]

@@ -35,7 +35,7 @@ from .language import (
     World,
     formula_atoms,
     render_formula,
-    satisfies,
+    satisfies,  # noqa: F401  (bench/tracer.py wraps this name)
 )
 
 DEFAULT_MAX_ATOMS = 20
@@ -100,9 +100,6 @@ class IntegrityConstraint:
         for a in self.atoms:
             if not isinstance(a, Atom) or a.model != EM or not a.is_ground:
                 raise ValueError(f"oneOf takes ground environmental atoms, got {a}")
-
-    def allows(self, world: World) -> bool:
-        return len(world & frozenset(self.atoms)) <= 1
 
     def __str__(self) -> str:
         return "oneOf(" + ", ".join(str(a) for a in self.atoms) + ")"
@@ -328,14 +325,17 @@ class _EMLinearProgram:
                 "no probability distribution satisfies the knowledge base"
             ) from None
 
-    def extrema(self, target: int) -> tuple[Fraction, Fraction]:
-        """(min, max) mass on a mask of worlds of self.space."""
+    def extrema(self, target: int, upper: int | None = None) -> tuple[Fraction, Fraction]:
+        """The min mass on target and the max mass on upper (default:
+        target), each a mask of worlds of self.space."""
+        if upper is None:
+            upper = target
         # A class can keep all of its mass inside the target only if all of
         # its worlds are there, and can put some there if any one is.
         lo, _ = self.polytope.minimize(
             [int(c & target == c) for c in self.classes]
         )
-        hi, _ = self.polytope.maximize([int(c & target != 0) for c in self.classes])
+        hi, _ = self.polytope.maximize([int(c & upper != 0) for c in self.classes])
         return lo, hi
 
 
@@ -377,7 +377,3 @@ def is_consistent(kb: EMKnowledgeBase, max_atoms: int = DEFAULT_MAX_ATOMS) -> bo
     except InconsistentKBError:
         return False
     return True
-
-
-def worlds_satisfying(worlds: list[World], formula: Formula) -> list[World]:
-    return [w for w in worlds if satisfies(w, formula)]

@@ -10,7 +10,7 @@ class GroundednessError(InCAError):
 
 
 class CapacityError(InCAError):
-    """An input exceeds a configured enumeration cap."""
+    """An input exceeds an enumeration cap."""
 
 
 class InconsistentKBError(InCAError):

@@ -21,7 +21,6 @@ from itertools import islice
 from .am import (
     AMElement,
     AMProgram,
-    DEFAULT_SPECIFICITY_CAP,
     DEFEASIBLE_RULE,
     FACT,
     PRESUMPTION,
@@ -588,11 +587,7 @@ def parse_evidence(text: str) -> tuple[EvidenceItem, ...]:
 # -- assembly -------------------------------------------------------------------
 
 
-def assemble(
-    doc: KBDocument,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-    specificity_cap: int = DEFAULT_SPECIFICITY_CAP,
-) -> InCAFramework:
+def assemble(doc: KBDocument, max_atoms: int = DEFAULT_MAX_ATOMS) -> InCAFramework:
     """Ground the program over the declared and mentioned constants and wire
     up the framework. The atom universe defaults to every atom mentioned in
     the probabilistic section, the constraints, and the annotations, in
@@ -638,7 +633,6 @@ def assemble(
         program=program,
         annotations=annotations,
         max_atoms=max_atoms,
-        specificity_cap=specificity_cap,
     )
 
 

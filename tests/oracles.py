@@ -30,6 +30,15 @@ from inca.language import satisfies
 from inca.simplex import EQ, GE, LE
 
 
+def allows(constraint, world):
+    """Whether a world holds at most one atom of a oneOf constraint."""
+    return len(world & frozenset(constraint.atoms)) <= 1
+
+
+def worlds_satisfying(worlds, formula):
+    return [w for w in worlds if satisfies(w, formula)]
+
+
 def worlds_oracle(kb, max_atoms=20):
     """The worlds that conform to kb's constraints, in binary-counting
     order: bit j of the counter puts the j-th universe atom in the world."""
@@ -39,7 +48,7 @@ def worlds_oracle(kb, max_atoms=20):
     worlds = []
     for mask in range(1 << len(universe)):
         w = frozenset(universe[j] for j in range(len(universe)) if mask >> j & 1)
-        if all(ic.allows(w) for ic in kb.constraints):
+        if all(allows(ic, w) for ic in kb.constraints):
             worlds.append(w)
     return worlds
 
@@ -250,9 +259,37 @@ def ground_program(program, constants):
     return AMProgram(tuple(elements))
 
 
+def _of_kind(elements, kind):
+    return tuple(e for e in elements if e.kind == kind)
+
+
 def theta(program):
     """The facts of a program."""
-    return tuple(e for e in program.elements if e.kind == FACT)
+    return _of_kind(program.elements, FACT)
+
+
+def omega(program):
+    """The strict rules of a program."""
+    return _of_kind(program.elements, STRICT_RULE)
+
+
+def phi(program):
+    """The presumptions of a program."""
+    return _of_kind(program.elements, PRESUMPTION)
+
+
+def delta(program):
+    """The defeasible rules of a program."""
+    return _of_kind(program.elements, DEFEASIBLE_RULE)
+
+
+def presumptions_of(argument):
+    """The presumptions in an argument's support."""
+    return frozenset(_of_kind(argument.support, PRESUMPTION))
+
+
+def is_factual(argument):
+    return not presumptions_of(argument)
 
 
 def by_label(program, label):
@@ -307,8 +344,8 @@ def attacks_oracle(arguments, a2, a1):
 def consistent_subsets_oracle(program):
     """(defeasible subset, closure) for every consistent choice of
     presumptions and defeasible rules, by plain enumeration."""
-    base = theta(program) + tuple(program.omega)
-    defeasibles = tuple(program.phi) + tuple(program.delta)
+    base = theta(program) + omega(program)
+    defeasibles = phi(program) + delta(program)
     table = []
     for r in range(len(defeasibles) + 1):
         for combo in combinations(defeasibles, r):

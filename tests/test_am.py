@@ -42,9 +42,14 @@ from oracles import (
     closure_oracle,
     consistent_subsets_oracle,
     contradictory_oracle,
+    delta,
     forest_warrants_oracle,
     ground_program,
+    is_factual,
     is_presumptive,
+    omega,
+    phi,
+    presumptions_of,
     specificity_oracle,
     strict_support_oracle,
     theta,
@@ -89,9 +94,9 @@ def test_element_validation():
 def test_program_partitions_and_validation():
     program = AMProgram(worm_elements())
     assert len(theta(program)) == 3
-    assert len(program.omega) == 4
-    assert len(program.phi) == 3
-    assert len(program.delta) == 7
+    assert len(omega(program)) == 4
+    assert len(phi(program)) == 3
+    assert len(delta(program)) == 7
     assert by_label(program, "de4").head == IS_CAP
     assert program.is_ground
 
@@ -236,7 +241,7 @@ def test_strict_part_drops_in_label_order():
 
 def test_argument_properties(worm_index):
     a1 = argument_by_labels(worm_index.arguments_for(COND_BAJA), {"th1a", "de1a"})
-    assert a1.is_factual and not is_presumptive(a1)
+    assert is_factual(a1) and not is_presumptive(a1)
     (a5,) = worm_index.arguments_for(IS_CAP)
     assert is_presumptive(a5)
     assert str(a5) == "<{de4, ph1}, isCap(baja,worm123)>"
@@ -305,7 +310,7 @@ def test_presumption_subset_preference():
     index = index_for(AMProgram(elements))
     (small,) = index.arguments_for(lit("c", "x"))
     (large,) = index.arguments_for(lit("c", "x", negated=True))
-    assert small.phi < large.phi
+    assert presumptions_of(small) < presumptions_of(large)
     assert index.prefers(small, large)
     assert not index.prefers(large, small)
 
@@ -337,20 +342,30 @@ def test_specificity_on_exception_rule():
 
 
 def test_specificity_capacity_limit():
+    """The cap counts the literals one comparison ranges over, not the
+    program's derivable literals."""
     filler = tuple(
-        AMElement(f"f{i}", FACT, lit(f"fill{i}", "x")) for i in range(16)
+        AMElement(f"f{i}", FACT, lit(f"fill{i}", "x")) for i in range(17)
     )
     contested = (
         AMElement("d1", PRESUMPTION, lit("goal", "x")),
         AMElement("d2", PRESUMPTION, lit("goal", "x", negated=True)),
     )
-    index = index_for(AMProgram(filler + contested))
+    # 18 derivable literals, but the presumptions' comparison has 2.
+    index = index_for(AMProgram(filler[:16] + contested))
     (a,) = index.arguments_for(lit("goal", "x"))
     (b,) = index.arguments_for(lit("goal", "x", negated=True))
+    assert not index.prefers_ps(a, b)
+    # A rule on all 17 facts gives its comparison 19 relevant literals.
+    wide = AMElement(
+        "d3", DEFEASIBLE_RULE, lit("goal", "x"), tuple(f.head for f in filler)
+    )
+    index = index_for(AMProgram(filler + contested + (wide,)))
+    goal = index.arguments_for(lit("goal", "x"))
+    (b,) = index.arguments_for(lit("goal", "x", negated=True))
+    assert not index.prefers_ps(argument_by_labels(goal, {"d1"}), b)
     with pytest.raises(CapacityError):
-        index.prefers_ps(a, b)
-    relaxed = index_for(AMProgram(filler + contested), specificity_cap=32)
-    assert not relaxed.prefers_ps(a, b)
+        index.prefers_ps(argument_by_labels(goal, {"d3"} | {f.label for f in filler}), b)
 
 
 # -- dialectical trees and warrant ---------------------------------------------
@@ -503,6 +518,29 @@ def test_specificity_matches_exhaustive_oracle():
             for b in arguments:
                 if a is not b:
                     assert index.prefers_ps(a, b) == specificity_oracle(program, a, b)
+
+
+def test_specificity_cap_ignores_unrelated_facts():
+    """16 facts over fresh predicates take a program past 16 derivable
+    literals but add none to any comparison: preference and warrant stay as
+    they are without them."""
+    rng = random.Random(23)
+    padding = tuple(AMElement(f"z{i}", FACT, lit(f"pad{i}", "x")) for i in range(16))
+    checked = 0
+    while checked < 10:
+        program = random_am_program(rng, max_defeasible=5)
+        if len(closure_oracle(tuple(program.elements))) > 8:
+            continue
+        checked += 1
+        index = index_for(program)
+        padded = index_for(AMProgram(program.elements + padding))
+        arguments = index.all_arguments()[:4]
+        for a in arguments:
+            for b in arguments:
+                if a is not b:
+                    assert padded.prefers_ps(a, b) == specificity_oracle(program, a, b)
+        for literal in AM_LITERALS:
+            assert padded.warrant_status(literal) == index.warrant_status(literal)
 
 
 @settings(max_examples=100, deadline=None)

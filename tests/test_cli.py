@@ -157,6 +157,23 @@ def test_attribute_golden(capsys, monkeypatch, tmp_path, padded):
     assert payload["result"]["trace"] is not None
 
 
+def test_unrelated_facts_leave_answers_unchanged(capsys, monkeypatch, tmp_path):
+    # Six more facts give worm123 18 derivable literals; each specificity
+    # comparison it needs still ranges over a few.
+    facts = "".join(f"pad{i} : fact unrelated{i}(baja).\n" for i in range(6))
+    padded = tmp_path / "worm123.inca"
+    padded.write_text((FIXTURES / "worm123.inca").read_text().replace("#am\n", "#am\n" + facts))
+    queries = (
+        ("bounds", "-l", "condOp(baja,worm123)"),
+        ("warrant", "-l", "condOp(baja,worm123)"),
+        ("attribute", "--op", "worm123", "--suspects", "baja,mojave", "--json"),
+    )
+    for command, *rest in queries:
+        outputs = [run(capsys, command, kb, *rest) for kb in (KB, str(padded))]
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
+
 # -- human-readable output ----------------------------------------------------------
 
 

@@ -15,7 +15,6 @@ from inca.em import (
     lp_extrema,
     max_entailment,
     world_space,
-    worlds_satisfying,
 )
 from inca.errors import CapacityError, GroundednessError, InconsistentKBError
 from inca.language import (
@@ -34,10 +33,12 @@ from inca.simplex import EQ, GE, LE, maximize, minimize
 from conftest import AGE, GOV, MSE, ematom, worm_em_kb
 from generators import random_em_kb, random_formula, with_constraints
 from oracles import (
+    allows,
     distribution_probability,
     lp_bounds_oracle,
     sample_distributions,
     worlds_oracle,
+    worlds_satisfying,
 )
 
 F = Fraction
@@ -58,10 +59,10 @@ def test_probabilistic_formula_validation():
 
 def test_integrity_constraint_validation_and_allows():
     ic = IntegrityConstraint((GOV, AGE))
-    assert ic.allows(frozenset())
-    assert ic.allows(frozenset({GOV}))
-    assert not ic.allows(frozenset({GOV, AGE}))
-    assert ic.allows(frozenset({GOV, MSE}))
+    assert allows(ic, frozenset())
+    assert allows(ic, frozenset({GOV}))
+    assert not allows(ic, frozenset({GOV, AGE}))
+    assert allows(ic, frozenset({GOV, MSE}))
     with pytest.raises(ValueError):
         IntegrityConstraint((GOV,))
     with pytest.raises(ValueError):
