@@ -451,12 +451,18 @@ class ProgramIndex:
 
     # -- attack ------------------------------------------------------------
 
+    def _attack_points(self, a: Argument) -> set[int]:
+        """The conclusion bits of a's sub-arguments, where a can be attacked."""
+        return {self._bit[b.conclusion] for b in self.subarguments_of(a)}
+
     def attacks(self, a2: Argument, a1: Argument) -> bool:
-        shared = self._rules_in((self._mask_of(a1) | self._mask_of(a2)) & self._strict)
+        return self._attacks(a2, self._mask_of(a1), self._attack_points(a1))
+
+    def _attacks(self, a2: Argument, m1: int, points: set[int]) -> bool:
+        shared = self._rules_in((m1 | self._mask_of(a2)) & self._strict)
         counter = self._bit[a2.conclusion]
         return any(
-            self._contradictory(_fixpoint(shared, counter | self._bit[b.conclusion]))
-            for b in self.subarguments_of(a1)
+            self._contradictory(_fixpoint(shared, counter | point)) for point in points
         )
 
     # -- generalized specificity --------------------------------------------
@@ -524,8 +530,9 @@ class ProgramIndex:
         if a in self._defeaters:
             return self._defeaters[a]
         out = []
+        m, points = self._mask_of(a), self._attack_points(a)
         for b in self.all_arguments():
-            if not self.attacks(b, a):
+            if not self._attacks(b, m, points):
                 continue
             if self.prefers(b, a):
                 out.append((b, PROPER))

@@ -3,7 +3,6 @@ operation, under the knowledge base extended with case-specific evidence."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,10 +30,6 @@ MIDPOINT = "midpoint"
 LOWER = "lower"
 COMPARISONS = (MIDPOINT, LOWER)
 
-# Minimal-conflict search is exponential; beyond this many formulas the
-# error simply reports no subset.
-CONFLICT_SEARCH_LIMIT = 12
-
 
 @dataclass(frozen=True)
 class EvidenceItem:
@@ -46,9 +41,11 @@ class EvidenceItem:
     eps: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "eps", Fraction(self.eps))
-        self.to_formula()  # reuse its validation
+        # The formula's conversion and validation, so a float reads as the
+        # decimal it prints as.
+        formula = self.to_formula()
+        object.__setattr__(self, "p", formula.p)
+        object.__setattr__(self, "eps", formula.eps)
 
     def to_formula(self) -> ProbabilisticFormula:
         return ProbabilisticFormula(atom_formula(self.atom), self.p, self.eps)
@@ -57,22 +54,27 @@ class EvidenceItem:
         return f"{self.atom} : {self.p} +- {self.eps}"
 
 
-def _minimal_conflict(formulas, constraints, max_atoms):
-    if len(formulas) > CONFLICT_SEARCH_LIMIT:
-        return ()
-    for size in range(1, len(formulas) + 1):
-        for combo in itertools.combinations(formulas, size):
-            kb = EMKnowledgeBase(formulas=combo, constraints=constraints)
-            if not is_consistent(kb, max_atoms):
-                return combo
-    return tuple(formulas)
+def _irreducible_conflict(formulas, constraints, max_atoms):
+    """A deletion filter (Chinneck and Dravnieks 1991) over inconsistent
+    formulas: drop each one in turn without which the kept ones are still
+    inconsistent. Fewer formulas are never less consistent, so every proper
+    subset of what is kept is consistent."""
+    kept = list(formulas)
+    i = 0
+    while i < len(kept):
+        rest = kept[:i] + kept[i + 1:]
+        if is_consistent(EMKnowledgeBase(rest, constraints), max_atoms):
+            i += 1
+        else:
+            kept = rest
+    return tuple(kept)
 
 
 def apply_evidence(framework: InCAFramework, evidence) -> InCAFramework:
     """New framework whose probabilistic knowledge base also holds the
     evidence; the atom universe grows as needed. Raises
-    InconsistentEvidenceError when nothing satisfies the combination, with a
-    minimal conflicting formula set attached when small enough to find."""
+    InconsistentEvidenceError, naming an irreducible conflicting subset of
+    the augmented formulas, when nothing satisfies the combination."""
     items = tuple(evidence)
     if not items:
         return framework
@@ -88,11 +90,11 @@ def apply_evidence(framework: InCAFramework, evidence) -> InCAFramework:
         atom_universe=tuple(universe),
     )
     if not is_consistent(kb, framework.max_atoms):
-        conflict = _minimal_conflict(
-            formulas, em.constraints, framework.max_atoms
-        )
+        conflict = _irreducible_conflict(formulas, em.constraints, framework.max_atoms)
         raise InconsistentEvidenceError(
-            "evidence is inconsistent with the knowledge base", conflict
+            "evidence is inconsistent with the knowledge base; conflicting "
+            "formulas: " + "; ".join(map(str, conflict)),
+            conflict,
         )
     return InCAFramework(
         em=kb,

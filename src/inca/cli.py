@@ -41,8 +41,23 @@ def _interval_text(interval) -> str:
     return f"{format_fraction(interval.p)} +- {format_fraction(interval.eps)}"
 
 
+def _interval_answer(name, interval):
+    text = _interval_text(interval)
+    return text, {"query": name, "result": text, "interval": _interval_json(interval)}
+
+
 def _world_json(world, universe) -> list:
     return [str(a) for a in universe if a in world]
+
+
+def _worlds_answer(name, worlds, universe):
+    text = "\n".join(render_world(w, universe) for w in worlds)
+    payload = {
+        "query": name,
+        "result": len(worlds),
+        "worlds": [_world_json(w, universe) for w in worlds],
+    }
+    return text, payload
 
 
 def _forest_json(forest) -> list:
@@ -94,28 +109,14 @@ def cmd_check(ns):
 
 def cmd_worlds(ns):
     framework = _load(ns)
-    universe = framework.em.atom_universe
-    worlds = framework.worlds
-    text = "\n".join(render_world(w, universe) for w in worlds)
-    payload = {
-        "query": "worlds",
-        "result": len(worlds),
-        "worlds": [_world_json(w, universe) for w in worlds],
-    }
-    return text, payload
+    return _worlds_answer("worlds", framework.worlds, framework.em.atom_universe)
 
 
 def cmd_entail(ns):
     framework = _load(ns)
     query = parse_query(ns.query)
     answer = em.max_entailment(framework.em, query, ns.max_atoms)
-    text = _interval_text(answer)
-    payload = {
-        "query": "entail",
-        "result": text,
-        "interval": _interval_json(answer),
-    }
-    return text, payload
+    return _interval_answer("entail", answer)
 
 
 def cmd_args(ns):
@@ -141,16 +142,8 @@ def cmd_warrant(ns):
 def _world_set_command(name, collect):
     def cmd(ns):
         framework = _load(ns)
-        literal = parse_literal_text(ns.literal)
-        universe = framework.em.atom_universe
-        worlds = collect(framework, literal)
-        text = "\n".join(render_world(w, universe) for w in worlds)
-        payload = {
-            "query": name,
-            "result": len(worlds),
-            "worlds": [_world_json(w, universe) for w in worlds],
-        }
-        return text, payload
+        worlds = collect(framework, parse_literal_text(ns.literal))
+        return _worlds_answer(name, worlds, framework.em.atom_universe)
 
     return cmd
 
@@ -162,14 +155,7 @@ cmd_poss = _world_set_command("poss", lambda fw, lit: fw.poss_set(lit))
 def cmd_bounds(ns):
     framework = _load(ns)
     literal = parse_literal_text(ns.literal)
-    interval = framework.prob_bounds(literal)
-    text = _interval_text(interval)
-    payload = {
-        "query": "bounds",
-        "result": text,
-        "interval": _interval_json(interval),
-    }
-    return text, payload
+    return _interval_answer("bounds", framework.prob_bounds(literal))
 
 
 def cmd_attribute(ns):

@@ -20,8 +20,9 @@ class InconsistentKBError(InCAError):
 class InconsistentEvidenceError(InconsistentKBError):
     """Adding evidence made the probabilistic knowledge base unsatisfiable.
 
-    `conflict` names a minimal conflicting subset of the augmented formulas
-    when one was computed, otherwise the full formula list.
+    `conflict`, also named in the message, is a subsequence of the augmented
+    formulas that is inconsistent while each proper subset is consistent.
+    It is subset-minimal, not necessarily of minimum size.
     """
 
     def __init__(self, message: str, conflict=()):

@@ -28,7 +28,7 @@ from .am import (
     instantiate,
 )
 from .attribution import EvidenceItem
-from .bridge import AnnotationFunction, InCAFramework
+from .bridge import AnnotationFunction, InCAFramework, _base_label
 from .em import (
     DEFAULT_MAX_ATOMS,
     EMKnowledgeBase,
@@ -151,7 +151,7 @@ class KBDocument:
             raise AssemblyError("duplicate element labels")
         known = set(labels)
         for label, _ in self.af:
-            if label not in known:
+            if label not in known and _base_label(label) not in known:
                 raise AssemblyError(f"annotation for unknown element {label}")
 
 
@@ -419,8 +419,7 @@ def _parse_document(parser: _Parser) -> KBDocument:
             parser.error(str(exc), start)
 
     for label, at in af_labels.items():
-        base = label.split("[", 1)[0]
-        if label not in labels and base not in labels:
+        if label not in labels and _base_label(label) not in labels:
             parser.error(f"annotation for unknown element {label}", at)
 
     return KBDocument(sorts, em, ic, am, af, universe)

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from inca.am import AMProgram
 from inca.attribution import (
-    CONFLICT_SEARCH_LIMIT,
     EvidenceItem,
     apply_evidence,
     most_probable_suspects,
@@ -14,6 +15,8 @@ from inca.errors import InconsistentEvidenceError, SortError
 from inca.language import Atom, Term, atom_formula
 
 from conftest import GOV, ematom, worm_annotations, worm_elements, worm_em_kb
+from generators import random_em_kb
+from oracles import lp_bounds_oracle
 
 F = Fraction
 
@@ -33,6 +36,12 @@ def test_evidence_item_forms():
         EvidenceItem(GOV, F(2))
     with pytest.raises(ValueError):
         EvidenceItem(GOV, F(1), F(1, 2))
+
+
+def test_evidence_item_reads_floats_as_decimals():
+    item = EvidenceItem(GOV, 0.1, 0.05)
+    assert (item.p, item.eps) == (F(1, 10), F(1, 20))
+    assert item.to_formula() == ProbabilisticFormula(atom_formula(GOV), 0.1, 0.05)
 
 
 def test_most_probable_suspect(framework):
@@ -127,15 +136,19 @@ def test_inconsistent_evidence_reports_minimal_conflict(framework):
     texts = {str(f) for f in conflict}
     assert "govCybLab(baja) : 1/10 +- 0" in texts
     assert "govCybLab(baja) : 4/5 +- 1/10" in texts
+    assert str(excinfo.value) == (
+        "evidence is inconsistent with the knowledge base; conflicting "
+        "formulas: govCybLab(baja) : 4/5 +- 1/10; govCybLab(baja) : 1/10 +- 0"
+    )
 
 
-def test_conflict_search_gives_up_beyond_limit(worm_program):
-    # thirteen distinct but mutually consistent formulas over two atoms, so
-    # the subset search would be over fourteen formulas and is skipped
+def test_conflict_found_among_fourteen_formulas(worm_program):
+    # twelve distinct but mutually consistent formulas over a second atom,
+    # so the augmented knowledge base has fourteen formulas
     filler_atom = ematom("seen", "c")
     fillers = tuple(
         ProbabilisticFormula(atom_formula(filler_atom), F(1, 2), F(k, 48))
-        for k in range(12, 12 + CONFLICT_SEARCH_LIMIT)
+        for k in range(12, 24)
     )
     kb = EMKnowledgeBase(fillers + (
         ProbabilisticFormula(atom_formula(GOV), F(8, 10), F(1, 10)),
@@ -144,4 +157,37 @@ def test_conflict_search_gives_up_beyond_limit(worm_program):
     bad = EvidenceItem(GOV, F(1, 10), F(0))
     with pytest.raises(InconsistentEvidenceError) as excinfo:
         apply_evidence(framework, [bad])
-    assert excinfo.value.conflict == ()
+    assert [str(f) for f in excinfo.value.conflict] == [
+        "govCybLab(baja) : 4/5 +- 1/10",
+        "govCybLab(baja) : 1/10 +- 0",
+    ]
+
+
+def _oracle_consistent(formulas, kb):
+    subset = EMKnowledgeBase(tuple(formulas), kb.constraints, kb.atom_universe)
+    return lp_bounds_oracle(subset, atom_formula(kb.atom_universe[0])) is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_conflict_is_irreducible(rng):
+    em = random_em_kb(rng, max_atom_count=3)
+    evidence = [
+        EvidenceItem(rng.choice(em.atom_universe), F(rng.randint(0, 4), 4))
+        for _ in range(rng.randint(1, 2))
+    ]
+    framework = InCAFramework(em, AMProgram())
+    try:
+        extended = apply_evidence(framework, evidence)
+    except InconsistentEvidenceError as exc:
+        augmented = em.formulas + tuple(item.to_formula() for item in evidence)
+        conflict = exc.conflict
+        # a subsequence of the augmented formulas
+        rest = iter(range(len(augmented)))
+        assert all(any(augmented[i] == f for i in rest) for f in conflict)
+        assert conflict
+        assert not _oracle_consistent(conflict, em)
+        for j in range(len(conflict)):
+            assert _oracle_consistent(conflict[:j] + conflict[j + 1:], em)
+    else:
+        assert _oracle_consistent(extended.em.formulas, em)

@@ -281,6 +281,21 @@ def test_attribute_with_evidence_file(capsys):
     assert out.splitlines()[0] == "most probable: baja"
 
 
+def test_attribute_with_inconsistent_evidence_names_conflict(capsys, tmp_path):
+    evidence = tmp_path / "bad.evidence"
+    evidence.write_text("govCybLab(baja) : 0.1 +- 0.\n")
+    code, out, err = run(
+        capsys, "attribute", KB, "--op", "worm123",
+        "--suspects", "baja,mojave", "--evidence", str(evidence),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: evidence is inconsistent with the knowledge base; conflicting "
+        "formulas: govCybLab(baja) : 4/5 +- 1/10; govCybLab(baja) : 1/10 +- 0\n"
+    )
+
+
 # -- json envelopes -----------------------------------------------------------------
 
 

@@ -21,7 +21,7 @@ from inca.kbformat import (
     render_kb,
     render_world,
 )
-from inca.language import atom_formula, conj, disj, formula_atoms, neg, render_formula
+from inca.language import TOP, atom_formula, conj, disj, formula_atoms, neg, render_formula
 
 from conftest import AGE, FIXTURES, GOV, MSE, ematom, lit
 from generators import random_am_program, random_em_kb
@@ -410,6 +410,24 @@ def test_assemble_grounds_schematic_rules():
     assert "de1[worm123,baja]" in labels
     assert "de1[worm123,mojave]" in labels
     assert fw.program.is_ground
+
+
+def test_annotation_on_ground_instance_label():
+    # The document accepts an annotation on label[...] of a schematic
+    # element, as the parser and the annotation function do.
+    text = (
+        "#sorts\nactor baja.\n"
+        "#em\ngov(baja) : 0.5 +- 0.\n"
+        "#am\nr1 : presume cap(A).\n"
+        "#af\nr1[baja] : gov(baja).\n"
+    )
+    doc = parse_kb(text)
+    assert doc.af == (("r1[baja]", atom_formula(ematom("gov", "baja"))),)
+    fw = assemble(doc)
+    interval = fw.prob_bounds(parse_literal_text("cap(baja)"))
+    assert (interval.p, interval.eps) == (Fraction(1, 2), 0)
+    with pytest.raises(AssemblyError, match="unknown element r2"):
+        KBDocument(am=doc.am, af=(("r2[baja]", TOP),))
 
 
 def test_sorts_after_am_ground_the_same_program():
