@@ -21,7 +21,9 @@ seed literals, serves all but derivability and attacks. An argument's
 support is an element mask: one ATMS label pass gives every literal its
 minimal consistent defeasible supports, so it builds every argument, and
 sub-arguments, attacks, preference and the acceptability of a line's next
-argument are tests on those masks.
+argument are tests on those masks. The same pass, with literals in place
+of elements as assumptions, gives the minimal activating sets on which
+specificity is decided.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ SORTED_PREDICATES = {
     "tgt": (ROLE_ACTOR, ROLE_OPERATION),
 }
 
-# Most literals one specificity comparison may enumerate activation sets
-# over: 2^16 subsets, each closed three times.
+# Most literals one specificity comparison may range over. Its minimal
+# activating sets form an antichain of such sets, at most C(16, 8) of them.
 SPECIFICITY_CAP = 16
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\[[A-Za-z0-9_,]+\])?\Z")
@@ -365,34 +367,40 @@ class ProgramIndex:
 
     # -- arguments ---------------------------------------------------------
 
-    @cached_property
-    def _labels(self) -> dict[int, list[int]]:
-        """The ATMS label of each literal bit (de Kleer 1986): the antichain
-        of minimal defeasible-element masks from which, with the strict
-        elements, it derives consistently. A rule ORs one label entry per
-        body literal and its own bit if defeasible; an entry is kept if no
-        entry is a subset of it and its closure is consistent (subsets of a
-        consistent set are), and it drops the entries it subsumes. Labels
+    def _antichains(self, rules: int, labels: dict, own: int, consistent) -> dict:
+        """One ATMS label pass (de Kleer 1986): extend labels, a dict from a
+        literal bit to an antichain of masks, to a fixpoint under the
+        elements of the mask rules. A rule ORs one label entry per body
+        literal and its own bit within own; an entry is kept if no entry is
+        a subset of it and consistent accepts it (it must accept the subsets
+        of what it accepts), and it drops the entries it subsumes. Labels
         only grow upwards, so this ends on cyclic rules too."""
-        labels: dict[int, list[int]] = {}
-        defeasible = ~self._strict
         changed = True
         while changed:
             changed = False
-            for i, (_, head) in enumerate(self._rule):
-                envs = [defeasible & 1 << i]
+            for i in _bits(rules):
+                envs = [own & 1 << i]
                 for b in self._body[i]:
                     envs = [env | x for env in envs for x in labels.get(b, ())]
-                label = labels.setdefault(head, [])
+                label = labels.setdefault(self._rule[i][1], [])
                 for env in envs:
-                    if any(x & env == x for x in label) or self._contradictory(
-                        self._closure(env | self._strict)
-                    ):
+                    if any(x & env == x for x in label) or not consistent(env):
                         continue
                     label[:] = [x for x in label if x & env != env]
                     label.append(env)
                     changed = True
         return labels
+
+    @cached_property
+    def _labels(self) -> dict[int, list[int]]:
+        """Each literal bit's minimal defeasible-element masks from which,
+        with the strict elements, it derives consistently."""
+        return self._antichains(
+            (1 << len(self._rule)) - 1,
+            {},
+            ~self._strict,
+            lambda env: not self._contradictory(self._closure(env | self._strict)),
+        )
 
     def _strict_part(self, env: int, bit: int) -> int:
         # Drop strict elements one at a time, in label order, while the
@@ -473,8 +481,14 @@ class ProgramIndex:
         Quantifies activation sets H over the defeasibly derivable literals;
         literals outside every rule body and distinct from both conclusions
         cannot change any of the tested derivations, so H ranges over the
-        relevant ones only. A comparison with more than SPECIFICITY_CAP
-        relevant literals raises CapacityError.
+        relevant ones only. A witness H against a condition (it activates
+        one argument non-trivially, is consistent with the strict rules, and
+        does not activate the other) stays one when shrunk to a minimal set
+        that activates the first, as closure and contradiction are monotone
+        in H (Stolzenburg, García, Chesñevar and Simari 2003). So only the
+        minimal activating sets are tested, and _antichains lists them with
+        each relevant literal as its own assumption. A comparison with more
+        than SPECIFICITY_CAP relevant literals raises CapacityError.
         """
         m1, m2 = self._mask_of(a1), self._mask_of(a2)
         l1 = self._bit[a1.conclusion]
@@ -495,23 +509,20 @@ class ProgramIndex:
                 f"specificity comparison, more than the cap of {SPECIFICITY_CAP}"
             )
 
-        cond1 = True
-        cond2 = False
-        sub = relevant
-        while True:
-            base = self._closure(omega, sub)
-            if not self._contradictory(base):
-                with1 = self._closure(rules1, sub)
-                with2 = self._closure(rules2, sub)
-                if with1 & l1 and not base & l1 and not with2 & l2:
-                    cond1 = False
-                    break
-                if with2 & l2 and not base & l2 and not with1 & l1:
-                    cond2 = True
-            if sub == 0:
-                break
-            sub = (sub - 1) & relevant
-        result = cond1 and cond2
+        def consistent(h):
+            return not self._contradictory(self._closure(omega, h))
+
+        def witnessed(rules, lit, other_rules, other):
+            # Some minimal H activates lit under rules, non-trivially, and
+            # leaves other underived under other_rules.
+            seeds = {1 << k: [1 << k] for k in _bits(relevant)}
+            return any(
+                not self._closure(omega, h) & lit
+                and not self._closure(other_rules, h) & other
+                for h in self._antichains(rules, seeds, 0, consistent).get(lit, ())
+            )
+
+        result = not witnessed(rules1, l1, rules2, l2) and witnessed(rules2, l2, rules1, l1)
         self._prefers_ps[key] = result
         return result
 

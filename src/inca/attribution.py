@@ -12,6 +12,7 @@ from .em import (
     EMKnowledgeBase,
     ProbabilisticFormula,
     ProbabilityInterval,
+    _linear_program,
     is_consistent,
 )
 from .errors import InconsistentEvidenceError, SortError
@@ -74,7 +75,8 @@ def apply_evidence(framework: InCAFramework, evidence) -> InCAFramework:
     """New framework whose probabilistic knowledge base also holds the
     evidence; the atom universe grows as needed. Raises
     InconsistentEvidenceError, naming an irreducible conflicting subset of
-    the augmented formulas, when nothing satisfies the combination."""
+    the augmented formulas, when nothing satisfies the combination, and
+    InconsistentKBError when nothing satisfies the EM alone."""
     items = tuple(evidence)
     if not items:
         return framework
@@ -90,6 +92,9 @@ def apply_evidence(framework: InCAFramework, evidence) -> InCAFramework:
         atom_universe=tuple(universe),
     )
     if not is_consistent(kb, framework.max_atoms):
+        # Evidence cannot mend an inconsistent EM: blame the EM itself, with
+        # the error a query on it raises.
+        _linear_program(em, framework.max_atoms)
         conflict = _irreducible_conflict(formulas, em.constraints, framework.max_atoms)
         raise InconsistentEvidenceError(
             "evidence is inconsistent with the knowledge base; conflicting "

@@ -19,7 +19,6 @@ caller asks for them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .am import (
@@ -39,7 +38,7 @@ from .em import (
     lp_extrema,  # noqa: F401  (bench/tracer.py wraps this name)
     world_space,
 )
-from .errors import AssemblyError, DistributionError, GroundednessError
+from .errors import AssemblyError, GroundednessError
 from .language import (
     EM,
     Formula,
@@ -198,30 +197,3 @@ class InCAFramework:
         nec, poss = self.masks(literal)
         lp = _linear_program(self.em, self.max_atoms)
         return ProbabilityInterval(*lp.extrema(nec, poss))
-
-    def prob_from_distribution(
-        self, literal: Literal, distribution: dict[World, Fraction]
-    ) -> ProbabilityInterval:
-        """Interval for one concrete distribution over the worlds."""
-        allowed = set(self.worlds)
-        total = Fraction(0)
-        for world, pr in distribution.items():
-            if world not in allowed:
-                raise DistributionError(
-                    "distribution assigns mass to a non-conforming world"
-                )
-            pr = Fraction(pr)
-            if pr < 0:
-                raise DistributionError("probabilities must be nonnegative")
-            total += pr
-        if total != 1:
-            raise DistributionError(f"probabilities sum to {total}, not 1")
-        lower = sum(
-            (Fraction(distribution.get(w, 0)) for w in self.nec_set(literal)),
-            Fraction(0),
-        )
-        upper = sum(
-            (Fraction(distribution.get(w, 0)) for w in self.poss_set(literal)),
-            Fraction(0),
-        )
-        return ProbabilityInterval(lower, upper)

@@ -120,6 +120,35 @@ def random_am_program(rng, max_defeasible=8, min_defeasible=1, max_strict=None):
     return AMProgram(tuple(elements))
 
 
+def layered_am_program(rng, layers, width):
+    """width facts or presumptions on layer 0, then on each later layer
+    one or two rules per literal, strict 20% of the time, whose bodies take
+    one to three literals from the layers below; heads are negated 30% of
+    the time. Arguments chain through the layers, so the rules of two of
+    them mention many literals."""
+    elements = []
+    below = []
+    for j in range(width):
+        head = Literal(Atom(f"l0_{j}", (Term("x"),), AM))
+        kind = FACT if rng.random() < 0.6 else PRESUMPTION
+        elements.append(AMElement(f"e0_{j}", kind, head))
+        below.append(head)
+    for k in range(1, layers):
+        heads = []
+        for j in range(width):
+            for r in range(rng.randint(1, 2)):
+                atom = Atom(f"l{k}_{j}", (Term("x"),), AM)
+                head = Literal(atom, rng.random() < 0.3)
+                picks = [rng.choice(below) for _ in range(rng.randint(1, 3))]
+                kind = STRICT_RULE if rng.random() < 0.2 else DEFEASIBLE_RULE
+                elements.append(
+                    AMElement(f"e{k}_{j}_{r}", kind, head, tuple(dict.fromkeys(picks)))
+                )
+                heads.append(head)
+        below += dict.fromkeys(heads)
+    return AMProgram(tuple(elements))
+
+
 def random_framework(rng):
     while True:
         kb = random_em_kb(rng, max_atom_count=3)

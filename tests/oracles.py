@@ -6,11 +6,12 @@ instead of simplex; worlds, and the nec and poss sets, are listed one
 frozenset world at a time instead of as truth-table masks; arguments come
 from exhaustive subset search instead of a label pass over element masks,
 and their strict parts from a greedy over frozensets of elements; the
-specificity check quantifies over every subset of the derivable literals
-instead of the pruned bitmask universe; warrant is read off fully built and
+specificity check quantifies over every subset of a literal set instead of
+over the minimal activating sets; warrant is read off fully built and
 marked dialectical trees instead of the pruned walk over world masks.
 Tokens and their positions come from one named-group scan that tracks lines
-as it goes, instead of a findall and a second scan on error.
+as it goes, instead of a findall and a second scan on error. The interval
+under one concrete distribution, which only tests ask for, lives here too.
 """
 
 import re
@@ -25,7 +26,8 @@ from inca.am import (
     STRICT_RULE,
     instantiate,
 )
-from inca.errors import CapacityError, ParseError
+from inca.em import ProbabilityInterval
+from inca.errors import CapacityError, DistributionError, ParseError
 from inca.language import satisfies
 from inca.simplex import EQ, GE, LE
 
@@ -190,6 +192,35 @@ def sample_distributions(kb, max_atoms=20, limit=3):
 
 
 # -- bridge oracles -------------------------------------------------------------
+
+
+def prob_from_distribution(framework, literal, distribution):
+    """The warrant interval of a literal under one concrete distribution
+    over the framework's worlds: the mass on its nec set and on its poss
+    set. A distribution with mass off the conforming worlds, a negative
+    mass, or a total other than 1 raises DistributionError."""
+    allowed = set(framework.worlds)
+    total = Fraction(0)
+    for world, pr in distribution.items():
+        if world not in allowed:
+            raise DistributionError(
+                "distribution assigns mass to a non-conforming world"
+            )
+        pr = Fraction(pr)
+        if pr < 0:
+            raise DistributionError("probabilities must be nonnegative")
+        total += pr
+    if total != 1:
+        raise DistributionError(f"probabilities sum to {total}, not 1")
+
+    def mass(worlds):
+        return sum(
+            (Fraction(distribution.get(w, 0)) for w in worlds), Fraction(0)
+        )
+
+    return ProbabilityInterval(
+        mass(framework.nec_set(literal)), mass(framework.poss_set(literal))
+    )
 
 
 def valid_labels_oracle(framework, world):
@@ -375,15 +406,17 @@ def strict_support_oracle(program, defeasible_part, literal):
     return frozenset(keep)
 
 
-def specificity_oracle(program, a1, a2):
+def specificity_oracle(program, a1, a2, literals=None):
     """Literal more-specific-than check, one activation set at a time.
 
-    Quantifies over every subset H of the derivable literals: a1 must reach
-    its conclusion only with a2's help available too (condition one holds
-    universally), while some H activates a2 alone (condition two).
+    Quantifies over every subset H of literals, by default the derivable
+    literals: a1 must reach its conclusion only with a2's help available
+    too (condition one holds universally), while some H activates a2 alone
+    (condition two).
     """
-    derivable = sorted(closure_oracle(tuple(program.elements)),
-                       key=lambda l: l.key())
+    if literals is None:
+        literals = closure_oracle(tuple(program.elements))
+    derivable = sorted(literals, key=lambda l: l.key())
     omega = [e for e in (a1.support | a2.support) if e.kind == STRICT_RULE]
     rules1 = omega + [e for e in a1.support if e.kind == DEFEASIBLE_RULE]
     rules2 = omega + [e for e in a2.support if e.kind == DEFEASIBLE_RULE]

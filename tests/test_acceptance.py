@@ -52,6 +52,7 @@ from oracles import (
     available_oracle,
     consistent_subsets_oracle,
     lp_bounds_oracle,
+    prob_from_distribution,
     sample_distributions,
 )
 from test_cli import ATTRIBUTE_RESULT_SCHEMA, ENVELOPE_SCHEMA
@@ -261,7 +262,7 @@ def test_criterion_8():
                 bounds = fw.prob_bounds(literal)
                 assert 0 <= bounds.lower <= bounds.upper <= 1
                 for dist in distributions:
-                    iv = fw.prob_from_distribution(literal, dist)
+                    iv = prob_from_distribution(fw, literal, dist)
                     assert bounds.lower <= iv.lower <= iv.upper <= bounds.upper
         assert literal_checks > 100
 

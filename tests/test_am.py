@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,7 @@ from conftest import (
     lit,
     worm_elements,
 )
-from generators import AM_LITERALS, random_am_program
+from generators import AM_LITERALS, layered_am_program, random_am_program
 from oracles import (
     arguments_oracle,
     attacks_oracle,
@@ -541,6 +542,63 @@ def test_specificity_cap_ignores_unrelated_facts():
                     assert padded.prefers_ps(a, b) == specificity_oracle(program, a, b)
         for literal in AM_LITERALS:
             assert padded.warrant_status(literal) == index.warrant_status(literal)
+
+
+def _relevant_literals(a1, a2):
+    """The conclusions and the body literals of every rule either argument
+    may use in a specificity comparison: the strict rules of both supports
+    and the defeasible rules of each."""
+    rules = [e for e in a1.support | a2.support
+             if e.kind in (STRICT_RULE, DEFEASIBLE_RULE)]
+    return {a1.conclusion, a2.conclusion}.union(*(e.body for e in rules))
+
+
+def test_specificity_matches_subset_walk_over_relevant_literals():
+    """prefers_ps tests minimal activating sets only; the oracle walks every
+    subset of the relevant literals. First the at-cap shape: 14 facts, one
+    rule on 13 of them against one on the 14th, 16 relevant literals. Then
+    layered programs, whose comparisons range over 2 to 17 relevant
+    literals: a few of each size, drawn in a seeded order, are checked up
+    to the cap, and those past it must raise."""
+    facts = tuple(AMElement(f"f{i}", FACT, lit(f"fill{i}", "x")) for i in range(14))
+    at_cap = AMProgram(facts + (
+        AMElement("d1", DEFEASIBLE_RULE, lit("goal", "x"),
+                  tuple(f.head for f in facts[:13])),
+        AMElement("d2", DEFEASIBLE_RULE, lit("goal", "x", negated=True),
+                  (facts[13].head,)),
+    ))
+    index = index_for(at_cap)
+    (goal,) = index.arguments_for(lit("goal", "x"))
+    (not_goal,) = index.arguments_for(lit("goal", "x", negated=True))
+    for a, b in ((goal, not_goal), (not_goal, goal)):
+        relevant = _relevant_literals(a, b)
+        assert len(relevant) == 16
+        assert index.prefers_ps(a, b) == specificity_oracle(at_cap, a, b, relevant)
+
+    rng = random.Random(6)
+    pairs = []
+    for program in [layered_am_program(rng, 6, 4) for _ in range(6)]:
+        index = index_for(program)
+        arguments = index.all_arguments()
+        pairs += [(program, index, a, b) for a in arguments for b in arguments if a is not b]
+    rng.shuffle(pairs)
+    checked = Counter()
+    outcomes = set()
+    for program, index, a, b in pairs:
+        relevant = _relevant_literals(a, b)
+        size = len(relevant)
+        if checked[size] >= 8:
+            continue
+        checked[size] += 1
+        if size > 16:
+            with pytest.raises(CapacityError):
+                index.prefers_ps(a, b)
+            continue
+        expected = specificity_oracle(program, a, b, relevant)
+        assert index.prefers_ps(a, b) == expected
+        outcomes.add((size > 12, expected))
+    assert set(checked) == set(range(2, 18))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,8 +11,8 @@ from inca.attribution import (
 )
 from inca.bridge import InCAFramework
 from inca.em import EMKnowledgeBase, ProbabilisticFormula
-from inca.errors import InconsistentEvidenceError, SortError
-from inca.language import Atom, Term, atom_formula
+from inca.errors import InconsistentEvidenceError, InconsistentKBError, SortError
+from inca.language import Atom, Term, atom_formula, conj, disj
 
 from conftest import GOV, ematom, worm_annotations, worm_elements, worm_em_kb
 from generators import random_em_kb
@@ -142,6 +142,21 @@ def test_inconsistent_evidence_reports_minimal_conflict(framework):
     )
 
 
+def test_inconsistent_em_is_not_blamed_on_evidence(worm_program):
+    p, q = atom_formula(ematom("p", "a")), atom_formula(ematom("q", "a"))
+    kb = EMKnowledgeBase((
+        ProbabilisticFormula(disj(p, q), F(2, 5), F(0)),
+        ProbabilisticFormula(conj(p, q), F(3, 5), F(1, 10)),
+    ))
+    framework = InCAFramework(kb, worm_program)
+    with pytest.raises(InconsistentKBError) as excinfo:
+        apply_evidence(framework, [EvidenceItem(ematom("r", "a"))])
+    assert not isinstance(excinfo.value, InconsistentEvidenceError)
+    assert str(excinfo.value) == (
+        "no probability distribution satisfies the knowledge base"
+    )
+
+
 def test_conflict_found_among_fourteen_formulas(worm_program):
     # twelve distinct but mutually consistent formulas over a second atom,
     # so the augmented knowledge base has fourteen formulas
@@ -177,6 +192,12 @@ def test_conflict_is_irreducible(rng):
         for _ in range(rng.randint(1, 2))
     ]
     framework = InCAFramework(em, AMProgram())
+    if not _oracle_consistent(em.formulas, em):
+        # No evidence is to blame for an EM that is inconsistent alone.
+        with pytest.raises(InconsistentKBError) as excinfo:
+            apply_evidence(framework, evidence)
+        assert not isinstance(excinfo.value, InconsistentEvidenceError)
+        return
     try:
         extended = apply_evidence(framework, evidence)
     except InconsistentEvidenceError as exc:

@@ -47,6 +47,7 @@ from oracles import (
     nec_oracle,
     poss_at_oracle,
     poss_oracle,
+    prob_from_distribution,
 )
 
 F = Fraction
@@ -252,24 +253,24 @@ def test_bounds_for_literal_without_arguments(worm_framework):
 
 def test_prob_from_distribution(worm_framework):
     uniform = {w: F(1, 8) for w in worm_framework.worlds}
-    iv = worm_framework.prob_from_distribution(IS_CAP, uniform)
+    iv = prob_from_distribution(worm_framework, IS_CAP, uniform)
     assert (iv.lower, iv.upper) == (F(3, 8), F(6, 8))
 
 
 def test_prob_from_distribution_validation(worm_framework):
     worlds = worm_framework.worlds
     with pytest.raises(DistributionError):
-        worm_framework.prob_from_distribution(
-            IS_CAP, {frozenset({Atom("alien", (Term("c"),))}): F(1)}
+        prob_from_distribution(
+            worm_framework, IS_CAP, {frozenset({Atom("alien", (Term("c"),))}): F(1)}
         )
     bad_sum = {w: F(1, 4) for w in worlds}
     with pytest.raises(DistributionError):
-        worm_framework.prob_from_distribution(IS_CAP, bad_sum)
+        prob_from_distribution(worm_framework, IS_CAP, bad_sum)
     signed = dict.fromkeys(worlds, F(0))
     signed[worlds[0]] = F(3, 2)
     signed[worlds[1]] = F(-1, 2)
     with pytest.raises(DistributionError):
-        worm_framework.prob_from_distribution(IS_CAP, signed)
+        prob_from_distribution(worm_framework, IS_CAP, signed)
 
 
 # -- randomized invariants --------------------------------------------------------

@@ -296,6 +296,21 @@ def test_attribute_with_inconsistent_evidence_names_conflict(capsys, tmp_path):
     )
 
 
+def test_inconsistent_em_with_evidence_blames_the_em(capsys, tmp_path):
+    bad = tmp_path / "bad.inca"
+    bad.write_text(
+        "#em\np(a) v q(a) : 0.4 +- 0.\np(a) ^ q(a) : 0.6 +- 0.1.\n"
+    )
+    evidence = tmp_path / "r.evidence"
+    evidence.write_text("r(a).\n")
+    expected = "error: no probability distribution satisfies the knowledge base\n"
+    for extra in ((), ("--evidence", str(evidence))):
+        code, out, err = run(
+            capsys, "attribute", str(bad), "--op", "o", "--suspects", "x", *extra
+        )
+        assert (code, out, err) == (1, "", expected)
+
+
 # -- json envelopes -----------------------------------------------------------------
 
 
@@ -431,6 +446,15 @@ def test_inconsistent_kb_query_fails_cleanly(capsys, tmp_path):
     code, _, err = run(capsys, "entail", str(bad), "-q", "p(a)")
     assert code == 1
     assert "error:" in err
+
+
+def test_out_of_memory_fails_cleanly(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("inca.cli.em.is_consistent", exhausted)
+    code, out, err = run(capsys, "check", KB)
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 def test_console_script_entry_point():
