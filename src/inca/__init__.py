@@ -18,7 +18,6 @@ from .am import (
 )
 from .attribution import (
     AttributionResult,
-    EvidenceItem,
     apply_evidence,
     most_probable_suspects,
 )
@@ -36,7 +35,6 @@ from .em import (
 from .errors import (
     AssemblyError,
     CapacityError,
-    DistributionError,
     GroundednessError,
     InCAError,
     InconsistentEvidenceError,
@@ -78,9 +76,7 @@ __all__ = [
     "AttributionResult",
     "CapacityError",
     "DialecticalNode",
-    "DistributionError",
     "EMKnowledgeBase",
-    "EvidenceItem",
     "Formula",
     "GroundednessError",
     "InCAError",

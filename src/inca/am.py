@@ -160,15 +160,16 @@ class AMProgram:
         return all(e.is_ground for e in self.elements)
 
 
-def _role_constraints(literals) -> dict[str, set[str]]:
+def positional_roles(literals) -> dict[str, set[str]]:
+    """The roles each term name sits in, over the sorted argument positions
+    of the given literals."""
     out: dict[str, set[str]] = {}
     for lit in literals:
         sig = SORTED_PREDICATES.get(lit.atom.predicate)
         if sig is None:
             continue
         for term, role in zip(lit.atom.args, sig):
-            if term.is_variable:
-                out.setdefault(term.name, set()).add(role)
+            out.setdefault(term.name, set()).add(role)
     return out
 
 
@@ -197,7 +198,7 @@ def instantiate(item, constants) -> tuple:
         if item.is_ground:
             return (item,)
         variables = sorted(item.atom.variables())
-        constraints = _role_constraints([item])
+        constraints = positional_roles([item])
         return tuple(
             substitute_literal(item, b)
             for b in _bindings(variables, constraints, constants)
@@ -207,7 +208,7 @@ def instantiate(item, constants) -> tuple:
     if item.is_ground:
         return (item,)
     variables = sorted(item.variables())
-    constraints = _role_constraints((item.head, *item.body))
+    constraints = positional_roles((item.head, *item.body))
     out = []
     for binding in _bindings(variables, constraints, constants):
         if any(binding[a].name == binding[b].name for a, b in item.guards):
@@ -650,6 +651,6 @@ class ProgramIndex:
         return UNDECIDED
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)
 def index_for(program: AMProgram) -> ProgramIndex:
     return ProgramIndex(program)

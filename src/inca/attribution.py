@@ -6,11 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .am import SORTED_PREDICATES
+from .am import positional_roles
 from .bridge import InCAFramework
 from .em import (
     EMKnowledgeBase,
-    ProbabilisticFormula,
     ProbabilityInterval,
     _linear_program,
     is_consistent,
@@ -24,35 +23,12 @@ from .language import (
     Literal,
     Term,
     World,
-    atom_formula,
+    formula_atoms,
 )
 
 MIDPOINT = "midpoint"
 LOWER = "lower"
 COMPARISONS = (MIDPOINT, LOWER)
-
-
-@dataclass(frozen=True)
-class EvidenceItem:
-    """One piece of evidence: an environmental atom that holds with the given
-    probability, by default with certainty."""
-
-    atom: Atom
-    p: Fraction = Fraction(1)
-    eps: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        # The formula's conversion and validation, so a float reads as the
-        # decimal it prints as.
-        formula = self.to_formula()
-        object.__setattr__(self, "p", formula.p)
-        object.__setattr__(self, "eps", formula.eps)
-
-    def to_formula(self) -> ProbabilisticFormula:
-        return ProbabilisticFormula(atom_formula(self.atom), self.p, self.eps)
-
-    def __str__(self) -> str:
-        return f"{self.atom} : {self.p} +- {self.eps}"
 
 
 def _irreducible_conflict(formulas, constraints, max_atoms):
@@ -73,19 +49,19 @@ def _irreducible_conflict(formulas, constraints, max_atoms):
 
 def apply_evidence(framework: InCAFramework, evidence) -> InCAFramework:
     """New framework whose probabilistic knowledge base also holds the
-    evidence; the atom universe grows as needed. Raises
-    InconsistentEvidenceError, naming an irreducible conflicting subset of
-    the augmented formulas, when nothing satisfies the combination, and
-    InconsistentKBError when nothing satisfies the EM alone."""
-    items = tuple(evidence)
-    if not items:
+    evidence, given as ProbabilisticFormulas; the atom universe grows by
+    their atoms in first-mention order. Raises InconsistentEvidenceError,
+    naming an irreducible conflicting subset of the augmented formulas, when
+    nothing satisfies the combination, and InconsistentKBError when nothing
+    satisfies the EM alone."""
+    evidence = tuple(evidence)
+    if not evidence:
         return framework
     em = framework.em
-    formulas = tuple(em.formulas) + tuple(i.to_formula() for i in items)
-    universe = list(em.atom_universe)
-    for item in items:
-        if item.atom not in universe:
-            universe.append(item.atom)
+    formulas = tuple(em.formulas) + evidence
+    universe = dict.fromkeys(em.atom_universe)
+    for f in evidence:
+        universe.update(dict.fromkeys(formula_atoms(f.formula)))
     kb = EMKnowledgeBase(
         formulas=formulas,
         constraints=em.constraints,
@@ -107,18 +83,6 @@ def apply_evidence(framework: InCAFramework, evidence) -> InCAFramework:
         annotations=framework.annotations,
         max_atoms=framework.max_atoms,
     )
-
-
-def _positional_roles(program) -> dict[str, set[str]]:
-    roles: dict[str, set[str]] = {}
-    for e in program.elements:
-        for lit in (e.head, *e.body):
-            sig = SORTED_PREDICATES.get(lit.atom.predicate)
-            if sig is None:
-                continue
-            for term, role in zip(lit.atom.args, sig):
-                roles.setdefault(term.name, set()).add(role)
-    return roles
 
 
 @dataclass(frozen=True)
@@ -161,15 +125,19 @@ def most_probable_suspects(
     evidence=(),
     compare: str = MIDPOINT,
 ) -> AttributionResult:
-    """Bound the probability that each suspect conducted the operation and
-    keep the ones whose interval compares best: by midpoint unless the
-    caller opts into comparing lower bounds. Ties all stay in."""
+    """Bound the probability that each suspect conducted the operation,
+    under the EM extended with the evidence (ProbabilisticFormulas, as
+    apply_evidence takes them), and keep the ones whose interval compares
+    best: by midpoint unless the caller opts into comparing lower bounds.
+    Ties all stay in."""
     if compare not in COMPARISONS:
         raise ValueError(f"compare must be one of {COMPARISONS}")
     names = list(dict.fromkeys(suspects))
     if not names:
         raise ValueError("no suspects given")
-    roles = _positional_roles(framework.program)
+    roles = positional_roles(
+        lit for e in framework.program.elements for lit in (e.head, *e.body)
+    )
     for name in names:
         seen = roles.get(name, set())
         if seen and ROLE_ACTOR not in seen:

@@ -92,9 +92,6 @@ class AnnotationFunction:
             return self._table[label]
         return self._table.get(_base_label(label), TOP)
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.mapping)
-
 
 @dataclass(eq=False)
 class InCAFramework:

@@ -3,8 +3,8 @@
 Every subcommand loads a knowledge-base file, runs one query pipeline, and
 prints either human-readable lines or (with --json) a JSON envelope with
 `query` and `result` keys plus `interval`, `worlds`, or `forest` where they
-apply. Exit codes: 0 success, 1 domain errors and running out of memory,
-2 usage errors.
+apply. Exit codes: 0 success, 1 domain errors, running out of memory and
+input nested too deeply, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -277,6 +277,9 @@ def run_cli(argv=None) -> int:
         return 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 1
     print(json.dumps(payload, indent=2) if ns.json else text)
     return 0

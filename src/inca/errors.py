@@ -34,10 +34,6 @@ class InternalInconsistencyError(InCAError):
     """A literal and its complement were both warranted. Indicates a bug."""
 
 
-class DistributionError(InCAError):
-    """A world distribution is malformed (negative mass, wrong total, bad support)."""
-
-
 class SortError(InCAError):
     """A constant is used in a role it was not declared for."""
 

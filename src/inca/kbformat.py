@@ -27,7 +27,6 @@ from .am import (
     STRICT_RULE,
     instantiate,
 )
-from .attribution import EvidenceItem
 from .bridge import AnnotationFunction, InCAFramework, _base_label
 from .em import (
     DEFAULT_MAX_ATOMS,
@@ -564,10 +563,11 @@ def parse_world_spec(text: str) -> tuple[Atom, ...]:
     return tuple(atoms)
 
 
-def parse_evidence(text: str) -> tuple[EvidenceItem, ...]:
-    """Evidence statements: `atom.` (certain) or `atom : p +- e.`."""
+def parse_evidence(text: str) -> tuple[ProbabilisticFormula, ...]:
+    """Evidence statements, `atom.` (certain) or `atom : p +- e.`, each read
+    as the probabilistic formula it adds to the EM."""
     parser = _FragmentParser(text)
-    items = []
+    formulas = []
     while parser.peek():
         start = parser.pos
         atom = parser.parse_atom(EM)
@@ -577,10 +577,10 @@ def parse_evidence(text: str) -> tuple[EvidenceItem, ...]:
             p, eps = parser.parse_bound()
         parser.expect_symbol(".")
         try:
-            items.append(EvidenceItem(atom, p, eps))
+            formulas.append(ProbabilisticFormula(atom_formula(atom), p, eps))
         except ValueError as exc:
             parser.error(str(exc), start)
-    return tuple(items)
+    return tuple(formulas)
 
 
 # -- assembly -------------------------------------------------------------------
@@ -626,7 +626,7 @@ def assemble(doc: KBDocument, max_atoms: int = DEFAULT_MAX_ATOMS) -> InCAFramewo
         universe = tuple(ordered)
 
     em_kb = EMKnowledgeBase(doc.em, doc.ic, universe)
-    annotations = AnnotationFunction(dict(doc.af))
+    annotations = AnnotationFunction(doc.af)
     return InCAFramework(
         em=em_kb,
         program=program,

@@ -27,7 +27,7 @@ from inca.am import (
     instantiate,
 )
 from inca.em import ProbabilityInterval
-from inca.errors import CapacityError, DistributionError, ParseError
+from inca.errors import CapacityError, InCAError, ParseError
 from inca.language import satisfies
 from inca.simplex import EQ, GE, LE
 
@@ -192,6 +192,10 @@ def sample_distributions(kb, max_atoms=20, limit=3):
 
 
 # -- bridge oracles -------------------------------------------------------------
+
+
+class DistributionError(InCAError):
+    """A world distribution is malformed (negative mass, wrong total, bad support)."""
 
 
 def prob_from_distribution(framework, literal, distribution):

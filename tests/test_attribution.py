@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inca.am import AMProgram
-from inca.attribution import (
-    EvidenceItem,
-    apply_evidence,
-    most_probable_suspects,
-)
+from inca.attribution import apply_evidence, most_probable_suspects
 from inca.bridge import InCAFramework
 from inca.em import EMKnowledgeBase, ProbabilisticFormula
-from inca.errors import InconsistentEvidenceError, InconsistentKBError, SortError
+from inca.errors import (
+    InconsistentEvidenceError,
+    InconsistentKBError,
+    ParseError,
+    SortError,
+)
+from inca.kbformat import parse_evidence
 from inca.language import Atom, Term, atom_formula, conj, disj
 
 from conftest import GOV, ematom, worm_annotations, worm_elements, worm_em_kb
@@ -26,22 +28,22 @@ def framework(worm_program):
     return InCAFramework(worm_em_kb(), worm_program, worm_annotations())
 
 
-def test_evidence_item_forms():
-    certain = EvidenceItem(ematom("origIP", "mw123sam1", "baja"))
-    assert (certain.p, certain.eps) == (F(1), F(0))
+def evidence(atom, p=F(1), eps=F(0)):
+    return ProbabilisticFormula(atom_formula(atom), p, eps)
+
+
+def test_evidence_forms():
+    certain, hedged = parse_evidence(
+        "origIP(mw123sam1,baja).\ngovCybLab(baja) : 1/2 +- 1/4.\n"
+    )
+    assert certain == evidence(ematom("origIP", "mw123sam1", "baja"))
     assert str(certain) == "origIP(mw123sam1,baja) : 1 +- 0"
-    hedged = EvidenceItem(GOV, F(1, 2), F(1, 4))
-    assert hedged.to_formula().lower == F(1, 4)
-    with pytest.raises(ValueError):
-        EvidenceItem(GOV, F(2))
-    with pytest.raises(ValueError):
-        EvidenceItem(GOV, F(1), F(1, 2))
-
-
-def test_evidence_item_reads_floats_as_decimals():
-    item = EvidenceItem(GOV, 0.1, 0.05)
-    assert (item.p, item.eps) == (F(1, 10), F(1, 20))
-    assert item.to_formula() == ProbabilisticFormula(atom_formula(GOV), 0.1, 0.05)
+    assert hedged == evidence(GOV, F(1, 2), F(1, 4))
+    assert hedged.lower == F(1, 4)
+    with pytest.raises(ParseError, match="p must be in"):
+        parse_evidence("govCybLab(baja) : 2 +- 0.")
+    with pytest.raises(ParseError, match="eps must be in"):
+        parse_evidence("govCybLab(baja) : 1 +- 1/2.")
 
 
 def test_most_probable_suspect(framework):
@@ -106,13 +108,26 @@ def test_sort_errors(framework):
 
 
 def test_apply_evidence_extends_universe(framework):
-    item = EvidenceItem(ematom("origIP", "mw123sam1", "baja"))
-    extended = apply_evidence(framework, [item])
+    origin = ematom("origIP", "mw123sam1", "baja")
+    extended = apply_evidence(framework, [evidence(origin)])
     assert extended is not framework
     assert len(extended.em.atom_universe) == 4
-    assert extended.em.atom_universe[3] == item.atom
+    assert extended.em.atom_universe[3] == origin
     assert len(extended.worlds) == 16
     assert framework.em.atom_universe == worm_em_kb().atom_universe  # untouched
+
+
+def test_formula_evidence_grows_universe_in_first_mention_order(framework):
+    seen, origin = ematom("seen", "c"), ematom("origIP", "mw123sam1", "baja")
+    known = framework.em.atom_universe
+    formulas = [
+        ProbabilisticFormula(disj(atom_formula(seen), atom_formula(GOV)), F(9, 10)),
+        ProbabilisticFormula(conj(atom_formula(origin), atom_formula(seen)), F(1, 2)),
+    ]
+    extended = apply_evidence(framework, formulas)
+    assert GOV in known
+    assert extended.em.atom_universe == known + (seen, origin)
+    assert extended.em.formulas == framework.em.formulas + tuple(formulas)
 
 
 def test_apply_evidence_empty_is_identity(framework):
@@ -120,15 +135,15 @@ def test_apply_evidence_empty_is_identity(framework):
 
 
 def test_attribution_with_evidence(framework):
-    item = EvidenceItem(ematom("origIP", "mw123sam1", "baja"))
+    origin = evidence(ematom("origIP", "mw123sam1", "baja"))
     result = most_probable_suspects(
-        framework, "worm123", ["baja", "mojave"], evidence=[item]
+        framework, "worm123", ["baja", "mojave"], evidence=[origin]
     )
     assert result.most_probable == ("baja",)
 
 
 def test_inconsistent_evidence_reports_minimal_conflict(framework):
-    bad = EvidenceItem(GOV, F(1, 10), F(0))
+    bad = evidence(GOV, F(1, 10))
     with pytest.raises(InconsistentEvidenceError) as excinfo:
         apply_evidence(framework, [bad])
     conflict = excinfo.value.conflict
@@ -150,7 +165,7 @@ def test_inconsistent_em_is_not_blamed_on_evidence(worm_program):
     ))
     framework = InCAFramework(kb, worm_program)
     with pytest.raises(InconsistentKBError) as excinfo:
-        apply_evidence(framework, [EvidenceItem(ematom("r", "a"))])
+        apply_evidence(framework, [evidence(ematom("r", "a"))])
     assert not isinstance(excinfo.value, InconsistentEvidenceError)
     assert str(excinfo.value) == (
         "no probability distribution satisfies the knowledge base"
@@ -169,7 +184,7 @@ def test_conflict_found_among_fourteen_formulas(worm_program):
         ProbabilisticFormula(atom_formula(GOV), F(8, 10), F(1, 10)),
     ))
     framework = InCAFramework(kb, worm_program)
-    bad = EvidenceItem(GOV, F(1, 10), F(0))
+    bad = evidence(GOV, F(1, 10))
     with pytest.raises(InconsistentEvidenceError) as excinfo:
         apply_evidence(framework, [bad])
     assert [str(f) for f in excinfo.value.conflict] == [
@@ -187,21 +202,21 @@ def _oracle_consistent(formulas, kb):
 @given(st.randoms(use_true_random=False))
 def test_conflict_is_irreducible(rng):
     em = random_em_kb(rng, max_atom_count=3)
-    evidence = [
-        EvidenceItem(rng.choice(em.atom_universe), F(rng.randint(0, 4), 4))
+    items = [
+        evidence(rng.choice(em.atom_universe), F(rng.randint(0, 4), 4))
         for _ in range(rng.randint(1, 2))
     ]
     framework = InCAFramework(em, AMProgram())
     if not _oracle_consistent(em.formulas, em):
         # No evidence is to blame for an EM that is inconsistent alone.
         with pytest.raises(InconsistentKBError) as excinfo:
-            apply_evidence(framework, evidence)
+            apply_evidence(framework, items)
         assert not isinstance(excinfo.value, InconsistentEvidenceError)
         return
     try:
-        extended = apply_evidence(framework, evidence)
+        extended = apply_evidence(framework, items)
     except InconsistentEvidenceError as exc:
-        augmented = em.formulas + tuple(item.to_formula() for item in evidence)
+        augmented = em.formulas + tuple(items)
         conflict = exc.conflict
         # a subsequence of the augmented formulas
         rest = iter(range(len(augmented)))

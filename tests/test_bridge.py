@@ -10,7 +10,6 @@ from inca.bridge import AnnotationFunction, InCAFramework
 from inca.em import EMKnowledgeBase, ProbabilisticFormula
 from inca.errors import (
     AssemblyError,
-    DistributionError,
     GroundednessError,
     InconsistentKBError,
     InternalInconsistencyError,
@@ -42,6 +41,7 @@ from conftest import (
 )
 from generators import random_framework, wide20_framework, with_constraints
 from oracles import (
+    DistributionError,
     available_oracle,
     nec_at_oracle,
     nec_oracle,
@@ -64,7 +64,7 @@ def test_annotation_lookup_defaults_to_top():
     af = worm_annotations()
     assert af.annotation_for("ph1") == disj(atom_formula(MSE), atom_formula(GOV))
     assert af.annotation_for("th1a") is TOP
-    assert af.labels() == ("ph1", "ph3")
+    assert [label for label, _ in af.mapping] == ["ph1", "ph3"]
 
 
 def test_annotation_instance_labels_inherit_base():
@@ -80,7 +80,7 @@ def test_annotation_instance_labels_inherit_base():
 
 def test_annotation_top_entries_are_dropped():
     af = AnnotationFunction({"ph1": TOP, "ph3": atom_formula(AGE)})
-    assert af.labels() == ("ph3",)
+    assert [label for label, _ in af.mapping] == ["ph3"]
 
 
 def test_annotation_validation():

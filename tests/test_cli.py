@@ -457,6 +457,25 @@ def test_out_of_memory_fails_cleanly(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [
+        " v ".join(f"p{i}(a)" for i in range(2000)),
+        "(" * 2000 + "p(a)" + ")" * 2000,
+        "~" * 2000 + "p(a)",
+    ],
+    ids=["disjunction-chain", "parentheses", "negations"],
+)
+def test_deep_formula_fails_cleanly(capsys, tmp_path, formula):
+    deep = tmp_path / "deep.inca"
+    deep.write_text(f"#em\n{formula} : 0.5 +- 0.\n")
+    code, out, err = run(capsys, "check", str(deep))
+    assert (code, out, err) == (1, "", "error: input is nested too deeply\n")
+    # The interpreter is left fit for the next query.
+    code, out, _ = run(capsys, "bounds", KB, "-l", "condOp(baja,worm123)")
+    assert (code, out) == (0, "1 +- 0\n")
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(["inca", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0

@@ -57,6 +57,12 @@ def test_probabilistic_formula_validation():
         ProbabilisticFormula(atom_formula(Atom("p", (Term("X"),))), F(1, 2))
 
 
+def test_probabilistic_formula_reads_floats_as_decimals():
+    pf = ProbabilisticFormula(atom_formula(GOV), 0.1, 0.05)
+    assert (pf.p, pf.eps) == (F(1, 10), F(1, 20))
+    assert pf == ProbabilisticFormula(atom_formula(GOV), F(1, 10), F(1, 20))
+
+
 def test_integrity_constraint_validation_and_allows():
     ic = IntegrityConstraint((GOV, AGE))
     assert allows(ic, frozenset())

@@ -111,8 +111,9 @@ def test_parse_world_spec():
 def test_parse_evidence():
     items = parse_evidence("origIP(mw123sam1,baja).\nmseTT(baja,2) : 0.5 +- 0.1.\n")
     assert len(items) == 2
-    assert str(items[0].atom) == "origIP(mw123sam1,baja)"
+    assert items[0].formula == atom_formula(ematom("origIP", "mw123sam1", "baja"))
     assert (items[0].p, items[0].eps) == (F(1), F(0))
+    assert items[1].formula == atom_formula(MSE)
     assert (items[1].p, items[1].eps) == (F(1, 2), F(1, 10))
     assert parse_evidence("") == ()
 
@@ -428,6 +429,15 @@ def test_annotation_on_ground_instance_label():
     assert (interval.p, interval.eps) == (Fraction(1, 2), 0)
     with pytest.raises(AssemblyError, match="unknown element r2"):
         KBDocument(am=doc.am, af=(("r2[baja]", TOP),))
+
+
+def test_assemble_rejects_duplicate_annotations():
+    doc = KBDocument(
+        am=parse_kb("#am\nr1 : fact p(a).\n").am,
+        af=(("r1", atom_formula(GOV)), ("r1", atom_formula(MSE))),
+    )
+    with pytest.raises(AssemblyError, match="duplicate annotation for r1"):
+        assemble(doc)
 
 
 def test_sorts_after_am_ground_the_same_program():
