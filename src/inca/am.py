@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import (
@@ -39,7 +38,14 @@ from .errors import (
     GroundednessError,
     InternalInconsistencyError,
 )
-from .language import ROLE_ACTOR, ROLE_OPERATION, Literal, substitute_literal
+from .language import (
+    ROLE_ACTOR,
+    ROLE_OPERATION,
+    Literal,
+    Value,
+    _set,
+    substitute_literal,
+)
 
 FACT = "fact"
 STRICT_RULE = "strict"
@@ -70,47 +76,55 @@ SPECIFICITY_CAP = 16
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\[[A-Za-z0-9_,]+\])?\Z")
 
 
-@dataclass(frozen=True)
-class AMElement:
+class AMElement(Value):
     """One labeled program element: fact, strict rule, presumption, or
     defeasible rule. Facts and presumptions carry no body; inequality guards
     live on schematic rules and disappear at grounding.
     """
 
-    label: str
-    kind: str
-    head: Literal
-    body: tuple[Literal, ...] = ()
-    guards: tuple[tuple[str, str], ...] = ()
+    _fields = ("label", "kind", "head", "body", "guards")
 
-    def __post_init__(self):
-        object.__setattr__(self, "body", tuple(self.body))
-        object.__setattr__(self, "guards", tuple(tuple(g) for g in self.guards))
-        if not _LABEL_RE.match(self.label):
-            raise ValueError(f"bad element label: {self.label!r}")
-        if self.kind not in KINDS:
-            raise ValueError(f"bad element kind: {self.kind!r}")
-        if self.kind in (FACT, PRESUMPTION):
-            if self.body:
-                raise ValueError(f"{self.kind} {self.label} cannot have a body")
-            if self.guards:
-                raise ValueError(f"{self.kind} {self.label} cannot have guards")
+    def __init__(
+        self,
+        label: str,
+        kind: str,
+        head: Literal,
+        body: tuple[Literal, ...] = (),
+        guards: tuple[tuple[str, str], ...] = (),
+    ):
+        body = tuple(body)
+        guards = tuple(tuple(g) for g in guards)
+        if not _LABEL_RE.match(label):
+            raise ValueError(f"bad element label: {label!r}")
+        if kind not in KINDS:
+            raise ValueError(f"bad element kind: {kind!r}")
+        if kind in (FACT, PRESUMPTION):
+            if body:
+                raise ValueError(f"{kind} {label} cannot have a body")
+            if guards:
+                raise ValueError(f"{kind} {label} cannot have guards")
         else:
-            if not self.body:
-                raise ValueError(f"rule {self.label} needs a nonempty body")
+            if not body:
+                raise ValueError(f"rule {label} needs a nonempty body")
+        # Hashed once: every Argument puts its support in a frozenset.
+        _set(self, "_hash", hash((label, kind, head, body, guards)))
+        _set(self, "label", label)
+        _set(self, "kind", kind)
+        _set(self, "head", head)
+        _set(self, "body", body)
+        _set(self, "guards", guards)
         # Not a field: grounding and every index check it.
-        object.__setattr__(
-            self,
-            "is_ground",
-            self.head.is_ground and all(b.is_ground for b in self.body),
-        )
-        if self.guards:
+        _set(self, "is_ground", head.is_ground and all(b.is_ground for b in body))
+        if guards:
             names = self.variables()
-            for a, b in self.guards:
+            for a, b in guards:
                 if a not in names or b not in names:
                     raise ValueError(
-                        f"guard {a} != {b} on {self.label} names an unused variable"
+                        f"guard {a} != {b} on {label} names an unused variable"
                     )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_defeasible(self) -> bool:
@@ -133,14 +147,13 @@ class AMElement:
         return f"{self.label} : {self.head} {arrow} {', '.join(parts)}"
 
 
-@dataclass(frozen=True)
-class AMProgram:
-    elements: tuple[AMElement, ...] = ()
+class AMProgram(Value):
+    _fields = ("elements",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
+    def __init__(self, elements: tuple[AMElement, ...] = ()):
+        elements = tuple(elements)
         seen = set()
-        for e in self.elements:
+        for e in elements:
             if e.label in seen:
                 raise AssemblyError(f"duplicate element label: {e.label}")
             seen.add(e.label)
@@ -150,7 +163,8 @@ class AMProgram:
                     "use a presumption or a rule"
                 )
         # Hashed once: index_for looks the program up on every query.
-        object.__setattr__(self, "_hash", hash(self.elements))
+        _set(self, "_hash", hash(elements))
+        _set(self, "elements", elements)
 
     def __hash__(self) -> int:
         return self._hash
@@ -252,19 +266,19 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Argument:
+class Argument(Value):
     """A conclusion plus its support: the minimal defeasible elements that
     derive it along with the strict rules and facts the derivation uses."""
 
-    support: frozenset
-    conclusion: Literal
+    _fields = ("support", "conclusion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", frozenset(self.support))
-        # The dataclass hash, computed once: the walk and the bridge look
-        # arguments up at every step.
-        object.__setattr__(self, "_hash", hash((self.support, self.conclusion)))
+    def __init__(self, support: frozenset, conclusion: Literal):
+        support = frozenset(support)
+        # Computed once: the walk and the bridge look arguments up at every
+        # step.
+        _set(self, "_hash", hash((support, conclusion)))
+        _set(self, "support", support)
+        _set(self, "conclusion", conclusion)
 
     def __hash__(self) -> int:
         return self._hash
@@ -284,15 +298,27 @@ class Argument:
         return f"<{{{', '.join(self.labels)}}}, {self.conclusion}>"
 
 
-@dataclass
-class DialecticalNode:
+class DialecticalNode(Value):
     """Tree node: an argument, how it defeats its parent (None at the root),
-    its defeaters, and the U/D mark once the tree is marked."""
+    its defeaters, and the U/D mark once the tree is marked. Mutable, so
+    unhashable."""
 
-    argument: Argument
-    defeat_kind: str | None = None
-    children: list["DialecticalNode"] = field(default_factory=list)
-    mark: str | None = None
+    _fields = ("argument", "defeat_kind", "children", "mark")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        argument: Argument,
+        defeat_kind: str | None = None,
+        children: list[DialecticalNode] | None = None,
+        mark: str | None = None,
+    ):
+        self.argument = argument
+        self.defeat_kind = defeat_kind
+        self.children = [] if children is None else children
+        self.mark = mark
 
 
 def mark_tree(node: DialecticalNode) -> DialecticalNode:

@@ -3,7 +3,6 @@ operation, under the knowledge base extended with case-specific evidence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .am import positional_roles
@@ -22,7 +21,9 @@ from .language import (
     Atom,
     Literal,
     Term,
+    Value,
     World,
+    _set,
     formula_atoms,
 )
 
@@ -85,28 +86,39 @@ def apply_evidence(framework: InCAFramework, evidence) -> InCAFramework:
     )
 
 
-@dataclass(frozen=True)
-class SuspectReport:
-    suspect: str
-    interval: ProbabilityInterval
+class SuspectReport(Value):
+    _fields = ("suspect", "interval")
+
+    def __init__(self, suspect: str, interval: ProbabilityInterval):
+        _set(self, "suspect", suspect)
+        _set(self, "interval", interval)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Value):
     """Why a suspect is implicated: one world that warrants the conducting
     literal, plus the marked dialectical forest in that world."""
 
-    suspect: str
-    literal: Literal
-    world: World
-    forest: tuple
+    _fields = ("suspect", "literal", "world", "forest")
+
+    def __init__(self, suspect: str, literal: Literal, world: World, forest: tuple):
+        _set(self, "suspect", suspect)
+        _set(self, "literal", literal)
+        _set(self, "world", world)
+        _set(self, "forest", forest)
 
 
-@dataclass(frozen=True)
-class AttributionResult:
-    most_probable: tuple[str, ...]
-    reports: tuple[SuspectReport, ...]
-    traces: tuple[Trace, ...]
+class AttributionResult(Value):
+    _fields = ("most_probable", "reports", "traces")
+
+    def __init__(
+        self,
+        most_probable: tuple[str, ...],
+        reports: tuple[SuspectReport, ...],
+        traces: tuple[Trace, ...],
+    ):
+        _set(self, "most_probable", most_probable)
+        _set(self, "reports", reports)
+        _set(self, "traces", traces)
 
 
 def _conducting_literal(suspect: str, operation: str) -> Literal:

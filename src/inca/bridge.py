@@ -18,7 +18,6 @@ caller asks for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .am import (
@@ -44,7 +43,9 @@ from .language import (
     Formula,
     Literal,
     TOP,
+    Value,
     World,
+    _set,
     formula_atoms,
     satisfies,  # noqa: F401  (bench/tracer.py wraps this name)
 )
@@ -54,19 +55,15 @@ def _base_label(label: str) -> str:
     return label.split("[", 1)[0]
 
 
-@dataclass(frozen=True)
-class AnnotationFunction:
+class AnnotationFunction(Value):
     """Maps element labels to environmental-model formulas; unmapped labels
     default to true. Ground instances named label[...] inherit the schematic
     label's annotation unless mapped themselves."""
 
-    mapping: tuple[tuple[str, Formula], ...] = ()
+    _fields = ("mapping",)
 
-    def __post_init__(self):
-        if isinstance(self.mapping, dict):
-            items = self.mapping.items()
-        else:
-            items = self.mapping
+    def __init__(self, mapping: tuple[tuple[str, Formula], ...] = ()):
+        items = mapping.items() if isinstance(mapping, dict) else mapping
         canonical = []
         seen = set()
         for label, formula in sorted(items, key=lambda pair: pair[0]):
@@ -83,9 +80,9 @@ class AnnotationFunction:
                 )
             if formula != TOP:
                 canonical.append((label, formula))
-        object.__setattr__(self, "mapping", tuple(canonical))
+        _set(self, "mapping", tuple(canonical))
         # Lookup table; not a field, so equality and hashing stay on mapping.
-        object.__setattr__(self, "_table", dict(canonical))
+        _set(self, "_table", dict(canonical))
 
     def annotation_for(self, label: str) -> Formula:
         if label in self._table:
@@ -93,27 +90,28 @@ class AnnotationFunction:
         return self._table.get(_base_label(label), TOP)
 
 
-@dataclass(eq=False)
 class InCAFramework:
     """A probabilistic knowledge base, a ground argumentation program, and
-    the annotation function tying them together."""
+    the annotation function tying them together. Mutable, and equal only to
+    itself."""
 
-    em: EMKnowledgeBase
-    program: AMProgram
-    annotations: AnnotationFunction = field(default_factory=AnnotationFunction)
-    max_atoms: int = DEFAULT_MAX_ATOMS
-
-    def __post_init__(self):
-        if isinstance(self.annotations, dict):
-            self.annotations = AnnotationFunction(self.annotations)
-        if not self.program.is_ground:
+    def __init__(
+        self,
+        em: EMKnowledgeBase,
+        program: AMProgram,
+        annotations: AnnotationFunction = AnnotationFunction(),
+        max_atoms: int = DEFAULT_MAX_ATOMS,
+    ):
+        if isinstance(annotations, dict):
+            annotations = AnnotationFunction(annotations)
+        if not program.is_ground:
             raise GroundednessError(
                 "framework programs must be ground; instantiate first"
             )
-        known = {e.label for e in self.program.elements}
-        known |= {_base_label(e.label) for e in self.program.elements}
-        universe = set(self.em.atom_universe)
-        for label, formula in self.annotations.mapping:
+        known = {e.label for e in program.elements}
+        known |= {_base_label(e.label) for e in program.elements}
+        universe = set(em.atom_universe)
+        for label, formula in annotations.mapping:
             if label not in known:
                 raise AssemblyError(f"annotation for unknown element {label}")
             for atom in formula_atoms(formula):
@@ -122,6 +120,10 @@ class InCAFramework:
                         f"annotation for {label} mentions {atom}, which is "
                         "outside the atom universe"
                     )
+        self.em = em
+        self.program = program
+        self.annotations = annotations
+        self.max_atoms = max_atoms
         self._available: dict[Argument, int] = {}
 
     @cached_property

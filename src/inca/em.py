@@ -17,7 +17,6 @@ Frozenset worlds appear only where the API hands worlds in or out.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,7 +31,9 @@ from .language import (
     F_TOP,
     Atom,
     Formula,
+    Value,
     World,
+    _set,
     formula_atoms,
     render_formula,
     satisfies,  # noqa: F401  (bench/tracer.py wraps this name)
@@ -49,29 +50,29 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class ProbabilisticFormula:
+class ProbabilisticFormula(Value):
     """A ground formula annotated with an interval: P(formula) in [p-eps, p+eps]."""
 
-    formula: Formula
-    p: Fraction
-    eps: Fraction = Fraction(0)
+    _fields = ("formula", "p", "eps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _as_fraction(self.p))
-        object.__setattr__(self, "eps", _as_fraction(self.eps))
-        if self.formula.model != EM:
+    def __init__(self, formula: Formula, p: Fraction, eps: Fraction = Fraction(0)):
+        p = _as_fraction(p)
+        eps = _as_fraction(eps)
+        if formula.model != EM:
             raise ValueError("probabilistic formulas live in the environmental model")
-        if not self.formula.is_ground:
+        if not formula.is_ground:
             raise GroundednessError(
-                f"formula must be ground: {render_formula(self.formula)}"
+                f"formula must be ground: {render_formula(formula)}"
             )
-        if not 0 <= self.p <= 1:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if not 0 <= self.eps <= min(self.p, 1 - self.p):
+        if not 0 <= p <= 1:
+            raise ValueError(f"p must be in [0, 1], got {p}")
+        if not 0 <= eps <= min(p, 1 - p):
             raise ValueError(
-                f"eps must be in [0, min(p, 1-p)], got {self.eps} with p={self.p}"
+                f"eps must be in [0, min(p, 1-p)], got {eps} with p={p}"
             )
+        _set(self, "formula", formula)
+        _set(self, "p", p)
+        _set(self, "eps", eps)
 
     @property
     def lower(self) -> Fraction:
@@ -85,55 +86,53 @@ class ProbabilisticFormula:
         return f"{render_formula(self.formula)} : {self.p} +- {self.eps}"
 
 
-@dataclass(frozen=True)
-class IntegrityConstraint:
+class IntegrityConstraint(Value):
     """oneOf over a set of ground atoms: a world may contain at most one."""
 
-    atoms: tuple[Atom, ...]
+    _fields = ("atoms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        if len(self.atoms) < 2:
+    def __init__(self, atoms: tuple[Atom, ...]):
+        atoms = tuple(atoms)
+        if len(atoms) < 2:
             raise ValueError("oneOf needs at least two atoms")
-        if len(set(self.atoms)) != len(self.atoms):
+        if len(set(atoms)) != len(atoms):
             raise ValueError("oneOf atoms must be distinct")
-        for a in self.atoms:
+        for a in atoms:
             if not isinstance(a, Atom) or a.model != EM or not a.is_ground:
                 raise ValueError(f"oneOf takes ground environmental atoms, got {a}")
+        _set(self, "atoms", atoms)
 
     def __str__(self) -> str:
         return "oneOf(" + ", ".join(str(a) for a in self.atoms) + ")"
 
 
-@dataclass(frozen=True)
-class EMKnowledgeBase:
-    formulas: tuple[ProbabilisticFormula, ...] = ()
-    constraints: tuple[IntegrityConstraint, ...] = ()
-    atom_universe: tuple[Atom, ...] = field(default=None)  # type: ignore[assignment]
+class EMKnowledgeBase(Value):
+    _fields = ("formulas", "constraints", "atom_universe")
 
-    def __post_init__(self):
-        object.__setattr__(self, "formulas", tuple(self.formulas))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+    def __init__(
+        self,
+        formulas: tuple[ProbabilisticFormula, ...] = (),
+        constraints: tuple[IntegrityConstraint, ...] = (),
+        atom_universe: tuple[Atom, ...] | None = None,
+    ):
+        _set(self, "formulas", tuple(formulas))
+        _set(self, "constraints", tuple(constraints))
         mentioned = self._mentioned_atoms()
-        if self.atom_universe is None:
-            object.__setattr__(self, "atom_universe", tuple(mentioned))
+        if atom_universe is None:
+            atom_universe = tuple(mentioned)
         else:
-            universe = tuple(self.atom_universe)
-            if len(set(universe)) != len(universe):
+            atom_universe = tuple(atom_universe)
+            if len(set(atom_universe)) != len(atom_universe):
                 raise ValueError("atom universe contains duplicates")
-            missing = [a for a in mentioned if a not in set(universe)]
+            missing = [a for a in mentioned if a not in set(atom_universe)]
             if missing:
                 raise ValueError(
                     "atom universe is missing atoms used by the knowledge base: "
                     + ", ".join(str(a) for a in missing)
                 )
-            object.__setattr__(self, "atom_universe", universe)
+        _set(self, "atom_universe", atom_universe)
         # Hashed once: the cached world space and LP are looked up by kb.
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.formulas, self.constraints, self.atom_universe)),
-        )
+        _set(self, "_hash", hash((self.formulas, self.constraints, atom_universe)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -261,16 +260,16 @@ def enumerate_worlds(kb: EMKnowledgeBase, max_atoms: int = DEFAULT_MAX_ATOMS) ->
     return space.decode(space.conforming)
 
 
-@dataclass(frozen=True)
-class ProbabilityInterval:
-    lower: Fraction
-    upper: Fraction
+class ProbabilityInterval(Value):
+    _fields = ("lower", "upper")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lower", Fraction(self.lower))
-        object.__setattr__(self, "upper", Fraction(self.upper))
-        if self.lower > self.upper:
-            raise ValueError(f"empty interval [{self.lower}, {self.upper}]")
+    def __init__(self, lower: Fraction, upper: Fraction):
+        lower = Fraction(lower)
+        upper = Fraction(upper)
+        if lower > upper:
+            raise ValueError(f"empty interval [{lower}, {upper}]")
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
 
     @property
     def eps(self) -> Fraction:
@@ -288,7 +287,7 @@ def _check_query(kb: EMKnowledgeBase, query: Formula) -> None:
     if query.model not in (EM, None):
         raise ValueError("queries must be environmental-model formulas")
     if not query.is_ground:
-        raise GroundednessError(f"query must be ground: {query}")
+        raise GroundednessError(f"query must be ground: {render_formula(query)}")
     universe = set(kb.atom_universe)
     for a in formula_atoms(query):
         if a not in universe:

@@ -14,7 +14,6 @@ appears in the document.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -46,7 +45,9 @@ from .language import (
     TOP,
     BOTTOM,
     Term,
+    Value,
     World,
+    _set,
     atom_formula,
     conj,
     disj,
@@ -128,30 +129,33 @@ def _parse_error(text: str, i: int, message: str) -> ParseError:
     return ParseError(message, line, offset - line_start + 1, snippet)
 
 
-@dataclass(frozen=True)
-class KBDocument:
-    sorts: tuple[tuple[str, str], ...] = ()
-    em: tuple[ProbabilisticFormula, ...] = ()
-    ic: tuple[IntegrityConstraint, ...] = ()
-    am: tuple[AMElement, ...] = ()
-    af: tuple[tuple[str, Formula], ...] = ()
-    universe: tuple[Atom, ...] | None = None
+class KBDocument(Value):
+    _fields = ("sorts", "em", "ic", "am", "af", "universe")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sorts", tuple(tuple(s) for s in self.sorts))
-        object.__setattr__(self, "em", tuple(self.em))
-        object.__setattr__(self, "ic", tuple(self.ic))
-        object.__setattr__(self, "am", tuple(self.am))
-        object.__setattr__(self, "af", tuple(tuple(a) for a in self.af))
-        if self.universe is not None:
-            object.__setattr__(self, "universe", tuple(self.universe))
-        labels = [e.label for e in self.am]
+    def __init__(
+        self,
+        sorts: tuple[tuple[str, str], ...] = (),
+        em: tuple[ProbabilisticFormula, ...] = (),
+        ic: tuple[IntegrityConstraint, ...] = (),
+        am: tuple[AMElement, ...] = (),
+        af: tuple[tuple[str, Formula], ...] = (),
+        universe: tuple[Atom, ...] | None = None,
+    ):
+        am = tuple(am)
+        af = tuple(tuple(a) for a in af)
+        labels = [e.label for e in am]
         if len(set(labels)) != len(labels):
             raise AssemblyError("duplicate element labels")
         known = set(labels)
-        for label, _ in self.af:
+        for label, _ in af:
             if label not in known and _base_label(label) not in known:
                 raise AssemblyError(f"annotation for unknown element {label}")
+        _set(self, "sorts", tuple(tuple(s) for s in sorts))
+        _set(self, "em", tuple(em))
+        _set(self, "ic", tuple(ic))
+        _set(self, "am", am)
+        _set(self, "af", af)
+        _set(self, "universe", None if universe is None else tuple(universe))
 
 
 class _Parser:
@@ -578,7 +582,7 @@ def parse_evidence(text: str) -> tuple[ProbabilisticFormula, ...]:
         parser.expect_symbol(".")
         try:
             formulas.append(ProbabilisticFormula(atom_formula(atom), p, eps))
-        except ValueError as exc:
+        except (ValueError, GroundednessError) as exc:
             parser.error(str(exc), start)
     return tuple(formulas)
 

@@ -8,7 +8,7 @@ A world is a frozenset of ground atoms (absent means false).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import GroundednessError
 
@@ -24,9 +24,46 @@ _VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 _CONSTANT_RE = re.compile(r"[a-z0-9][A-Za-z0-9_]*\Z")
 _PREDICATE_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Term:
+
+class Value:
+    """An immutable value: equal to an instance of its own class with equal
+    `_fields`, hashed and shown by those fields. A subclass's __init__ sets
+    its attributes with object.__setattr__; assigning one afterwards raises
+    AttributeError.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        # The instance dict holds the fields and what __init__ derives from
+        # them, so two dicts are equal exactly when the fields are. Compared
+        # in C, they beat a tuple of fields built per call; a cached hash
+        # stored first turns most unequal pairs away at one int.
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+class Term(Value):
     """A variable (uppercase start) or constant (lowercase/digit start).
 
     Constants may carry a role used by sorted grounding; the role is not part
@@ -34,24 +71,30 @@ class Term:
     equal to its declared counterpart.
 
     Term, Atom, Literal and Formula compute their hash once, at construction,
-    from their compared fields; it is not a field, so equality ignores it.
+    from their compared fields.
     """
 
-    name: str
-    role: str = field(default=ROLE_PLAIN, compare=False)
+    _fields = ("name", "role")
 
-    def __post_init__(self):
-        if _VARIABLE_RE.match(self.name):
-            if self.role != ROLE_PLAIN:
-                raise ValueError(f"variable {self.name} cannot carry a role")
-        elif not _CONSTANT_RE.match(self.name):
-            raise ValueError(f"bad term name: {self.name!r}")
-        if self.role not in ROLES:
-            raise ValueError(f"bad role: {self.role!r}")
-        object.__setattr__(self, "_hash", hash(self.name))
+    def __init__(self, name: str, role: str = ROLE_PLAIN):
+        if _VARIABLE_RE.match(name):
+            if role != ROLE_PLAIN:
+                raise ValueError(f"variable {name} cannot carry a role")
+        elif not _CONSTANT_RE.match(name):
+            raise ValueError(f"bad term name: {name!r}")
+        if role not in ROLES:
+            raise ValueError(f"bad role: {role!r}")
+        _set(self, "name", name)
+        _set(self, "role", role)
+        _set(self, "_hash", hash(name))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
 
     @property
     def is_variable(self) -> bool:
@@ -61,24 +104,22 @@ class Term:
         return self.name
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Value):
     """A predicate applied to zero or more terms, tagged with its model."""
 
-    predicate: str
-    args: tuple[Term, ...] = ()
-    model: str = EM
+    _fields = ("predicate", "args", "model")
 
-    def __post_init__(self):
-        if not _PREDICATE_RE.match(self.predicate):
-            raise ValueError(f"bad predicate name: {self.predicate!r}")
-        if self.model not in (EM, AM):
-            raise ValueError(f"bad model tag: {self.model!r}")
-        object.__setattr__(self, "_hash", hash((self.predicate, self.args, self.model)))
-        # Not a field either: grounding checks read it on every element.
-        object.__setattr__(
-            self, "is_ground", not any(t.is_variable for t in self.args)
-        )
+    def __init__(self, predicate: str, args: tuple[Term, ...] = (), model: str = EM):
+        if not _PREDICATE_RE.match(predicate):
+            raise ValueError(f"bad predicate name: {predicate!r}")
+        if model not in (EM, AM):
+            raise ValueError(f"bad model tag: {model!r}")
+        _set(self, "_hash", hash((predicate, args, model)))
+        _set(self, "predicate", predicate)
+        _set(self, "args", args)
+        _set(self, "model", model)
+        # Not a field: grounding checks read it on every element.
+        _set(self, "is_ground", not any(t.is_variable for t in args))
 
     def __hash__(self) -> int:
         return self._hash
@@ -95,17 +136,17 @@ class Atom:
         return f"{self.predicate}({','.join(t.name for t in self.args)})"
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Value):
     """An analytical-model atom or its strong negation."""
 
-    atom: Atom
-    negated: bool = False
+    _fields = ("atom", "negated")
 
-    def __post_init__(self):
-        if self.atom.model != AM:
+    def __init__(self, atom: Atom, negated: bool = False):
+        if atom.model != AM:
             raise ValueError("literals belong to the analytical model")
-        object.__setattr__(self, "_hash", hash((self.atom, self.negated)))
+        _set(self, "_hash", hash((atom, negated)))
+        _set(self, "atom", atom)
+        _set(self, "negated", negated)
 
     def __hash__(self) -> int:
         return self._hash
@@ -133,39 +174,39 @@ F_TOP = "top"
 F_BOTTOM = "bottom"
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Value):
     """Propositional formula over ground or schematic atoms of one model."""
 
-    op: str
-    atom: Atom | None = None
-    parts: tuple[Formula, ...] = ()
+    _fields = ("op", "atom", "parts")
 
-    def __post_init__(self):
-        if self.op == F_ATOM:
-            if self.atom is None or self.parts:
+    def __init__(
+        self, op: str, atom: Atom | None = None, parts: tuple[Formula, ...] = ()
+    ):
+        if op == F_ATOM:
+            if atom is None or parts:
                 raise ValueError("atom formula needs an atom and no parts")
-        elif self.op == F_NOT:
-            if self.atom is not None or len(self.parts) != 1:
+        elif op == F_NOT:
+            if atom is not None or len(parts) != 1:
                 raise ValueError("negation takes exactly one part")
-        elif self.op in (F_AND, F_OR):
-            if self.atom is not None or len(self.parts) != 2:
-                raise ValueError(f"{self.op} takes exactly two parts")
-            models = {m for m in (p.model for p in self.parts) if m is not None}
+        elif op in (F_AND, F_OR):
+            if atom is not None or len(parts) != 2:
+                raise ValueError(f"{op} takes exactly two parts")
+            models = {m for m in (p.model for p in parts) if m is not None}
             if len(models) > 1:
                 raise ValueError("formula mixes atoms from both models")
-        elif self.op in (F_TOP, F_BOTTOM):
-            if self.atom is not None or self.parts:
-                raise ValueError(f"{self.op} takes no arguments")
+        elif op in (F_TOP, F_BOTTOM):
+            if atom is not None or parts:
+                raise ValueError(f"{op} takes no arguments")
         else:
-            raise ValueError(f"bad formula op: {self.op!r}")
-        # Set once per node from its parts, so a check never walks the tree;
-        # not a field, so equality and hashing ignore it.
-        ground = self.atom.is_ground if self.op == F_ATOM else all(
-            p.is_ground for p in self.parts
-        )
-        object.__setattr__(self, "is_ground", ground)
-        object.__setattr__(self, "_hash", hash((self.op, self.atom, self.parts)))
+            raise ValueError(f"bad formula op: {op!r}")
+        _set(self, "_hash", hash((op, atom, parts)))
+        _set(self, "op", op)
+        _set(self, "atom", atom)
+        _set(self, "parts", parts)
+        # Set once per node from its parts, so a check never walks the tree.
+        _set(self, "is_ground", atom.is_ground if op == F_ATOM else all(
+            p.is_ground for p in parts
+        ))
 
     def __hash__(self) -> int:
         return self._hash

@@ -409,6 +409,11 @@ def test_fragment_parse_error_reports_position(capsys):
     assert err == "error: line 1, column 1: bad term name: '1.5'\n"
 
 
+def test_schematic_query_is_rendered(capsys):
+    code, out, err = run(capsys, "entail", KB, "-q", "govCybLab(X)")
+    assert (code, out, err) == (1, "", "error: query must be ground: govCybLab(X)\n")
+
+
 def test_help_exits_zero(capsys):
     code, _, _ = run(capsys, "--help")
     assert code == 0
@@ -490,3 +495,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "usage: inca" in proc.stdout
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Counts modules rather than timing the import: `dataclasses` and the
+    # `inspect` it pulls in were most of what `import inca.cli` cost.
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    script = (
+        "import sys; before = set(sys.modules); import inca.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "inca.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}

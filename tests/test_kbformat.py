@@ -171,11 +171,14 @@ def test_parse_error_positions():
         (parse_world_spec, "p(a), q(1.5)", 1, 7, "bad term name: '1.5'"),
         (parse_evidence, "p(a).\n  q(1.5) : 1/2 +- 0.\n", 2, 3,
          "bad term name: '1.5'"),
+        (parse_evidence, "p(a).\n  q(X) : 1/2 +- 0.\n", 2, 3,
+         "formula must be ground: q(X)"),
     ],
     ids=["tab", "unknown-section", "bare-hash", "crlf", "eof", "leading-dot",
          "em-term", "em-predicate", "em-not-ground", "em-interval",
          "ic-term", "af-predicate", "universe-term", "query-term",
-         "query-predicate", "literal-term", "world-term", "evidence-term"],
+         "query-predicate", "literal-term", "world-term", "evidence-term",
+         "evidence-not-ground"],
 )
 def test_parse_error_exact_position(parse, text, line, column, message):
     with pytest.raises(ParseError) as excinfo:
