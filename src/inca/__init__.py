@@ -7,109 +7,12 @@ defeasible constructs and answers queries by dialectical analysis. An
 annotation function ties analytical elements to environmental formulas so
 that warrant can be evaluated world by world and lifted back to
 probability intervals.
+
+The package exports what the README's Library section uses; every other
+name is imported from its own module.
 """
 
-from .am import (
-    AMElement,
-    AMProgram,
-    Argument,
-    DialecticalNode,
-    instantiate,
-)
-from .attribution import (
-    AttributionResult,
-    apply_evidence,
-    most_probable_suspects,
-)
-from .bridge import AnnotationFunction, InCAFramework
-from .em import (
-    EMKnowledgeBase,
-    IntegrityConstraint,
-    ProbabilisticFormula,
-    ProbabilityInterval,
-    enumerate_worlds,
-    is_consistent,
-    lp_bounds,
-    max_entailment,
-)
-from .errors import (
-    AssemblyError,
-    CapacityError,
-    GroundednessError,
-    InCAError,
-    InconsistentEvidenceError,
-    InconsistentKBError,
-    InternalInconsistencyError,
-    ParseError,
-    SortError,
-)
-from .kbformat import (
-    KBDocument,
-    assemble,
-    format_fraction,
-    load_kb,
-    parse_evidence,
-    parse_kb,
-    parse_literal_text,
-    parse_query,
-    render_kb,
-    render_world,
-)
-from .language import (
-    Atom,
-    Formula,
-    Literal,
-    Term,
-    World,
-    conj,
-    disj,
-    neg,
-)
+from .attribution import most_probable_suspects
+from .kbformat import assemble, load_kb, parse_evidence
 
-__all__ = [
-    "AMElement",
-    "AMProgram",
-    "AnnotationFunction",
-    "Argument",
-    "AssemblyError",
-    "Atom",
-    "AttributionResult",
-    "CapacityError",
-    "DialecticalNode",
-    "EMKnowledgeBase",
-    "Formula",
-    "GroundednessError",
-    "InCAError",
-    "InCAFramework",
-    "InconsistentEvidenceError",
-    "InconsistentKBError",
-    "IntegrityConstraint",
-    "InternalInconsistencyError",
-    "KBDocument",
-    "Literal",
-    "ParseError",
-    "ProbabilisticFormula",
-    "ProbabilityInterval",
-    "SortError",
-    "Term",
-    "World",
-    "apply_evidence",
-    "assemble",
-    "conj",
-    "disj",
-    "enumerate_worlds",
-    "format_fraction",
-    "instantiate",
-    "is_consistent",
-    "load_kb",
-    "lp_bounds",
-    "max_entailment",
-    "most_probable_suspects",
-    "neg",
-    "parse_evidence",
-    "parse_kb",
-    "parse_literal_text",
-    "parse_query",
-    "render_kb",
-    "render_world",
-]
+__all__ = ["assemble", "load_kb", "most_probable_suspects", "parse_evidence"]

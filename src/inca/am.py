@@ -200,40 +200,28 @@ def _bindings(variables, constraints, constants):
         yield dict(zip(variables, combo))
 
 
-def instantiate(item, constants) -> tuple:
-    """All ground instances of a schematic element or literal.
+def instantiate(element: AMElement, constants) -> tuple[AMElement, ...]:
+    """All ground instances of a schematic element.
 
     Constants substitute for variables in a deterministic order (variables
     sorted by name, constants in the order given); bindings violating an
-    inequality guard are dropped. Ground input comes back as-is.
+    inequality guard are dropped. A ground element comes back as-is.
     """
-    constants = tuple(constants)
-    if isinstance(item, Literal):
-        if item.is_ground:
-            return (item,)
-        variables = sorted(item.atom.variables())
-        constraints = positional_roles([item])
-        return tuple(
-            substitute_literal(item, b)
-            for b in _bindings(variables, constraints, constants)
-        )
-    if not isinstance(item, AMElement):
-        raise TypeError(f"cannot instantiate {type(item).__name__}")
-    if item.is_ground:
-        return (item,)
-    variables = sorted(item.variables())
-    constraints = positional_roles((item.head, *item.body))
+    if element.is_ground:
+        return (element,)
+    variables = sorted(element.variables())
+    constraints = positional_roles((element.head, *element.body))
     out = []
-    for binding in _bindings(variables, constraints, constants):
-        if any(binding[a].name == binding[b].name for a, b in item.guards):
+    for binding in _bindings(variables, constraints, tuple(constants)):
+        if any(binding[a].name == binding[b].name for a, b in element.guards):
             continue
-        label = f"{item.label}[{','.join(binding[v].name for v in variables)}]"
+        label = f"{element.label}[{','.join(binding[v].name for v in variables)}]"
         out.append(
             AMElement(
                 label=label,
-                kind=item.kind,
-                head=substitute_literal(item.head, binding),
-                body=tuple(substitute_literal(b, binding) for b in item.body),
+                kind=element.kind,
+                head=substitute_literal(element.head, binding),
+                body=tuple(substitute_literal(b, binding) for b in element.body),
             )
         )
     return tuple(out)
@@ -300,34 +288,21 @@ class Argument(Value):
 
 class DialecticalNode(Value):
     """Tree node: an argument, how it defeats its parent (None at the root),
-    its defeaters, and the U/D mark once the tree is marked. Mutable, so
-    unhashable."""
+    its U/D mark, and the nodes of its defeaters."""
 
-    _fields = ("argument", "defeat_kind", "children", "mark")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    _fields = ("argument", "defeat_kind", "mark", "children")
 
     def __init__(
         self,
         argument: Argument,
-        defeat_kind: str | None = None,
-        children: list[DialecticalNode] | None = None,
-        mark: str | None = None,
+        defeat_kind: str | None,
+        mark: str,
+        children: tuple[DialecticalNode, ...],
     ):
-        self.argument = argument
-        self.defeat_kind = defeat_kind
-        self.children = [] if children is None else children
-        self.mark = mark
-
-
-def mark_tree(node: DialecticalNode) -> DialecticalNode:
-    """In-place bottom-up marking: leaves U; an inner node is U iff every
-    child is D."""
-    for child in node.children:
-        mark_tree(child)
-    node.mark = "U" if all(c.mark == "D" for c in node.children) else "D"
-    return node
+        _set(self, "argument", argument)
+        _set(self, "defeat_kind", defeat_kind)
+        _set(self, "mark", mark)
+        _set(self, "children", tuple(children))
 
 
 class ProgramIndex:
@@ -595,38 +570,43 @@ class ProgramIndex:
                 return False
         return not self._contradictory(self._closure(own | b | self._strict))
 
-    def _expand(self, node: DialecticalNode, line: tuple, sides: tuple, valid) -> None:
+    def _node(self, a: Argument, kind: str | None, line: tuple, sides: tuple,
+              valid) -> DialecticalNode:
+        """The marked subtree of a, the line's last argument and a defeat of
+        the given kind: its children first, then its mark, U iff every child
+        is D. line holds the element masks of the line's arguments, and
+        sides the masks of the side a's defeaters join and of a's own side;
+        valid (default: every argument) says which arguments are available."""
         own, other = sides
-        for b, kind in self.defeaters(node.argument):
+        children = []
+        for b, b_kind in self.defeaters(a):
             if valid is not None and not valid(b):
                 continue
             m = self._mask_of(b)
-            if not self._acceptable(line, own, node.defeat_kind, m, kind):
-                continue
-            child = DialecticalNode(b, kind)
-            node.children.append(child)
-            self._expand(child, line + (m,), (other, own | m), valid)
+            if self._acceptable(line, own, kind, m, b_kind):
+                children.append(
+                    self._node(b, b_kind, line + (m,), (other, own | m), valid)
+                )
+        mark = "D" if any(c.mark == "U" for c in children) else "U"
+        return DialecticalNode(a, kind, mark, tuple(children))
 
     def build_tree(self, root: Argument, valid=None) -> DialecticalNode:
-        node = DialecticalNode(root)
         m = self._mask_of(root)
-        self._expand(node, (m,), (0, m), valid)
-        return node
+        return self._node(root, None, (m,), (0, m), valid)
 
     def forest(self, literal: Literal, valid=None) -> tuple[DialecticalNode, ...]:
         """The full marked trees, for display and as a reference."""
-        roots = [
-            a
+        return tuple(
+            self.build_tree(a, valid)
             for a in self.arguments_for(literal)
             if valid is None or valid(a)
-        ]
-        return tuple(mark_tree(self.build_tree(a, valid)) for a in roots)
+        )
 
     def _undefeated(self, a: Argument, kind: str | None, line: tuple, sides: tuple,
                     mask: int, available) -> int:
         """The worlds of mask where a, the line's last argument and a defeat
         of the given kind, is marked U in its world's tree; line and sides
-        are as for _expand. A world's tree is the full tree cut to the
+        are as for _node. A world's tree is the full tree cut to the
         arguments available there, so each defeater is followed only on the
         worlds where it is available and its parent is not yet beaten, and
         the walk stops once every world is beaten."""

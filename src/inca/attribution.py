@@ -3,8 +3,6 @@ operation, under the knowledge base extended with case-specific evidence."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .am import positional_roles
 from .bridge import InCAFramework
 from .em import (
@@ -26,11 +24,6 @@ from .language import (
     _set,
     formula_atoms,
 )
-
-MIDPOINT = "midpoint"
-LOWER = "lower"
-COMPARISONS = (MIDPOINT, LOWER)
-
 
 def _irreducible_conflict(formulas, constraints, max_atoms):
     """A deletion filter (Chinneck and Dravnieks 1991) over inconsistent
@@ -135,15 +128,11 @@ def most_probable_suspects(
     operation: str,
     suspects,
     evidence=(),
-    compare: str = MIDPOINT,
 ) -> AttributionResult:
     """Bound the probability that each suspect conducted the operation,
     under the EM extended with the evidence (ProbabilisticFormulas, as
-    apply_evidence takes them), and keep the ones whose interval compares
-    best: by midpoint unless the caller opts into comparing lower bounds.
-    Ties all stay in."""
-    if compare not in COMPARISONS:
-        raise ValueError(f"compare must be one of {COMPARISONS}")
+    apply_evidence takes them), and keep the ones whose interval has the
+    highest midpoint. Ties all stay in."""
     names = list(dict.fromkeys(suspects))
     if not names:
         raise ValueError("no suspects given")
@@ -163,14 +152,8 @@ def most_probable_suspects(
     for name in names:
         literal = _conducting_literal(name, operation)
         reports.append(SuspectReport(name, extended.prob_bounds(literal)))
-
-    def score(report: SuspectReport) -> Fraction:
-        if compare == LOWER:
-            return report.interval.lower
-        return report.interval.p
-
-    best = max(score(r) for r in reports)
-    most = tuple(sorted(r.suspect for r in reports if score(r) == best))
+    best = max(r.interval.p for r in reports)
+    most = tuple(sorted(r.suspect for r in reports if r.interval.p == best))
 
     traces = []
     for name in most:

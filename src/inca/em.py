@@ -103,7 +103,7 @@ class IntegrityConstraint(Value):
         _set(self, "atoms", atoms)
 
     def __str__(self) -> str:
-        return "oneOf(" + ", ".join(str(a) for a in self.atoms) + ")"
+        return "oneOf{" + ", ".join(str(a) for a in self.atoms) + "}"
 
 
 class EMKnowledgeBase(Value):

@@ -407,7 +407,8 @@ def _parse_document(parser: _Parser) -> KBDocument:
                 if universe is not None:
                     parser.error("the universe is already given")
                 universe = []
-                while True:
+                # A lone '.' is the empty universe.
+                while not (parser.at_symbol(".") and not universe):
                     atom_at = parser.pos
                     atom = parser.parse_atom(EM)
                     if atom in universe:
@@ -507,10 +508,7 @@ def render_kb(doc: KBDocument) -> str:
         ]
         chunks.append("\n".join(["#em"] + lines))
     if doc.ic:
-        lines = [
-            "oneOf{" + ", ".join(str(a) for a in c.atoms) + "}." for c in doc.ic
-        ]
-        chunks.append("\n".join(["#ic"] + lines))
+        chunks.append("\n".join(["#ic"] + [f"{c}." for c in doc.ic]))
     if doc.am:
         chunks.append("\n".join(["#am"] + [f"{e}." for e in doc.am]))
     if doc.af:

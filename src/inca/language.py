@@ -191,35 +191,30 @@ class Formula(Value):
         elif op in (F_AND, F_OR):
             if atom is not None or len(parts) != 2:
                 raise ValueError(f"{op} takes exactly two parts")
-            models = {m for m in (p.model for p in parts) if m is not None}
-            if len(models) > 1:
-                raise ValueError("formula mixes atoms from both models")
         elif op in (F_TOP, F_BOTTOM):
             if atom is not None or parts:
                 raise ValueError(f"{op} takes no arguments")
         else:
             raise ValueError(f"bad formula op: {op!r}")
+        models = {p.model for p in parts} - {None}
+        if len(models) > 1:
+            raise ValueError("formula mixes atoms from both models")
         _set(self, "_hash", hash((op, atom, parts)))
         _set(self, "op", op)
         _set(self, "atom", atom)
         _set(self, "parts", parts)
-        # Set once per node from its parts, so a check never walks the tree.
-        _set(self, "is_ground", atom.is_ground if op == F_ATOM else all(
-            p.is_ground for p in parts
-        ))
+        # Not fields: set once per node from its parts, so neither a check
+        # nor a connective ever walks the tree. model is None when no atom
+        # occurs.
+        if op == F_ATOM:
+            _set(self, "model", atom.model)
+            _set(self, "is_ground", atom.is_ground)
+        else:
+            _set(self, "model", models.pop() if models else None)
+            _set(self, "is_ground", all(p.is_ground for p in parts))
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def model(self) -> str | None:
-        if self.op == F_ATOM:
-            return self.atom.model
-        for p in self.parts:
-            m = p.model
-            if m is not None:
-                return m
-        return None
 
 
 TOP = Formula(F_TOP)

@@ -13,20 +13,17 @@ from fractions import Fraction
 
 from jsonschema import validate
 
-from inca import (
-    AMProgram,
+from inca.am import BLOCKING, PROPER, AMProgram, index_for
+from inca.cli import run_cli
+from inca.em import (
     EMKnowledgeBase,
     ProbabilisticFormula,
-    conj,
-    disj,
     is_consistent,
     lp_bounds,
     max_entailment,
 )
-from inca.am import BLOCKING, PROPER, index_for
-from inca.cli import run_cli
 from inca.errors import InconsistentKBError
-from inca.language import atom_formula
+from inca.language import atom_formula, conj, disj
 
 from conftest import (
     AGE,

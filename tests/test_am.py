@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from inca.am import (
     AMElement,
     AMProgram,
-    Argument,
     BLOCKING,
     DEFEASIBLE_RULE,
-    DialecticalNode,
     FACT,
     NOT_WARRANTED,
     PRESUMPTION,
@@ -20,7 +18,6 @@ from inca.am import (
     WARRANTED,
     index_for,
     instantiate,
-    mark_tree,
 )
 from inca.errors import AssemblyError, CapacityError, InternalInconsistencyError
 from inca.language import AM, Atom, Literal, ROLE_ACTOR, ROLE_OPERATION, Term
@@ -170,13 +167,6 @@ def test_instantiate_respects_sorts():
 def test_instantiate_ground_item_is_identity():
     fact = AMElement("f1", FACT, lit("evidOf", "baja", "worm123"))
     assert instantiate(fact, (Term("baja", ROLE_ACTOR),)) == (fact,)
-    assert instantiate(COND_BAJA, ()) == (COND_BAJA,)
-
-
-def test_instantiate_literal():
-    schematic = Literal(Atom("condOp", (Term("X"), Term("O")), AM))
-    constants = (Term("baja", ROLE_ACTOR), Term("worm123", ROLE_OPERATION))
-    assert instantiate(schematic, constants) == (COND_BAJA,)
 
 
 def test_ground_program_stays_fixed_when_ground():
@@ -372,28 +362,10 @@ def test_specificity_capacity_limit():
 # -- dialectical trees and warrant ---------------------------------------------
 
 
-def test_tree_marking_rules():
-    def arg(label, head):
-        return Argument(frozenset({AMElement(label, PRESUMPTION, head)}), head)
-
-    leaf1 = DialecticalNode(arg("x", lit("a", "x")), PROPER)
-    leaf2 = DialecticalNode(arg("y", lit("b", "x")), BLOCKING)
-    root = DialecticalNode(arg("z", lit("c", "x")), None, [leaf1, leaf2])
-    mark_tree(root)
-    assert leaf1.mark == "U" and leaf2.mark == "U"
-    assert root.mark == "D"  # an undefeated child defeats the root
-
-    inner = DialecticalNode(arg("x", lit("a", "x")), PROPER,
-                            [DialecticalNode(arg("y", lit("b", "x")), PROPER)])
-    root2 = DialecticalNode(arg("z", lit("c", "x")), None, [inner])
-    mark_tree(root2)
-    assert root2.mark == "U"  # the only attacker is itself defeated
-
-
 def test_dialectical_tree_of_motive_argument(worm_index):
     arguments = worm_index.arguments_for(COND_BAJA)
     a4 = argument_by_labels(arguments, {"ph2", "de3", "th2"})
-    tree = mark_tree(worm_index.build_tree(a4))
+    tree = worm_index.build_tree(a4)
     assert tree.mark == "U"
     (child,) = tree.children
     assert labels_of(child.argument) == {"th1b", "de1b", "om1a"}
@@ -403,13 +375,13 @@ def test_dialectical_tree_of_motive_argument(worm_index):
     leaves = {labels_of(n.argument) for n in child.children}
     assert frozenset({"th1a", "de1a"}) in leaves
     assert all(n.defeat_kind == BLOCKING for n in child.children)
-    assert all(not n.children for n in child.children)
+    assert all(not n.children and n.mark == "U" for n in child.children)
 
 
 def test_dialectical_tree_of_presumptive_argument(worm_index):
     arguments = worm_index.arguments_for(COND_BAJA)
     a2 = argument_by_labels(arguments, {"ph1", "ph2", "de4", "om2a", "th1a", "th2"})
-    tree = mark_tree(worm_index.build_tree(a2))
+    tree = worm_index.build_tree(a2)
     assert tree.mark == "D"
     kinds = {(labels_of(n.argument), n.defeat_kind) for n in tree.children}
     assert kinds == {

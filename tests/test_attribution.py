@@ -89,13 +89,7 @@ def test_tied_suspects_sorted_by_name(framework):
     assert result.most_probable == ("alpha", "zeta")
 
 
-def test_compare_options(framework):
-    lower = most_probable_suspects(
-        framework, "worm123", ["baja", "mojave"], compare="lower"
-    )
-    assert lower.most_probable == ("baja",)
-    with pytest.raises(ValueError):
-        most_probable_suspects(framework, "worm123", ["baja"], compare="upper")
+def test_no_suspects_rejected(framework):
     with pytest.raises(ValueError):
         most_probable_suspects(framework, "worm123", [])
 

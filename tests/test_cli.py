@@ -1,11 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 from jsonschema import validate
 
+import inca
 from inca.cli import run_cli
 
 from conftest import FIXTURES, GOLDEN
@@ -512,3 +514,15 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     loaded = set(proc.stdout.split())
     assert "inca.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_package_exports_what_the_readme_imports():
+    readme = (FIXTURES.parent / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    names = {
+        name.strip()
+        for line in re.findall(r"^from inca import (.+)$", library, re.M)
+        for name in line.split(",")
+    }
+    assert sorted(inca.__all__) == sorted(names)
+    assert all(callable(getattr(inca, name)) for name in names)

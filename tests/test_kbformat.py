@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inca.em import max_entailment
+from inca.em import IntegrityConstraint, max_entailment
 from inca.errors import AssemblyError, ParseError
 from inca.kbformat import (
     KBDocument,
@@ -346,6 +346,23 @@ def test_universe_section():
     assert len(doc.universe) == 2
     with pytest.raises(ParseError):
         parse_kb("#universe\np(c), p(c).\n")
+
+
+def test_constraint_prints_the_syntax_the_parser_reads():
+    c = IntegrityConstraint((GOV, AGE, MSE))
+    assert parse_kb(f"#ic\n{c}.\n").ic == (c,)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        KBDocument(universe=()),
+        KBDocument(ic=(IntegrityConstraint((GOV, MSE)),), universe=(MSE, AGE, GOV)),
+    ],
+    ids=["empty-universe", "constraint-and-universe"],
+)
+def test_documents_round_trip(doc):
+    assert parse_kb(render_kb(doc)) == doc
 
 
 def test_sorts_redeclaration_rejected():

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,6 +111,16 @@ def test_formula_model_and_constants():
     assert a.model == EM
     assert TOP.model is None and BOTTOM.model is None
     assert conj(TOP, a).model == EM
+    assert neg(conj(TOP, BOTTOM)).model is None
+
+
+def test_long_connective_chain_builds():
+    # Each node takes its model from its parts, so a left-deep chain builds
+    # in one step per connective and never recurses.
+    chain = functools.reduce(
+        disj, [atom_formula(ematom(f"p{i}", "a")) for i in range(1500)]
+    )
+    assert chain.model == EM
 
 
 def test_formula_atoms_first_mention_order():

@@ -1,7 +1,6 @@
 """What every value type gives: equality and hashing by fields within one
 class, immutability, keyword construction with defaults, and a repr that
-names the fields. `DialecticalNode` and `InCAFramework` are the mutable
-exceptions."""
+names the fields. `InCAFramework` is the mutable exception."""
 
 from fractions import Fraction
 
@@ -80,8 +79,10 @@ VALUES = {
         False,
     ),
     "DialecticalNode": (
-        lambda: DialecticalNode(ARG, None, [DialecticalNode(ARG, "proper")], "D"),
-        lambda: DialecticalNode(ARG, None, [], "D"),
+        lambda: DialecticalNode(
+            ARG, None, "D", (DialecticalNode(ARG, "proper", "U", ()),)
+        ),
+        lambda: DialecticalNode(ARG, None, "U", ()),
         False,
     ),
     "ProbabilisticFormula": (
@@ -129,8 +130,6 @@ VALUES = {
     ),
 }
 
-FROZEN = sorted(set(VALUES) - {"DialecticalNode"})
-
 
 def _value_classes(base=Value):
     for cls in base.__subclasses__():
@@ -149,8 +148,7 @@ def test_equal_fields_make_equal_values(name):
     a, b = build(), build()
     assert type(a).__name__ == name
     assert a is not b and a == b and not a != b
-    if name != "DialecticalNode":
-        assert hash(a) == hash(b)
+    assert hash(a) == hash(b)
     assert (variant() == a) is variant_equal
     if variant_equal:
         assert hash(variant()) == hash(a)
@@ -169,7 +167,7 @@ def test_another_class_with_the_same_fields_is_unequal(name):
     assert a != VALUES["Term" if name != "Term" else "Atom"][0]()
 
 
-@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("name", sorted(VALUES))
 def test_frozen_values_refuse_assignment(name):
     a = VALUES[name][0]()
     for field in (*type(a)._fields, "extra"):
@@ -178,15 +176,6 @@ def test_frozen_values_refuse_assignment(name):
     with pytest.raises(AttributeError):
         del a._fields
     assert a == VALUES[name][0]()
-
-
-def test_dialectical_node_is_mutable_and_unhashable():
-    node = VALUES["DialecticalNode"][0]()
-    node.mark = "U"
-    node.children.append(DialecticalNode(ARG))
-    assert (node.mark, len(node.children)) == ("U", 2)
-    with pytest.raises(TypeError):
-        hash(node)
 
 
 def test_framework_is_mutable_and_equal_only_to_itself():
@@ -207,9 +196,6 @@ def test_keyword_constructors_keep_their_defaults():
     fact = AMElement(label="f1", kind=FACT, head=lit("c"))
     assert (fact.body, fact.guards) == ((), ())
     assert AMProgram().elements == ()
-    node, other = DialecticalNode(argument=ARG), DialecticalNode(argument=ARG)
-    assert (node.defeat_kind, node.children, node.mark) == (None, [], None)
-    assert node.children is not other.children
     assert ProbabilisticFormula(formula=atom_formula(P), p=1).eps == 0
     kb = EMKnowledgeBase()
     assert (kb.formulas, kb.constraints, kb.atom_universe) == ((), (), ())
