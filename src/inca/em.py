@@ -309,14 +309,16 @@ class _EMLinearProgram:
         rows = [([1] * len(self.classes), simplex.EQ, 1)]
         for pf, table in zip(kb.formulas, tables):
             coeffs = [int(c & table == c) for c in self.classes]
-            if pf.lower == pf.upper:
-                rows.append((coeffs, simplex.EQ, pf.lower))
+            lower, upper = pf.p - pf.eps, pf.p + pf.eps
+            if lower == upper:
+                rows.append((coeffs, simplex.EQ, lower))
                 continue
             # x >= 0 and the sum-to-one row already imply 0 <= row <= 1.
-            if pf.lower > 0:
-                rows.append((coeffs, simplex.GE, pf.lower))
-            if pf.upper < 1:
-                rows.append((coeffs, simplex.LE, pf.upper))
+            # The two rows of a formula merge into one ranged row.
+            if lower > 0:
+                rows.append((coeffs, simplex.GE, lower))
+            if upper < 1:
+                rows.append((coeffs, simplex.LE, upper))
         try:
             self.polytope = simplex.Polytope(len(self.classes), rows)
         except simplex.Infeasible:

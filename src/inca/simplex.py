@@ -1,12 +1,27 @@
 """Exact linear programming over rationals.
 
-Primal simplex on the full tableau. Bland's rule (lowest-index entering
-column, lowest-index basic variable on ratio ties) guarantees termination on
-degenerate programs. Inputs and answers are fractions.Fraction and no float
-is used. Inside, the tableau holds exact integers (Edmonds 1967; Bareiss
-1968): rows are scaled to integers and share one denominator d > 0. A pivot
-on p = T[r][c] maps each other row to (p * row - row[c] * T[r]) // d, always
-exact, and sets d = p.
+Primal simplex on the full tableau, with bounded slacks. Bland's rule
+(lowest-index entering column, lowest-index basic variable on ratio ties)
+guarantees termination on degenerate programs. Inputs are ints and
+fractions.Fraction (a float raises ValueError: its binary expansion is not
+the number it was written as), answers are Fractions, and no float is used.
+
+Consecutive constraints with equal coefficients merge into one ranged row,
+lo <= a . x <= hi, whose slack is bounded by hi - lo; `em` states each
+formula's p +- eps as a >= row followed by a <= row, so its LP has one row
+per formula. The ratio test also stops where a basic slack reaches its
+bound, or where the entering slack does. That slack is then complemented
+(s becomes U - s: its column is negated and rhs -= column * U), so every
+nonbasic variable stays at zero. An empty range raises Infeasible.
+
+Inside, the tableau holds exact integers (Edmonds 1967; Bareiss 1968).
+Integer coefficients and objectives go in as they are, and a row of
+fractions is scaled by the lcm of its denominators. The variables are solved
+for in units of 1/unit, with unit the lcm of the right-hand sides'
+denominators, so only the right-hand sides and slack bounds carry that
+scale, and the 0/1 rows of `em` keep their small minors. All rows share one
+denominator d > 0. A pivot on p = T[r][c] maps each other row to
+(p * row - row[c] * T[r]) // d, always exact, and sets d = p.
 
 A `Polytope` runs phase 1 once, when it is built; each objective then runs
 phase 2 on a copy of that feasible basis, so any number of objectives over
@@ -45,9 +60,21 @@ def minimize(objective, constraints):
     return Polytope(len(objective), constraints).minimize(objective)
 
 
+def _exact(value):
+    if isinstance(value, float):
+        raise ValueError(f"inexact float {value!r}: pass an int or a Fraction")
+    return Fraction(value)
+
+
 def _integers(values):
-    """(s, [v * s]) for the least positive integer s that makes them integers."""
-    scale = lcm(*(v.denominator for v in values))
+    """(s, [v * s]) for the least positive integer s that makes the values
+    integers; a list of ints comes back as it is."""
+    if all(type(v) is int for v in values):
+        return 1, values
+    values = [v if type(v) is int else _exact(v) for v in values]
+    scale = 1
+    for v in values:
+        scale = lcm(scale, v.denominator)
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
@@ -57,43 +84,81 @@ class Polytope:
     constructor raises Infeasible when the region is empty."""
 
     def __init__(self, n, constraints):
-        rows = []
+        # [scale, integer coefficients, lo, hi]; None is an open end.
+        ranges = []
+        # The variables are solved for in units of 1/unit, x = y / unit, with
+        # unit the lcm of the right-hand sides' denominators: then every row
+        # keeps its integer coefficients and only right-hand sides and slack
+        # bounds are scaled.
+        unit = 1
         for coeffs, rel, rhs in constraints:
-            co = [Fraction(v) for v in coeffs]
+            scale, co = _integers(coeffs)
             if len(co) != n:
                 raise ValueError("constraint width does not match objective")
-            b = Fraction(rhs)
             if rel not in (LE, GE, EQ):
                 raise ValueError(f"bad relation: {rel!r}")
-            if b < 0:
+            b = _exact(rhs)
+            unit = lcm(unit, b.denominator)
+            lo = None if rel == LE else b
+            hi = None if rel == GE else b
+            last = ranges[-1] if ranges else None
+            if last is not None and last[0] == scale and last[1] == co:
+                if lo is not None and (last[2] is None or lo > last[2]):
+                    last[2] = lo
+                if hi is not None and (last[3] is None or hi < last[3]):
+                    last[3] = hi
+            else:
+                ranges.append([scale, co, lo, hi])
+
+        # Each range becomes the row sign * s * (a . y) +- slack
+        # (+ artificial) = sign * s * unit * b >= 0, where s * a are its
+        # integer coefficients and b is lo or hi; the slack is bounded by
+        # s * unit * (hi - lo). The slack is basic when the origin satisfies
+        # the range. Otherwise the row is the >= form, slack -1, and needs an
+        # artificial, as does an equality, which has no slack.
+        rows = []
+        for scale, co, lo, hi in ranges:
+            bound = None
+            if lo is not None and hi is not None:
+                if lo > hi:
+                    raise Infeasible
+                bound = ((hi - lo) * scale * unit).numerator
+            if lo == hi:
+                sign, b, slack = (1 if lo >= 0 else -1), lo, 0
+            elif (lo is None or lo <= 0) and (hi is None or hi >= 0):
+                sign, b, slack = (1, hi, 1) if hi is not None else (-1, lo, 1)
+            elif lo is not None and lo > 0:
+                sign, b, slack = 1, lo, -1
+            else:
+                sign, b, slack = -1, hi, -1
+            if sign < 0:
                 co = [-v for v in co]
-                b = -b
-                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            # Scaling row i by s_i leaves x alone and rescales its slack and
-            # artificial, whose coefficients stay +-1.
-            scale, row = _integers(co + [b])
-            rows.append((row, rel, scale))
+            b = (sign * b * scale * unit).numerator
+            rows.append((co, b, slack, bound, scale))
 
         m = len(rows)
         ncols = n
         slack_col = [None] * m
         art_col = [None] * m
-        for i, (_, rel, _) in enumerate(rows):
-            if rel in (LE, GE):
+        for i, (_, _, slack, _, _) in enumerate(rows):
+            if slack:
                 slack_col[i] = ncols
                 ncols += 1
         first_artificial = ncols
-        for i, (_, rel, _) in enumerate(rows):
-            if rel in (GE, EQ):
+        for i, (_, _, slack, _, _) in enumerate(rows):
+            if slack != 1:
                 art_col[i] = ncols
                 ncols += 1
 
         tableau = []
         basis = []
-        for i, (co, rel, _) in enumerate(rows):
-            row = co[:-1] + [0] * (ncols - n) + co[-1:]
-            if slack_col[i] is not None:
-                row[slack_col[i]] = 1 if rel == LE else -1
+        bounds = [None] * ncols
+        zeros = [0] * (ncols - n)
+        for i, (co, b, slack, bound, _) in enumerate(rows):
+            row = [*co, *zeros, b]
+            if slack:
+                row[slack_col[i]] = slack
+                bounds[slack_col[i]] = bound
             if art_col[i] is not None:
                 row[art_col[i]] = 1
             tableau.append(row)
@@ -101,12 +166,13 @@ class Polytope:
 
         d = 1
         if ncols > first_artificial:
-            # Phase 1 maximizes -(sum of the unscaled artificials), times the
-            # lcm L of their rows' scales s_i: artificial i costs -L / s_i.
-            scales = [s for _, rel, s in rows if rel != LE]
+            # Phase 1 maximizes -(sum of the unscaled artificials), times
+            # unit and the lcm L of their rows' scales s_i: artificial i
+            # costs -L / s_i.
+            scales = [s for _, _, slack, _, s in rows if slack != 1]
             common = lcm(*scales)
             crow = [0] * first_artificial + [-(common // s) for s in scales]
-            d = _run(tableau, basis, crow, d)
+            d = _run(tableau, basis, crow, d, bounds)
             if sum(crow[bi] * tableau[i][-1] for i, bi in enumerate(basis)):
                 raise Infeasible
             d = _drive_out_artificials(tableau, basis, first_artificial, d)
@@ -118,34 +184,41 @@ class Polytope:
         self._width = first_artificial
         self._tableau = tableau
         self._basis = basis
+        self._bounds = bounds
         self._d = d
+        self._unit = unit
 
     def maximize(self, objective):
         """(optimal value, solution vector) of objective . x over the polytope."""
-        c = [Fraction(v) for v in objective]
-        if len(c) != self.n:
+        return self._optimum(objective, 1)
+
+    def minimize(self, objective):
+        value, x = self._optimum(objective, -1)
+        return -value, x
+
+    def _optimum(self, objective, sign):
+        scale, crow = _integers(objective)
+        if len(crow) != self.n:
             raise ValueError("objective width does not match the polytope")
-        scale, crow = _integers(c)
-        crow += [0] * (self._width - self.n)
-        # Pivots replace rows instead of editing them, so a shallow copy
-        # leaves the phase-1 tableau intact for the next objective.
+        crow = [sign * v for v in crow] + [0] * (self._width - self.n)
+        # Pivots and bound flips replace rows instead of editing them, so a
+        # shallow copy leaves the phase-1 tableau intact for the next
+        # objective.
         tableau = list(self._tableau)
         basis = list(self._basis)
-        d = _run(tableau, basis, crow, self._d)
+        d = _run(tableau, basis, crow, self._d, self._bounds)
         total = sum(crow[bi] * tableau[i][-1] for i, bi in enumerate(basis))
+        d *= self._unit
         x = [Fraction(0)] * self.n
         for i, bi in enumerate(basis):
             if bi < self.n:
                 x[bi] = Fraction(tableau[i][-1], d)
         return Fraction(total, d * scale), x
 
-    def minimize(self, objective):
-        value, x = self.maximize([-Fraction(v) for v in objective])
-        return -value, x
 
-
-def _run(tableau, basis, crow, d):
-    """Bland's rule from basis to an optimum of crow; returns the new d."""
+def _run(tableau, basis, crow, d, bounds):
+    """Bland's rule from basis to an optimum of crow; returns the new d.
+    bounds[j] is the upper bound of column j, or None."""
     ncols = len(crow)
     # Reduced costs for the current basis, times d: their signs are the
     # true ones, which is all pricing needs.
@@ -161,18 +234,57 @@ def _run(tableau, basis, crow, d):
                 break
         if enter < 0:
             return d
-        # Ratios rhs / a share the denominator d, so they compare by
-        # cross-multiplication on the integers.
-        leave, best_rhs, best_a = -1, 0, 1
+        # The entering column rises by t until a basic variable falls to 0,
+        # a basic slack rises to its bound, or it reaches its own bound
+        # (leave = -1, which wins a tie). Each limit is a ratio of integers
+        # over d, compared by cross-multiplication.
+        leave, best_rhs, best_a = -1, bounds[enter], 1
         for i, row in enumerate(tableau):
             a = row[enter]
             if a > 0:
-                lhs, rhs = row[-1] * best_a, best_rhs * a
-                if leave < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, best_rhs, best_a = i, row[-1], a
-        if leave < 0:
+                rhs = row[-1]
+            elif a < 0 and bounds[basis[i]] is not None:
+                rhs, a = bounds[basis[i]] * d - row[-1], -a
+            else:
+                continue
+            if best_rhs is None:
+                leave, best_rhs, best_a = i, rhs, a
+                continue
+            lhs, rhs_best = rhs * best_a, best_rhs * a
+            if lhs < rhs_best or (
+                lhs == rhs_best and leave >= 0 and basis[i] < basis[leave]
+            ):
+                leave, best_rhs, best_a = i, rhs, a
+        if best_rhs is None:
             raise Unbounded
+        if leave < 0:
+            _complement(tableau, z, enter, bounds[enter])
+            continue
+        row = tableau[leave]
+        if row[enter] < 0:
+            # The basic slack leaves at its bound: complement it, which
+            # negates its row (all but its own entry d) and sets the rhs
+            # to d * bound - rhs; no other row has it.
+            bi = basis[leave]
+            row = [-v for v in row]
+            row[bi] = d
+            row[-1] += bounds[bi] * d
+            tableau[leave] = row
         z, d = _pivot(tableau, z, basis, d, leave, enter)
+
+
+def _complement(tableau, z, c, bound):
+    """Substitute bound - x for nonbasic column c: negate the column and
+    take column * bound off every right-hand side."""
+    for i, row in enumerate(tableau):
+        a = row[c]
+        if a:
+            row = row[:]
+            row[c] = -a
+            row[-1] -= a * bound
+            tableau[i] = row
+    z[-1] -= z[c] * bound
+    z[c] = -z[c]
 
 
 def _pivot(tableau, z, basis, d, r, c):
@@ -201,8 +313,9 @@ def _eliminate(row, prow, p, c, d):
 
 def _drive_out_artificials(tableau, basis, first_artificial, d):
     # Artificial columns are the ones from first_artificial on. A basic
-    # artificial at value zero either pivots out on a structural column or
-    # marks a redundant row, which is dropped.
+    # artificial at value zero either pivots out on a structural or slack
+    # column, whose value stays 0, within its bound, or marks a redundant
+    # row, which is dropped.
     drop = []
     for i in range(len(tableau)):
         if basis[i] >= first_artificial:

@@ -14,9 +14,9 @@ from inca.errors import (
     SortError,
 )
 from inca.kbformat import parse_evidence
-from inca.language import Atom, Term, atom_formula, conj, disj
+from inca.language import atom_formula, conj, disj
 
-from conftest import GOV, ematom, worm_annotations, worm_elements, worm_em_kb
+from conftest import GOV, ematom, worm_annotations, worm_em_kb
 from generators import random_em_kb
 from oracles import lp_bounds_oracle
 

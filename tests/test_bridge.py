@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inca import bridge, em
-from inca.am import AMElement, AMProgram, FACT, NOT_WARRANTED, PRESUMPTION, WARRANTED
+from inca.am import AMElement, AMProgram, NOT_WARRANTED, WARRANTED
 from inca.bridge import AnnotationFunction, InCAFramework
 from inca.em import EMKnowledgeBase, ProbabilisticFormula
 from inca.errors import (
     AssemblyError,
     GroundednessError,
     InconsistentKBError,
-    InternalInconsistencyError,
 )
 from inca.language import (
     AM,

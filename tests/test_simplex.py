@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from inca import simplex
 from inca.simplex import (
     EQ,
     GE,
@@ -99,6 +100,61 @@ def test_input_validation():
         maximize([1], [([1], "<", 1)])
 
 
+def test_floats_are_rejected():
+    # Fraction(0.1) is the binary expansion 3602879701896397/36028797018963968,
+    # not 1/10: a float is refused wherever it enters.
+    with pytest.raises(ValueError):
+        maximize([1], [([0.5], LE, 1)])
+    with pytest.raises(ValueError):
+        maximize([1], [([1], LE, 0.1)])
+    with pytest.raises(ValueError):
+        maximize([0.1], [([1], LE, 1)])
+    with pytest.raises(ValueError):
+        Polytope(1, [([1], LE, 1)]).minimize([0.1])
+
+
+def test_ranged_rows(monkeypatch):
+    # Consecutive rows with equal coefficients are one ranged row.
+    with pytest.raises(Infeasible):
+        Polytope(2, [([1, 1], GE, F(3, 2)), ([1, 1], LE, 1)])
+    # -2 <= -x - y <= -1: both ends below zero.
+    below = [([-1, -1], GE, -2), ([-1, -1], LE, -1), ([0, 1], LE, F(1, 2))]
+    assert maximize([1, 0], below) == (2, [F(2), F(0)])
+    assert minimize([1, 2], below) == (1, [F(1), F(0)])
+    # -1 <= x - y <= 2 straddles 0, so the origin is feasible.
+    straddle = [([1, -1], GE, -1), ([1, -1], LE, 2), ([1, 1], LE, 4)]
+    assert maximize([1, 0], straddle) == (3, [F(3), F(1)])
+    assert maximize([0, 1], straddle) == (F(5, 2), [F(3, 2), F(5, 2)])
+    for rows in (below, straddle):
+        vertices = lp_vertices_oracle(2, rows)
+        for c in ([1, 0], [0, 1], [1, 1], [-1, 2]):
+            values = [sum(ci * xi for ci, xi in zip(c, v)) for v in vertices]
+            assert maximize(c, rows)[0] == max(values)
+            assert minimize(c, rows)[0] == min(values)
+    # 1 <= x <= 3: phase 1 leaves x = 1 with the slack x - 1 nonbasic, and
+    # maximizing x raises that slack to its bound 2, a flip without a pivot.
+    flips = []
+    complement = simplex._complement
+    monkeypatch.setattr(
+        simplex, "_complement", lambda *a: flips.append(a[2]) or complement(*a)
+    )
+    assert maximize([1], [([1], GE, 1), ([1], LE, 3)]) == (3, [F(3)])
+    assert flips
+
+
+def test_beale_cycling_program_terminates():
+    # Beale (1955): the textbook pivoting rules cycle on this program;
+    # Bland's rule, with bounds in the ratio test, must not.
+    rows = [
+        ([F(1, 4), -60, F(-1, 25), 9], LE, 0),
+        ([F(1, 2), -90, F(-1, 50), 3], LE, 0),
+        ([0, 0, 1, 0], LE, 1),
+    ]
+    value, x = maximize([F(3, 4), -150, F(1, 50), -6], rows)
+    assert value == F(1, 20)
+    assert x == [F(1, 25), F(0), F(1), F(0)]
+
+
 def test_zero_objective_feasibility_probe():
     value, x = maximize([0, 0], [([1, 1], EQ, 1)])
     assert value == 0
@@ -174,6 +230,14 @@ def _rational_programs(draw):
         st.tuples(width, st.sampled_from([LE, GE, EQ]), rhs),
         min_size=1, max_size=4,
     ))
+    # Ranged rows: an inequality followed by one with equal coefficients and
+    # the other relation merges into lo <= a . x <= hi, empty when lo > hi.
+    ranged = []
+    for co, rel, b in rows:
+        ranged.append((co, rel, b))
+        if rel != EQ and draw(st.booleans()):
+            ranged.append((list(co), _relation[rel], draw(rhs)))
+    rows = ranged
     # Redundant rows: copies of a row scaled by a nonzero rational (a
     # negative factor flips the relation) and sums of two equalities.
     for i, k in draw(st.lists(
