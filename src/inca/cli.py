@@ -4,7 +4,7 @@ Every subcommand loads a knowledge-base file, runs one query pipeline, and
 prints either human-readable lines or (with --json) a JSON envelope with
 `query` and `result` keys plus `interval`, `worlds`, or `forest` where they
 apply. Exit codes: 0 success, 1 domain errors, running out of memory and
-input nested too deeply, 2 usage errors.
+dialectical lines too long to walk, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -61,29 +61,26 @@ def _worlds_answer(name, worlds, universe):
     return text, payload
 
 
-def _forest_json(forest) -> list:
-    def node(n):
-        return {
-            "argument": str(n.argument),
-            "mark": n.mark,
-            "defeatKind": n.defeat_kind,
-            "children": [node(c) for c in n.children],
-        }
+def _node_json(n) -> dict:
+    return {
+        "argument": str(n.argument),
+        "mark": n.mark,
+        "defeatKind": n.defeat_kind,
+        "children": [_node_json(c) for c in n.children],
+    }
 
-    return [node(t) for t in forest]
+
+def _node_lines(n, depth: int, lines: list) -> None:
+    kind = f" ({n.defeat_kind})" if n.defeat_kind else ""
+    lines.append(f"{'  ' * depth}{n.mark}{kind} {n.argument}")
+    for c in n.children:
+        _node_lines(c, depth + 1, lines)
 
 
 def _forest_text(forest) -> str:
-    lines = []
-
-    def walk(n, depth):
-        kind = f" ({n.defeat_kind})" if n.defeat_kind else ""
-        lines.append(f"{'  ' * depth}{n.mark}{kind} {n.argument}")
-        for c in n.children:
-            walk(c, depth + 1)
-
+    lines: list[str] = []
     for tree in forest:
-        walk(tree, 0)
+        _node_lines(tree, 0, lines)
     return "\n".join(lines)
 
 
@@ -180,7 +177,7 @@ def cmd_attribute(ns):
         trace = {
             "suspect": first.suspect,
             "world": _world_json(first.world, universe),
-            "forest": _forest_json(first.forest),
+            "forest": [_node_json(t) for t in first.forest],
         }
     payload = {
         "query": "attribute",
@@ -205,7 +202,7 @@ def cmd_explain(ns):
     payload = {
         "query": "explain",
         "result": status,
-        "forest": _forest_json(forest),
+        "forest": [_node_json(t) for t in forest],
     }
     return text, payload
 

@@ -24,16 +24,12 @@ from . import simplex
 from .errors import CapacityError, GroundednessError, InconsistentKBError
 from .language import (
     EM,
-    F_AND,
-    F_ATOM,
-    F_NOT,
-    F_OR,
-    F_TOP,
     Atom,
     Formula,
     Value,
     World,
     _set,
+    evaluate,
     formula_atoms,
     render_formula,
     satisfies,  # noqa: F401  (bench/tracer.py wraps this name)
@@ -117,14 +113,18 @@ class EMKnowledgeBase(Value):
     ):
         _set(self, "formulas", tuple(formulas))
         _set(self, "constraints", tuple(constraints))
-        mentioned = self._mentioned_atoms()
+        mentioned = dict.fromkeys(
+            [a for pf in self.formulas for a in formula_atoms(pf.formula)]
+            + [a for ic in self.constraints for a in ic.atoms]
+        )
         if atom_universe is None:
             atom_universe = tuple(mentioned)
         else:
             atom_universe = tuple(atom_universe)
-            if len(set(atom_universe)) != len(atom_universe):
+            known = set(atom_universe)
+            if len(known) != len(atom_universe):
                 raise ValueError("atom universe contains duplicates")
-            missing = [a for a in mentioned if a not in set(atom_universe)]
+            missing = [a for a in mentioned if a not in known]
             if missing:
                 raise ValueError(
                     "atom universe is missing atoms used by the knowledge base: "
@@ -136,18 +136,6 @@ class EMKnowledgeBase(Value):
 
     def __hash__(self) -> int:
         return self._hash
-
-    def _mentioned_atoms(self) -> list[Atom]:
-        seen: list[Atom] = []
-        for pf in self.formulas:
-            for a in formula_atoms(pf.formula):
-                if a not in seen:
-                    seen.append(a)
-        for ic in self.constraints:
-            for a in ic.atoms:
-                if a not in seen:
-                    seen.append(a)
-        return seen
 
 
 class WorldSpace:
@@ -184,15 +172,7 @@ class WorldSpace:
 
     def table(self, f: Formula) -> int:
         """The worlds where a ground formula over the universe holds."""
-        if f.op == F_ATOM:
-            return self.tables[f.atom]
-        if f.op == F_NOT:
-            return self.full ^ self.table(f.parts[0])
-        if f.op == F_AND:
-            return self.table(f.parts[0]) & self.table(f.parts[1])
-        if f.op == F_OR:
-            return self.table(f.parts[0]) | self.table(f.parts[1])
-        return self.full if f.op == F_TOP else 0
+        return evaluate(f, self.tables.__getitem__, self.full)
 
     def number(self, world: World) -> int:
         """The index of a world; atoms outside the universe are ignored."""
@@ -223,20 +203,21 @@ class WorldSpace:
         return int.from_bytes(marks, "little")
 
 
-def refine(mask: int, tables: Iterable[int]) -> list[int]:
+def refine(mask: int, tables: Iterable[int]) -> list[tuple[int, int]]:
     """Split the worlds of mask into classes that agree on every table,
-    ordered by their lowest world."""
-    classes = [mask] if mask else []
-    for table in tables:
+    ordered by their lowest world. Each class comes with its signature:
+    bit k is set iff its worlds lie in the k-th table."""
+    classes = [(mask, 0)] if mask else []
+    for k, table in enumerate(tables):
         split = []
-        for c in classes:
+        for c, signature in classes:
             inside = c & table
             if inside:
-                split.append(inside)
+                split.append((inside, signature | 1 << k))
             if inside != c:
-                split.append(c ^ inside)
+                split.append((c ^ inside, signature))
         classes = split
-    return sorted(classes, key=lambda c: c & -c)
+    return sorted(classes, key=lambda cs: cs[0] & -cs[0])
 
 
 @lru_cache(maxsize=1)
@@ -305,10 +286,11 @@ class _EMLinearProgram:
     def __init__(self, kb: EMKnowledgeBase, max_atoms: int):
         self.space = world_space(kb, max_atoms)
         tables = [self.space.table(pf.formula) for pf in kb.formulas]
-        self.classes = refine(self.space.conforming, tables)
-        rows = [([1] * len(self.classes), simplex.EQ, 1)]
-        for pf, table in zip(kb.formulas, tables):
-            coeffs = [int(c & table == c) for c in self.classes]
+        classes = refine(self.space.conforming, tables)
+        self.classes = [c for c, _ in classes]
+        rows = [([1] * len(classes), simplex.EQ, 1)]
+        for k, pf in enumerate(kb.formulas):
+            coeffs = [signature >> k & 1 for _, signature in classes]
             lower, upper = pf.p - pf.eps, pf.p + pf.eps
             if lower == upper:
                 rows.append((coeffs, simplex.EQ, lower))

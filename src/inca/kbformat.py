@@ -68,6 +68,7 @@ _TOKEN_RE = re.compile(
     r"|\d+(?:\.\d+)?|[A-Za-z_][A-Za-z0-9_]*|\S)"
 )
 _SYMBOLS = frozenset(["+-", "<-", "-<", "!=", *".:,(){}[]~^/"])
+_CONNECTIVES = {"^": conj, "v": disj}
 
 
 def format_fraction(value) -> str:
@@ -159,8 +160,8 @@ class KBDocument(Value):
 
 
 class _Parser:
-    """A recursive-descent parser over the token list of one text. A token
-    is referred to by its index, which error() turns into a position."""
+    """A parser over the token list of one text. A token is referred to by
+    its index, which error() turns into a position."""
 
     def __init__(self, text: str):
         self.text = text
@@ -243,38 +244,44 @@ class _Parser:
         return Literal(self.parse_atom(AM))
 
     def parse_formula(self, model: str) -> Formula:
-        # after a complete conjunct a bare identifier can only be the `v`
-        # connective, so no parenthesis lookahead here
-        left = self.parse_conjunct(model)
-        while self.tokens[self.pos] == "v":
-            self.pos += 1
-            left = disj(left, self.parse_conjunct(model))
-        return left
-
-    def parse_conjunct(self, model: str) -> Formula:
-        left = self.parse_unary(model)
-        while self.tokens[self.pos] == "^":
-            self.pos += 1
-            left = conj(left, self.parse_unary(model))
-        return left
-
-    def parse_unary(self, model: str) -> Formula:
-        tok = self.tokens[self.pos]
-        if tok == "~":
-            self.pos += 1
-            return neg(self.parse_unary(model))
-        if tok == "(":
-            self.pos += 1
-            inner = self.parse_formula(model)
-            self.expect_symbol(")")
-            return inner
-        if self.at_keyword("true"):
-            self.pos += 1
-            return TOP
-        if self.at_keyword("false"):
-            self.pos += 1
-            return BOTTOM
-        return atom_formula(self.parse_atom(model))
+        """A formula: ~ binds tightest, then ^, then v, each binary
+        connective to the left. Operators wait on one stack and the left
+        operands of open connectives on another, so nesting costs no
+        recursion."""
+        tokens = self.tokens
+        ops: list[str] = []  # open "~", "(", "^" and "v", innermost last
+        lefts: list[Formula] = []  # the left operand of each open ^ and v
+        while True:
+            while tokens[self.pos] in ("~", "("):
+                ops.append(tokens[self.pos])
+                self.pos += 1
+            if self.at_keyword("true"):
+                self.pos += 1
+                f = TOP
+            elif self.at_keyword("false"):
+                self.pos += 1
+                f = BOTTOM
+            else:
+                f = atom_formula(self.parse_atom(model))
+            while True:
+                while ops and ops[-1] == "~":
+                    ops.pop()
+                    f = neg(f)
+                # After a complete operand a bare identifier can only be the
+                # `v` connective. A `^` closes the open `^`s; anything else
+                # closes the open `v`s too.
+                tok = tokens[self.pos]
+                while ops and ops[-1] in _CONNECTIVES and (tok != "^" or ops[-1] == "^"):
+                    f = _CONNECTIVES[ops.pop()](lefts.pop(), f)
+                if tok in _CONNECTIVES:
+                    self.pos += 1
+                    ops.append(tok)
+                    lefts.append(f)
+                    break
+                if not ops:
+                    return f
+                self.expect_symbol(")")
+                ops.pop()
 
     def parse_rational(self) -> Fraction:
         num = self.pos
@@ -328,7 +335,7 @@ def _parse_document(parser: _Parser) -> KBDocument:
     ic: list[IntegrityConstraint] = []
     am: list[AMElement] = []
     af: list[tuple[str, Formula]] = []
-    universe: list[Atom] | None = None
+    universe: dict[Atom, None] | None = None
 
     declared: set[str] = set()
     labels: set[str] = set()
@@ -406,14 +413,14 @@ def _parse_document(parser: _Parser) -> KBDocument:
             elif section == "#universe":
                 if universe is not None:
                     parser.error("the universe is already given")
-                universe = []
+                universe = {}
                 # A lone '.' is the empty universe.
                 while not (parser.at_symbol(".") and not universe):
                     atom_at = parser.pos
                     atom = parser.parse_atom(EM)
                     if atom in universe:
                         parser.error(f"duplicate universe atom {atom}", atom_at)
-                    universe.append(atom)
+                    universe[atom] = None
                     if parser.at_symbol(","):
                         parser.pos += 1
                         continue
@@ -608,24 +615,11 @@ def assemble(doc: KBDocument, max_atoms: int = DEFAULT_MAX_ATOMS) -> InCAFramewo
 
     universe = doc.universe
     if universe is None:
-        ordered: list[Atom] = []
-        known: set[Atom] = set()
-
-        def add(atom: Atom):
-            if atom not in known:
-                known.add(atom)
-                ordered.append(atom)
-
-        for f in doc.em:
-            for a in formula_atoms(f.formula):
-                add(a)
-        for c in doc.ic:
-            for a in c.atoms:
-                add(a)
-        for _, f in doc.af:
-            for a in formula_atoms(f):
-                add(a)
-        universe = tuple(ordered)
+        universe = tuple(dict.fromkeys(
+            [a for f in doc.em for a in formula_atoms(f.formula)]
+            + [a for c in doc.ic for a in c.atoms]
+            + [a for _, f in doc.af for a in formula_atoms(f)]
+        ))
 
     em_kb = EMKnowledgeBase(doc.em, doc.ic, universe)
     annotations = AnnotationFunction(doc.af)

@@ -216,6 +216,15 @@ class Formula(Value):
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other):
+        # A post-order sequence of (op, atom) pairs spells out one tree, as
+        # the arity of each op is fixed; compared without recursion.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._hash == other._hash and [
+            (n.op, n.atom) for n in _postorder(self)
+        ] == [(n.op, n.atom) for n in _postorder(other)]
+
 
 TOP = Formula(F_TOP)
 BOTTOM = Formula(F_BOTTOM)
@@ -237,18 +246,41 @@ def disj(left: Formula, right: Formula) -> Formula:
     return Formula(F_OR, parts=(left, right))
 
 
+def _postorder(f: Formula) -> list[Formula]:
+    """The nodes of f, each after its parts, left part first: the reverse of
+    a preorder that visits the right part first."""
+    order, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.parts)
+    order.reverse()
+    return order
+
+
+def evaluate(f: Formula, value, full):
+    """Fold f bottom-up over a Boolean algebra whose top is full: an atom is
+    value(atom), true is full, false is full ^ full, ~x is full ^ x, ^ is &
+    and v is |."""
+    stack = []
+    for node in _postorder(f):
+        op = node.op
+        if op == F_ATOM:
+            stack.append(value(node.atom))
+        elif op == F_NOT:
+            stack.append(full ^ stack.pop())
+        elif op == F_AND:
+            stack.append(stack.pop() & stack.pop())
+        elif op == F_OR:
+            stack.append(stack.pop() | stack.pop())
+        else:
+            stack.append(full if op == F_TOP else full ^ full)
+    return stack.pop()
+
+
 def formula_atoms(f: Formula) -> tuple[Atom, ...]:
     """Atoms of a formula in first-mention order, without duplicates."""
-    seen: dict[Atom, None] = {}
-
-    def walk(node: Formula):
-        if node.op == F_ATOM:
-            seen.setdefault(node.atom)
-        for p in node.parts:
-            walk(p)
-
-    walk(f)
-    return tuple(seen)
+    return tuple(dict.fromkeys(n.atom for n in _postorder(f) if n.op == F_ATOM))
 
 
 World = frozenset  # of ground Atom
@@ -261,19 +293,7 @@ def satisfies(world: frozenset, f: Formula) -> bool:
     """
     if not f.is_ground:
         raise GroundednessError(f"formula is not ground: {render_formula(f)}")
-    return _holds(world, f)
-
-
-def _holds(world: frozenset, f: Formula) -> bool:
-    if f.op == F_ATOM:
-        return f.atom in world
-    if f.op == F_NOT:
-        return not _holds(world, f.parts[0])
-    if f.op == F_AND:
-        return _holds(world, f.parts[0]) and _holds(world, f.parts[1])
-    if f.op == F_OR:
-        return _holds(world, f.parts[0]) or _holds(world, f.parts[1])
-    return f.op == F_TOP
+    return evaluate(f, world.__contains__, True)
 
 
 def substitute_atom(atom: Atom, binding: dict[str, Term]) -> Atom:
@@ -286,28 +306,33 @@ def substitute_literal(lit: Literal, binding: dict[str, Term]) -> Literal:
 
 
 _PRECEDENCE = {F_OR: 1, F_AND: 2, F_NOT: 3, F_ATOM: 4, F_TOP: 4, F_BOTTOM: 4}
+_LEAVES = {F_TOP: "true", F_BOTTOM: "false"}
 
 
 def render_formula(f: Formula) -> str:
     """Concrete syntax: ~ binds tightest, then ^, then v."""
-
-    def wrap(child: Formula, parent_prec: int) -> str:
-        text = render_formula(child)
-        if _PRECEDENCE[child.op] < parent_prec:
-            return f"({text})"
-        return text
-
-    if f.op == F_ATOM:
-        return str(f.atom)
-    if f.op == F_TOP:
-        return "true"
-    if f.op == F_BOTTOM:
-        return "false"
-    if f.op == F_NOT:
-        return "~" + wrap(f.parts[0], _PRECEDENCE[F_NOT] + 1)
-    sep = " ^ " if f.op == F_AND else " v "
-    prec = _PRECEDENCE[f.op]
-    # Left association: a child at equal precedence needs parens on the right.
-    left = wrap(f.parts[0], prec)
-    right = wrap(f.parts[1], prec + 1)
-    return f"{left}{sep}{right}"
+    pieces = []
+    # Texts to emit, and (node, least precedence it shows without
+    # parentheses) pairs to expand.
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            pieces.append(item)
+            continue
+        node, outer = item
+        prec = _PRECEDENCE[node.op]
+        if prec < outer:
+            pieces.append("(")
+            stack.append(")")
+        if node.op == F_NOT:
+            pieces.append("~")
+            stack.append((node.parts[0], prec + 1))
+        elif node.parts:
+            # Left association: a child at equal precedence needs parens on
+            # the right.
+            sep = " ^ " if node.op == F_AND else " v "
+            stack += [(node.parts[1], prec + 1), sep, (node.parts[0], prec)]
+        else:
+            pieces.append(_LEAVES.get(node.op) or str(node.atom))
+    return "".join(pieces)

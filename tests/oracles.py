@@ -8,7 +8,9 @@ from exhaustive subset search instead of a label pass over element masks,
 and their strict parts from a greedy over frozensets of elements; the
 specificity check quantifies over every subset of a literal set instead of
 over the minimal activating sets; warrant is read off fully built and
-marked dialectical trees instead of the pruned walk over world masks.
+marked dialectical trees instead of the pruned walk over world masks;
+a formula's truth at a world comes from recursion on the formula instead of
+the package's post-order fold.
 Tokens and their positions come from one named-group scan that tracks lines
 as it goes, instead of a findall and a second scan on error. The interval
 under one concrete distribution, which only tests ask for, lives here too.
@@ -28,8 +30,21 @@ from inca.am import (
 )
 from inca.em import ProbabilityInterval
 from inca.errors import CapacityError, InCAError, ParseError
-from inca.language import satisfies
+from inca.language import F_AND, F_ATOM, F_NOT, F_OR, F_TOP
 from inca.simplex import EQ, GE, LE
+
+
+def formula_holds(world, f):
+    """Whether a ground formula holds at a frozenset world."""
+    if f.op == F_ATOM:
+        return f.atom in world
+    if f.op == F_NOT:
+        return not formula_holds(world, f.parts[0])
+    if f.op == F_AND:
+        return formula_holds(world, f.parts[0]) and formula_holds(world, f.parts[1])
+    if f.op == F_OR:
+        return formula_holds(world, f.parts[0]) or formula_holds(world, f.parts[1])
+    return f.op == F_TOP
 
 
 def allows(constraint, world):
@@ -38,7 +53,7 @@ def allows(constraint, world):
 
 
 def worlds_satisfying(worlds, formula):
-    return [w for w in worlds if satisfies(w, formula)]
+    return [w for w in worlds if formula_holds(w, formula)]
 
 
 def worlds_oracle(kb, max_atoms=20):
@@ -141,8 +156,8 @@ def lp_bounds_oracle(kb, query, max_atoms=20):
     worlds = worlds_oracle(kb, max_atoms)
     groups = {}
     for w in worlds:
-        sig = tuple(bool(satisfies(w, pf.formula)) for pf in kb.formulas)
-        sig += (bool(satisfies(w, query)),)
+        sig = tuple(formula_holds(w, pf.formula) for pf in kb.formulas)
+        sig += (formula_holds(w, query),)
         groups.setdefault(sig, []).append(w)
     classes = sorted(groups)
     rows = [c[:-1] for c in classes]
@@ -162,7 +177,7 @@ def lp_bounds_oracle(kb, query, max_atoms=20):
 def distribution_probability(distribution, query):
     """P(query) under one distribution given as {world: mass}."""
     return sum(
-        (pr for w, pr in distribution.items() if satisfies(w, query)),
+        (pr for w, pr in distribution.items() if formula_holds(w, query)),
         Fraction(0),
     )
 
@@ -172,7 +187,7 @@ def sample_distributions(kb, max_atoms=20, limit=3):
     worlds = worlds_oracle(kb, max_atoms)
     groups = {}
     for w in worlds:
-        sig = tuple(bool(satisfies(w, pf.formula)) for pf in kb.formulas)
+        sig = tuple(formula_holds(w, pf.formula) for pf in kb.formulas)
         groups.setdefault(sig, []).append(w)
     classes = sorted(groups)
     bounds = [(pf.lower, pf.upper) for pf in kb.formulas]
@@ -232,7 +247,7 @@ def valid_labels_oracle(framework, world):
     return frozenset(
         e.label
         for e in framework.program.elements
-        if satisfies(world, framework.annotations.annotation_for(e.label))
+        if formula_holds(world, framework.annotations.annotation_for(e.label))
     )
 
 

@@ -26,7 +26,6 @@ from inca.language import (
     conj,
     disj,
     neg,
-    satisfies,
 )
 from inca.simplex import EQ, GE, LE, maximize, minimize
 
@@ -35,6 +34,7 @@ from generators import random_em_kb, random_formula, with_constraints
 from oracles import (
     allows,
     distribution_probability,
+    formula_holds,
     lp_bounds_oracle,
     sample_distributions,
     worlds_oracle,
@@ -258,7 +258,7 @@ def _dense_extrema(kb, target):
     worlds = enumerate_worlds(kb)
     rows = [([1] * len(worlds), EQ, 1)]
     for pf in kb.formulas:
-        coeffs = [int(satisfies(w, pf.formula)) for w in worlds]
+        coeffs = [int(formula_holds(w, pf.formula)) for w in worlds]
         rows.append((coeffs, GE, pf.lower))
         rows.append((coeffs, LE, pf.upper))
     objective = [int(w in target) for w in worlds]

@@ -21,7 +21,7 @@ from inca.kbformat import (
     render_kb,
     render_world,
 )
-from inca.language import TOP, atom_formula, conj, disj, formula_atoms, neg, render_formula
+from inca.language import TOP, Atom, atom_formula, conj, disj, formula_atoms, neg, render_formula
 
 from conftest import AGE, FIXTURES, GOV, MSE, ematom, lit
 from generators import random_am_program, random_em_kb
@@ -289,6 +289,25 @@ def test_equal_atoms_of_one_parse_are_one_object():
     assert doc.am[1].head.atom.args[0] is em_atom.args[0]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "#universe\n" + ", ".join(f"u{i}(a)" for i in range(2_000)) + ".\n",
+        "#ic\n" + "".join(f"oneOf{{a{i}, b{i}}}.\n" for i in range(1_000)),
+    ],
+    ids=["universe", "oneOf-pairs"],
+)
+def test_atoms_are_collected_without_pairwise_compares(monkeypatch, text):
+    # 2,000 distinct atoms: a scan of a list of those seen before would make
+    # 1,999,000 compares; dicts and sets make none.
+    calls = []
+    equal = Atom.__eq__
+    monkeypatch.setattr(Atom, "__eq__", lambda a, b: calls.append(1) or equal(a, b))
+    framework = assemble(parse_kb(text))
+    assert len(framework.em.atom_universe) == 2_000
+    assert len(calls) == 0
+
+
 def test_parses_share_no_atoms():
     # no table outlives a parse: equal documents, no common objects
     text = (FIXTURES / "worm123.inca").read_text()
@@ -511,4 +530,13 @@ def em_formulas(draw, depth=3):
 
 @given(em_formulas())
 def test_formula_round_trips_through_concrete_syntax(f):
+    assert parse_query(render_formula(f)) == f
+
+
+def test_deep_formula_round_trips_through_concrete_syntax():
+    # Right-nested: rendered with 100,000 nested parentheses.
+    leaves = [atom_formula(ematom(name, *args)) for name, args in _SHAPES.items()]
+    f = leaves[0]
+    for i in range(100_000):
+        f = disj(leaves[i % 3], f)
     assert parse_query(render_formula(f)) == f
