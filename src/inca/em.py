@@ -39,6 +39,8 @@ DEFAULT_MAX_ATOMS = 20
 
 
 def _as_fraction(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         # Floats arrive from user input; take their printed decimal value
         # rather than the binary expansion.
@@ -60,23 +62,25 @@ class ProbabilisticFormula(Value):
             raise GroundednessError(
                 f"formula must be ground: {render_formula(formula)}"
             )
-        if not 0 <= p <= 1:
+        # Checked and bounded on numerators and denominators: the ends are
+        # (pn * ed -+ en * pd) / (pd * ed).
+        pn, pd = p.numerator, p.denominator
+        en, ed = eps.numerator, eps.denominator
+        if not 0 <= pn <= pd:
             raise ValueError(f"p must be in [0, 1], got {p}")
-        if not 0 <= eps <= min(p, 1 - p):
+        if not 0 <= en * pd <= min(pn, pd - pn) * ed:
             raise ValueError(
                 f"eps must be in [0, min(p, 1-p)], got {eps} with p={p}"
             )
         _set(self, "formula", formula)
         _set(self, "p", p)
         _set(self, "eps", eps)
-
-    @property
-    def lower(self) -> Fraction:
-        return self.p - self.eps
-
-    @property
-    def upper(self) -> Fraction:
-        return self.p + self.eps
+        if en:
+            _set(self, "lower", Fraction(pn * ed - en * pd, pd * ed))
+            _set(self, "upper", Fraction(pn * ed + en * pd, pd * ed))
+        else:
+            _set(self, "lower", p)
+            _set(self, "upper", p)
 
     def __str__(self) -> str:
         return f"{render_formula(self.formula)} : {self.p} +- {self.eps}"
@@ -245,8 +249,8 @@ class ProbabilityInterval(Value):
     _fields = ("lower", "upper")
 
     def __init__(self, lower: Fraction, upper: Fraction):
-        lower = Fraction(lower)
-        upper = Fraction(upper)
+        lower = _as_fraction(lower)
+        upper = _as_fraction(upper)
         if lower > upper:
             raise ValueError(f"empty interval [{lower}, {upper}]")
         _set(self, "lower", lower)
@@ -291,15 +295,15 @@ class _EMLinearProgram:
         rows = [([1] * len(classes), simplex.EQ, 1)]
         for k, pf in enumerate(kb.formulas):
             coeffs = [signature >> k & 1 for _, signature in classes]
-            lower, upper = pf.p - pf.eps, pf.p + pf.eps
-            if lower == upper:
+            lower, upper = pf.lower, pf.upper
+            if not pf.eps:
                 rows.append((coeffs, simplex.EQ, lower))
                 continue
             # x >= 0 and the sum-to-one row already imply 0 <= row <= 1.
             # The two rows of a formula merge into one ranged row.
-            if lower > 0:
+            if lower.numerator > 0:
                 rows.append((coeffs, simplex.GE, lower))
-            if upper < 1:
+            if upper.numerator < upper.denominator:
                 rows.append((coeffs, simplex.LE, upper))
         try:
             self.polytope = simplex.Polytope(len(self.classes), rows)

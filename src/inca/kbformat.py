@@ -289,19 +289,21 @@ class _Parser:
         if not tok[:1].isdecimal():
             self.error("expected a number")
         self.pos += 1
-        value = Fraction(tok)
+        # d.ddd is int(dddd) / 10**3: the tokenizer has matched the digits.
+        whole, _, digits = tok.partition(".")
+        top, bottom = int(whole + digits), 10 ** len(digits)
         if self.at_symbol("/"):
             self.pos += 1
             den = self.tokens[self.pos]
             if not den[:1].isdecimal() or "." in den:
                 self.error("expected an integer denominator")
             self.pos += 1
-            if int(den) == 0:
+            bottom = int(den)
+            if bottom == 0:
                 self.error("zero denominator", self.pos - 1)
-            if "." in tok:
+            if digits:
                 self.error("a/b rationals take integers", num)
-            value = Fraction(int(tok), int(den))
-        return value
+        return Fraction(top, bottom)
 
     def parse_bound(self) -> tuple[Fraction, Fraction]:
         p = self.parse_rational()

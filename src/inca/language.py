@@ -225,6 +225,28 @@ class Formula(Value):
             (n.op, n.atom) for n in _postorder(self)
         ] == [(n.op, n.atom) for n in _postorder(other)]
 
+    def __repr__(self) -> str:
+        # Value's repr, built on an explicit stack so that depth is no limit.
+        pieces, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                pieces.append(item)
+                continue
+            pieces.append(f"{type(item).__name__}(op={item.op!r}, "
+                          f"atom={item.atom!r}, parts=(")
+            parts = item.parts
+            stack.append(",))" if len(parts) == 1 else "))")
+            if len(parts) == 2:
+                stack += [parts[1], ", "]
+            stack += parts[:1]
+        return "".join(pieces)
+
+    def __reduce__(self):
+        # Pickled as its post-order (op, atom) pairs, so that depth is no
+        # limit: rebuilt by _from_postorder.
+        return _from_postorder, ([(n.op, n.atom) for n in _postorder(self)],)
+
 
 TOP = Formula(F_TOP)
 BOTTOM = Formula(F_BOTTOM)
@@ -256,6 +278,20 @@ def _postorder(f: Formula) -> list[Formula]:
         stack.extend(node.parts)
     order.reverse()
     return order
+
+
+_ARITY = {F_NOT: 1, F_AND: 2, F_OR: 2}
+
+
+def _from_postorder(nodes) -> Formula:
+    """The formula whose post-order sequence of (op, atom) pairs is nodes."""
+    stack = []
+    for op, atom in nodes:
+        cut = len(stack) - _ARITY.get(op, 0)
+        parts = tuple(stack[cut:])
+        del stack[cut:]
+        stack.append(Formula(op, atom, parts))
+    return stack.pop()
 
 
 def evaluate(f: Formula, value, full):

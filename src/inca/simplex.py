@@ -1,8 +1,13 @@
 """Exact linear programming over rationals.
 
-Primal simplex on the full tableau, with bounded slacks. Bland's rule
-(lowest-index entering column, lowest-index basic variable on ratio ties)
-guarantees termination on degenerate programs. Inputs are ints and
+Primal simplex on the full tableau, with bounded slacks. Dantzig's rule
+prices: the column of largest reduced cost enters, and the lowest-index
+basic variable leaves on ratio ties. Dantzig's rule can cycle on a
+degenerate program, so after BLAND_AFTER degenerate pivots in a row Bland's
+rule (lowest-index entering column) prices until the objective rises. The
+objective never falls and rises only finitely often, and Bland's rule does
+not cycle (Bland 1977), so every run ends. Phase 1 stops as soon as the
+artificials sum to 0, the most it can reach. Inputs are ints and
 fractions.Fraction (a float raises ValueError: its binary expansion is not
 the number it was written as), answers are Fractions, and no float is used.
 
@@ -19,7 +24,9 @@ Integer coefficients and objectives go in as they are, and a row of
 fractions is scaled by the lcm of its denominators. The variables are solved
 for in units of 1/unit, with unit the lcm of the right-hand sides'
 denominators, so only the right-hand sides and slack bounds carry that
-scale, and the 0/1 rows of `em` keep their small minors. All rows share one
+scale, and the 0/1 rows of `em` keep their small minors. Rows, ranges and
+bounds are built from numerators and denominators, with no Fraction
+arithmetic; Fractions are made only for the answers. All rows share one
 denominator d > 0. A pivot on p = T[r][c] maps each other row to
 (p * row - row[c] * T[r]) // d, always exact, and sets d = p.
 
@@ -61,21 +68,24 @@ def minimize(objective, constraints):
 
 
 def _exact(value):
-    if isinstance(value, float):
-        raise ValueError(f"inexact float {value!r}: pass an int or a Fraction")
-    return Fraction(value)
+    """(numerator, denominator) of an int or a rational."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is not Fraction:
+        if isinstance(value, float):
+            raise ValueError(f"inexact float {value!r}: pass an int or a Fraction")
+        value = Fraction(value)
+    return value.numerator, value.denominator
 
 
 def _integers(values):
     """(s, [v * s]) for the least positive integer s that makes the values
     integers; a list of ints comes back as it is."""
-    if all(type(v) is int for v in values):
+    if {*map(type, values)} == {int}:
         return 1, values
-    values = [v if type(v) is int else _exact(v) for v in values]
-    scale = 1
-    for v in values:
-        scale = lcm(scale, v.denominator)
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+    values = [_exact(v) for v in values]
+    scale = lcm(*[den for _, den in values])
+    return scale, [num * (scale // den) for num, den in values]
 
 
 class Polytope:
@@ -84,12 +94,11 @@ class Polytope:
     constructor raises Infeasible when the region is empty."""
 
     def __init__(self, n, constraints):
-        # [scale, integer coefficients, lo, hi]; None is an open end.
-        ranges = []
         # The variables are solved for in units of 1/unit, x = y / unit, with
         # unit the lcm of the right-hand sides' denominators: then every row
-        # keeps its integer coefficients and only right-hand sides and slack
-        # bounds are scaled.
+        # keeps its integer coefficients, and the right-hand sides and slack
+        # bounds become integers too.
+        parsed = []
         unit = 1
         for coeffs, rel, rhs in constraints:
             scale, co = _integers(coeffs)
@@ -97,8 +106,15 @@ class Polytope:
                 raise ValueError("constraint width does not match objective")
             if rel not in (LE, GE, EQ):
                 raise ValueError(f"bad relation: {rel!r}")
-            b = _exact(rhs)
-            unit = lcm(unit, b.denominator)
+            num, den = _exact(rhs)
+            unit = lcm(unit, den)
+            parsed.append((scale, co, rel, num, den))
+
+        # [scale, integer coefficients, lo, hi], lo and hi in units of
+        # 1/unit; None is an open end.
+        ranges = []
+        for scale, co, rel, num, den in parsed:
+            b = num * (unit // den)
             lo = None if rel == LE else b
             hi = None if rel == GE else b
             last = ranges[-1] if ranges else None
@@ -111,10 +127,10 @@ class Polytope:
                 ranges.append([scale, co, lo, hi])
 
         # Each range becomes the row sign * s * (a . y) +- slack
-        # (+ artificial) = sign * s * unit * b >= 0, where s * a are its
-        # integer coefficients and b is lo or hi; the slack is bounded by
-        # s * unit * (hi - lo). The slack is basic when the origin satisfies
-        # the range. Otherwise the row is the >= form, slack -1, and needs an
+        # (+ artificial) = sign * s * b >= 0, where s * a are its integer
+        # coefficients and b is lo or hi; the slack is bounded by
+        # s * (hi - lo). The slack is basic when the origin satisfies the
+        # range. Otherwise the row is the >= form, slack -1, and needs an
         # artificial, as does an equality, which has no slack.
         rows = []
         for scale, co, lo, hi in ranges:
@@ -122,7 +138,7 @@ class Polytope:
             if lo is not None and hi is not None:
                 if lo > hi:
                     raise Infeasible
-                bound = ((hi - lo) * scale * unit).numerator
+                bound = (hi - lo) * scale
             if lo == hi:
                 sign, b, slack = (1 if lo >= 0 else -1), lo, 0
             elif (lo is None or lo <= 0) and (hi is None or hi >= 0):
@@ -133,8 +149,7 @@ class Polytope:
                 sign, b, slack = -1, hi, -1
             if sign < 0:
                 co = [-v for v in co]
-            b = (sign * b * scale * unit).numerator
-            rows.append((co, b, slack, bound, scale))
+            rows.append((co, sign * b * scale, slack, bound, scale))
 
         m = len(rows)
         ncols = n
@@ -172,7 +187,7 @@ class Polytope:
             scales = [s for _, _, slack, _, s in rows if slack != 1]
             common = lcm(*scales)
             crow = [0] * first_artificial + [-(common // s) for s in scales]
-            d = _run(tableau, basis, crow, d, bounds)
+            d = _run(tableau, basis, crow, d, bounds, zero_is_max=True)
             if sum(crow[bi] * tableau[i][-1] for i, bi in enumerate(basis)):
                 raise Infeasible
             d = _drive_out_artificials(tableau, basis, first_artificial, d)
@@ -216,22 +231,39 @@ class Polytope:
         return Fraction(total, d * scale), x
 
 
-def _run(tableau, basis, crow, d, bounds):
-    """Bland's rule from basis to an optimum of crow; returns the new d.
-    bounds[j] is the upper bound of column j, or None."""
-    ncols = len(crow)
-    # Reduced costs for the current basis, times d: their signs are the
-    # true ones, which is all pricing needs.
+# Consecutive degenerate pivots after which Bland's rule prices.
+BLAND_AFTER = 8
+
+
+def _run(tableau, basis, crow, d, bounds, zero_is_max=False):
+    """Simplex pivots from basis to an optimum of crow; returns the new d.
+    bounds[j] is the upper bound of column j, or None. With zero_is_max the
+    objective is known to be at most 0, and reaching 0 ends the run.
+
+    Dantzig's rule enters the column of largest reduced cost. It can cycle,
+    but only through degenerate pivots, which leave the objective where it
+    is; after BLAND_AFTER of them in a row Bland's rule (lowest index enters)
+    prices until the objective rises. Each rise is strict, so no basis (with
+    its complemented slacks) seen before it comes back after it, and there
+    are finitely many bases: the rises end.
+    A run of degenerate pivots then ends too, since Bland's rule does not
+    cycle (Bland 1977)."""
+    # Reduced costs for the current basis, times d, and -d times the
+    # objective's value in z[-1]. They share the denominator d > 0, so
+    # the integers compare as the costs do.
     z = [d * v for v in crow] + [0]
     for i, bi in enumerate(basis):
         if crow[bi]:
             z = [a - crow[bi] * b for a, b in zip(z, tableau[i])]
+    stalled = 0
     while True:
-        enter = -1
-        for j in range(ncols):
-            if z[j] > 0:
-                enter = j
-                break
+        if zero_is_max and not z[-1]:
+            return d
+        if stalled < BLAND_AFTER:
+            best = max(z[:-1], default=0)
+            enter = z.index(best) if best > 0 else -1
+        else:
+            enter = next((j for j, v in enumerate(z[:-1]) if v > 0), -1)
         if enter < 0:
             return d
         # The entering column rises by t until a basic variable falls to 0,
@@ -257,6 +289,8 @@ def _run(tableau, basis, crow, d, bounds):
                 leave, best_rhs, best_a = i, rhs, a
         if best_rhs is None:
             raise Unbounded
+        # A bound is positive, so only a pivot at a zero ratio is degenerate.
+        stalled = stalled + 1 if leave >= 0 and not best_rhs else 0
         if leave < 0:
             _complement(tableau, z, enter, bounds[enter])
             continue

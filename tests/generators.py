@@ -5,6 +5,7 @@ Body literals are deduplicated with dict.fromkeys, not set, to keep element
 identity independent of hash randomization.
 """
 
+import math
 from fractions import Fraction
 
 from inca.am import (
@@ -22,7 +23,18 @@ from inca.em import (
     ProbabilisticFormula,
     is_consistent,
 )
-from inca.language import AM, EM, Atom, Literal, Term, atom_formula, conj, disj, neg
+from inca.language import (
+    AM,
+    EM,
+    Atom,
+    Literal,
+    Term,
+    atom_formula,
+    conj,
+    disj,
+    neg,
+    satisfies,
+)
 
 
 def random_formula(rng, atoms, depth=2):
@@ -57,6 +69,28 @@ def random_em_kb(rng, max_atom_count=4):
     if count >= 2 and rng.random() < 0.3:
         constraints = (IntegrityConstraint(tuple(rng.sample(atoms, 2))),)
     return EMKnowledgeBase(tuple(formulas), constraints, tuple(atoms))
+
+
+def witnessed_em_kb(rng, n, count):
+    """`count` depth-2 formulas over n atoms, each with p +- eps on the 1/8
+    grid around its probability under one random distribution over 3 to 12
+    worlds, so the knowledge base is consistent: the family of
+    bench/workloads.py's em_lines, built as values."""
+    atoms = [Atom(f"e{i}", (Term("c0"),), EM) for i in range(n)]
+    support = rng.sample(range(1 << n), rng.randint(3, min(12, 1 << n)))
+    weights = [rng.randint(1, 9) for _ in support]
+    witness = [
+        (frozenset(a for j, a in enumerate(atoms) if w >> j & 1), Fraction(x, sum(weights)))
+        for w, x in zip(support, weights)
+    ]
+    formulas = []
+    for _ in range(count):
+        f = random_formula(rng, atoms)
+        eighths = 8 * sum(p for world, p in witness if satisfies(world, f))
+        lo = max(0, math.floor(eighths) - rng.randint(0, 1))
+        hi = min(8, math.ceil(eighths) + rng.randint(0, 1))
+        formulas.append(ProbabilisticFormula(f, Fraction(lo + hi, 16), Fraction(hi - lo, 16)))
+    return EMKnowledgeBase(tuple(formulas), (), tuple(atoms))
 
 
 def with_constraints(rng, kb):

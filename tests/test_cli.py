@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from types import FunctionType
@@ -549,9 +550,25 @@ def test_json_output_leaves_no_cycles_of_inca_objects(capsys):
 
 
 def test_console_script_entry_point():
-    proc = subprocess.run(["inca", "--help"], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "usage: inca" in proc.stdout
+    # The `inca` target named in pyproject.toml, run as the console script
+    # would run it; and the installed script too, when one is on PATH. A
+    # regex, not tomllib, which Python 3.10 lacks.
+    pyproject = (FIXTURES.parent / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    target = re.search(r'^inca\s*=\s*"([\w.]+):(\w+)"', scripts.group(1), re.M)
+    module, function = target.groups()
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    script = (
+        f"import sys; sys.argv[0] = 'inca'; from {module} import {function}; "
+        f"sys.exit({function}())"
+    )
+    commands = [[sys.executable, "-c", script, "--help"]]
+    if shutil.which("inca"):
+        commands.append(["inca", "--help"])
+    for command in commands:
+        proc = subprocess.run(command, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert "usage: inca" in proc.stdout
 
 
 def test_module_entry_point():

@@ -27,10 +27,11 @@ from inca.language import (
     disj,
     neg,
 )
+from inca import simplex
 from inca.simplex import EQ, GE, LE, maximize, minimize
 
 from conftest import AGE, GOV, MSE, ematom, worm_em_kb
-from generators import random_em_kb, random_formula, with_constraints
+from generators import random_em_kb, random_formula, with_constraints, witnessed_em_kb
 from oracles import (
     allows,
     distribution_probability,
@@ -61,6 +62,39 @@ def test_probabilistic_formula_reads_floats_as_decimals():
     pf = ProbabilisticFormula(atom_formula(GOV), 0.1, 0.05)
     assert (pf.p, pf.eps) == (F(1, 10), F(1, 20))
     assert pf == ProbabilisticFormula(atom_formula(GOV), F(1, 10), F(1, 20))
+
+
+def test_probability_interval_reads_floats_as_decimals():
+    # One float rule for EM values: the printed decimal, not the binary
+    # expansion Fraction(0.1) would give.
+    interval = ProbabilityInterval(0.1, 0.2)
+    assert (interval.lower, interval.upper) == (F(1, 10), F(1, 5))
+    assert interval == ProbabilityInterval(F(1, 10), F(1, 5))
+    assert str(interval) == "3/20 +- 1/20"
+
+
+def test_probabilistic_formula_bounds_on_integers():
+    f = atom_formula(GOV)
+    # The range checks compare numerators and denominators; these sit on
+    # each edge.
+    for p, eps, lower, upper in [
+        (F(1, 3), F(1, 3), F(0), F(2, 3)),
+        (F(2, 3), F(1, 3), F(1, 3), F(1)),
+        (F(1, 2), F(1, 2), F(0), F(1)),
+        (0, 0, F(0), F(0)),
+        (1, 0, F(1), F(1)),
+        (F(7, 9), F(1, 6), F(11, 18), F(17, 18)),
+    ]:
+        pf = ProbabilisticFormula(f, p, eps)
+        assert (pf.lower, pf.upper) == (lower, upper)
+        assert (pf.lower, pf.upper) == (pf.p - pf.eps, pf.p + pf.eps)
+    for p in (F(-1, 7), F(8, 7), F(10**20 + 1, 10**20)):
+        with pytest.raises(ValueError, match="p must be in"):
+            ProbabilisticFormula(f, p)
+    for p, eps in [(F(1, 3), F(-1, 9)), (F(1, 3), F(1, 3) + F(1, 10**20)),
+                   (F(3, 4), F(26, 100)), (0, F(1, 10**20)), (1, F(1, 10**20))]:
+        with pytest.raises(ValueError, match="eps must be in"):
+            ProbabilisticFormula(f, p, eps)
 
 
 def test_integrity_constraint_validation_and_allows():
@@ -294,3 +328,15 @@ def test_lp_extrema_matches_dense_per_world_lp_on_padded_kb():
     ]
     for target in targets:
         assert lp_extrema(kb, target) == _dense_extrema(kb, frozenset(target))
+
+
+def test_sixteen_formula_lp_takes_few_pivots(monkeypatch):
+    # 16 atoms, 16 formulas, 1,764 columns: Dantzig's rule reaches a feasible
+    # basis in 21 pivots, where Bland's rule alone takes 128. A return to
+    # Bland-only pricing fails here rather than only slowing CI.
+    kb = witnessed_em_kb(random.Random("scale-16"), 16, 16)
+    pivots = []
+    pivot = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda *a: pivots.append(a[5]) or pivot(*a))
+    assert is_consistent(kb)
+    assert len(pivots) <= 50

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from inca.em import IntegrityConstraint, max_entailment
 from inca.errors import AssemblyError, ParseError
 from inca.kbformat import (
+    _FragmentParser,
     KBDocument,
     _parse_error,
     _tokenize,
@@ -129,6 +130,26 @@ def test_rational_forms():
     assert doc.em[0].eps == F(1, 10)
     doc2 = parse_kb("#em\ngovCybLab(baja) : 0.8 +- 0.1.\n")
     assert doc2.em == doc.em
+
+
+@pytest.mark.parametrize("text", [
+    "007.50", "0.0", "000", "1.000", "0.123456789012345678901234567890",
+    "123456789012345678901234567890.5", "7/21", "007/050",
+])
+def test_decimal_literals_are_exact(text):
+    # A decimal is read as its digits over a power of ten; each literal must
+    # equal Fraction's own reading of the same text.
+    parser = _FragmentParser(text)
+    assert parser.parse_rational() == Fraction(text)
+    assert parser.peek() == ""
+
+
+def test_long_decimal_probability_is_exact():
+    p = "0." + "3" * 30
+    doc = parse_kb(f"#em\ngovCybLab(baja) : {p} +- 0.{'0' * 29}1.\n")
+    assert doc.em[0].p == Fraction(p)
+    assert doc.em[0].eps == Fraction(1, 10**30)
+    assert doc.em[0].lower == Fraction(p) - Fraction(1, 10**30)
 
 
 def test_parse_error_positions():

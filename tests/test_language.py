@@ -1,4 +1,6 @@
+import copy
 import functools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -121,6 +123,29 @@ def test_long_connective_chain_builds():
         disj, [atom_formula(ematom(f"p{i}", "a")) for i in range(1500)]
     )
     assert chain.model == EM
+
+
+def test_formula_repr_and_pickle_have_no_depth_limit():
+    a = Atom("p", (Term("a"),), EM)
+    small = disj(conj(atom_formula(a), neg(TOP)), BOTTOM)
+    assert repr(small) == (
+        "Formula(op='or', atom=None, parts=(Formula(op='and', atom=None, "
+        "parts=(Formula(op='atom', atom=Atom(predicate='p', args=(Term("
+        "name='a', role='plain'),), model='em'), parts=()), Formula("
+        "op='not', atom=None, parts=(Formula(op='top', atom=None, "
+        "parts=()),)))), Formula(op='bottom', atom=None, parts=())))"
+    )
+    assert pickle.loads(pickle.dumps(small)) == small
+    deep = atom_formula(a)
+    for _ in range(100_000):
+        deep = neg(deep)
+    shown = repr(deep)
+    assert shown.startswith("Formula(op='not', atom=None, parts=(" * 3)
+    assert shown.endswith(",))" * 3)
+    assert shown.count("Formula(") == 100_001
+    again = pickle.loads(pickle.dumps(deep))
+    assert again == deep and hash(again) == hash(deep)
+    assert copy.deepcopy(deep) == deep
 
 
 def test_formula_atoms_first_mention_order():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from inca import simplex
 from inca.simplex import (
@@ -155,6 +155,93 @@ def test_beale_cycling_program_terminates():
     assert x == [F(1, 25), F(0), F(1), F(0)]
 
 
+def _priced(bland_after, solve):
+    """solve() under BLAND_AFTER = bland_after, asserting that every entering
+    column is Dantzig's pick (largest reduced cost, lowest index on ties),
+    or Bland's (lowest index with a positive reduced cost) once bland_after
+    degenerate pivots have passed in a row since the run began or the
+    objective last rose. Returns what solve() returns and, for each pivot,
+    (entering column, degenerate), or None for a drive-out pivot."""
+    pivots = []
+    streak = 0
+    pivot, complement, run = simplex._pivot, simplex._complement, simplex._run
+
+    def checked_pivot(tableau, z, basis, d, r, c):
+        nonlocal streak
+        if z is None:
+            pivots.append(None)
+        else:
+            costs = z[:-1]
+            if streak >= bland_after:
+                assert c == next(j for j, v in enumerate(costs) if v > 0)
+            else:
+                assert c == costs.index(max(costs))
+            # The leaving row's right-hand side is the step, times d.
+            degenerate = tableau[r][-1] == 0
+            streak = streak + 1 if degenerate else 0
+            pivots.append((c, degenerate))
+        return pivot(tableau, z, basis, d, r, c)
+
+    def checked_complement(*args):
+        nonlocal streak
+        streak = 0
+        return complement(*args)
+
+    def checked_run(*args, **kwargs):
+        nonlocal streak
+        streak = 0
+        return run(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "BLAND_AFTER", bland_after)
+        patch.setattr(simplex, "_pivot", checked_pivot)
+        patch.setattr(simplex, "_complement", checked_complement)
+        patch.setattr(simplex, "_run", checked_run)
+        return solve(), pivots
+
+
+def test_degenerate_run_falls_back_to_blands_rule():
+    # From a seeded search over random programs: Dantzig's rule makes more
+    # than BLAND_AFTER degenerate pivots in a row at the origin, so the
+    # fallback prices the next pivot, and picks another column than Dantzig's
+    # rule would. All three settings reach the same optimal vertex.
+    objective = [7, -9, 8, 9, -2, 5, 5]
+    rows = [
+        ([2, -2, 4, -6, 9, 3, -7], LE, 0),
+        ([0, -1, -2, 1, 1, -9, -5], LE, 0),
+        ([8, -6, 2, -7, 5, 5, -4], LE, 0),
+        ([1, 6, 0, 8, -5, -6, -4], LE, 0),
+        ([-9, -6, 1, 1, -4, 1, 4], LE, 0),
+        ([4, -2, -8, 1, 6, -5, -8], LE, 0),
+        ([3, -5, -9, 9, 5, 2, 3], LE, 0),
+        ([1, 1, 1, 1, 1, 1, 1], LE, 1),
+    ]
+    optimum = (F(4661, 669), [F(44, 223), F(0), F(76, 223), F(92, 669),
+                              F(0), F(0), F(217, 669)])
+    default = simplex.BLAND_AFTER
+    answers = {}
+    runs = {}
+    for name, bland_after in (("fallback", default), ("dantzig", 10**9), ("bland", 0)):
+        answers[name], runs[name] = _priced(bland_after, lambda: maximize(objective, rows))
+    assert answers == dict.fromkeys(runs, optimum)
+    fallback, dantzig, bland = runs["fallback"], runs["dantzig"], runs["bland"]
+    assert all(degenerate for _, degenerate in fallback[:default + 1])
+    assert dantzig[:default] == fallback[:default]
+    assert dantzig[default] != fallback[default]
+    assert len(dantzig) < len(fallback) < len(bland)
+
+
+def test_phase_one_stops_when_the_artificials_are_zero():
+    # The artificial of x + y == 0 starts at 0, the most phase 1 can reach,
+    # so phase 1 prices nothing; one drive-out pivot takes the artificial
+    # out of the basis.
+    polytope, pivots = _priced(
+        simplex.BLAND_AFTER, lambda: Polytope(2, [([1, 1], EQ, 0), ([1, -1], LE, 3)])
+    )
+    assert pivots == [None]
+    assert polytope.maximize([1, 2]) == (0, [F(0), F(0)])
+
+
 def test_zero_objective_feasibility_probe():
     value, x = maximize([0, 0], [([1, 1], EQ, 1)])
     assert value == 0
@@ -260,6 +347,50 @@ def test_rational_programs_match_vertex_enumeration(program):
     """On bounded programs with fractional coefficients, negative right-hand
     sides, equalities and redundant rows, each optimum is the best vertex
     of an independent enumeration, reached at one of those vertices."""
+    _check_against_vertices(program)
+
+
+# Pure Bland and pure Dantzig; the test above runs the default fallback.
+@pytest.mark.parametrize("bland_after", [0, 10**9])
+@given(program=_rational_programs())
+def test_rational_programs_match_vertex_enumeration_under_one_rule(bland_after, program):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "BLAND_AFTER", bland_after)
+        _check_against_vertices(program)
+
+
+@pytest.mark.parametrize("bland_after", [0, 1, simplex.BLAND_AFTER, 10**9])
+def test_pricing_returns_to_dantzig_once_the_objective_rises(bland_after):
+    # With BLAND_AFTER = 1, a degenerate pivot hands the next one to Bland's
+    # rule, but here the first pivot raises the objective, so Dantzig's rule
+    # prices the second and enters x3 where Bland's rule would enter x2.
+    objective = [4, 1, -1, -3]
+    rows = [([2, 0, -3, 1], LE, 2), ([1, -2, 2, 0], LE, 1), ([1, 1, 1, 1], LE, 3)]
+    (value, x), _ = _priced(bland_after, lambda: maximize(objective, rows))
+    vertices = lp_vertices_oracle(4, rows)
+    assert tuple(x) in vertices
+    assert value == max(sum(c * v for c, v in zip(objective, p)) for p in vertices)
+
+
+@pytest.mark.parametrize("bland_after", [0, 1, 2, simplex.BLAND_AFTER])
+@settings(max_examples=60)
+@given(program=_rational_programs())
+def test_pricing_follows_the_rule(bland_after, program):
+    n, rows, objectives = program
+
+    def solve():
+        try:
+            polytope = Polytope(n, rows)
+        except Infeasible:
+            return
+        for c in objectives:
+            polytope.maximize(c)
+            polytope.minimize(c)
+
+    _priced(bland_after, solve)
+
+
+def _check_against_vertices(program):
     n, rows, objectives = program
     vertices = lp_vertices_oracle(n, rows)
     if not vertices:
