@@ -43,7 +43,6 @@ from .language import (
     ROLE_OPERATION,
     Literal,
     Value,
-    _set,
     substitute_literal,
 )
 
@@ -93,7 +92,7 @@ class AMElement(Value):
         guards: tuple[tuple[str, str], ...] = (),
     ):
         body = tuple(body)
-        guards = tuple(tuple(g) for g in guards)
+        guards = tuple(map(tuple, guards)) if guards else ()
         if not _LABEL_RE.match(label):
             raise ValueError(f"bad element label: {label!r}")
         if kind not in KINDS:
@@ -106,15 +105,19 @@ class AMElement(Value):
         else:
             if not body:
                 raise ValueError(f"rule {label} needs a nonempty body")
-        # Hashed once: every Argument puts its support in a frozenset.
-        _set(self, "_hash", hash((label, kind, head, body, guards)))
-        _set(self, "label", label)
-        _set(self, "kind", kind)
-        _set(self, "head", head)
-        _set(self, "body", body)
-        _set(self, "guards", guards)
         # Not a field: grounding and every index check it.
-        _set(self, "is_ground", head.is_ground and all(b.is_ground for b in body))
+        is_ground = head.atom.is_ground
+        for b in body:
+            is_ground = is_ground and b.atom.is_ground
+        d = self.__dict__
+        # Hashed once: every Argument puts its support in a frozenset.
+        d["_hash"] = hash((label, kind, head, body, guards))
+        d["label"] = label
+        d["kind"] = kind
+        d["head"] = head
+        d["body"] = body
+        d["guards"] = guards
+        d["is_ground"] = is_ground
         if guards:
             names = self.variables()
             for a, b in guards:
@@ -163,8 +166,7 @@ class AMProgram(Value):
                     "use a presumption or a rule"
                 )
         # Hashed once: index_for looks the program up on every query.
-        _set(self, "_hash", hash(elements))
-        _set(self, "elements", elements)
+        self.__dict__.update(_hash=hash(elements), elements=elements)
 
     def __hash__(self) -> int:
         return self._hash
@@ -264,9 +266,9 @@ class Argument(Value):
         support = frozenset(support)
         # Computed once: the walk and the bridge look arguments up at every
         # step.
-        _set(self, "_hash", hash((support, conclusion)))
-        _set(self, "support", support)
-        _set(self, "conclusion", conclusion)
+        self.__dict__.update(
+            _hash=hash((support, conclusion)), support=support, conclusion=conclusion
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -299,10 +301,8 @@ class DialecticalNode(Value):
         mark: str,
         children: tuple[DialecticalNode, ...],
     ):
-        _set(self, "argument", argument)
-        _set(self, "defeat_kind", defeat_kind)
-        _set(self, "mark", mark)
-        _set(self, "children", tuple(children))
+        self.__dict__.update(argument=argument, defeat_kind=defeat_kind,
+                             mark=mark, children=tuple(children))
 
 
 class ProgramIndex:

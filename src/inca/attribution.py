@@ -21,7 +21,6 @@ from .language import (
     Term,
     Value,
     World,
-    _set,
     formula_atoms,
 )
 
@@ -83,8 +82,7 @@ class SuspectReport(Value):
     _fields = ("suspect", "interval")
 
     def __init__(self, suspect: str, interval: ProbabilityInterval):
-        _set(self, "suspect", suspect)
-        _set(self, "interval", interval)
+        self.__dict__.update(suspect=suspect, interval=interval)
 
 
 class Trace(Value):
@@ -94,10 +92,8 @@ class Trace(Value):
     _fields = ("suspect", "literal", "world", "forest")
 
     def __init__(self, suspect: str, literal: Literal, world: World, forest: tuple):
-        _set(self, "suspect", suspect)
-        _set(self, "literal", literal)
-        _set(self, "world", world)
-        _set(self, "forest", forest)
+        self.__dict__.update(suspect=suspect, literal=literal, world=world,
+                             forest=forest)
 
 
 class AttributionResult(Value):
@@ -109,9 +105,8 @@ class AttributionResult(Value):
         reports: tuple[SuspectReport, ...],
         traces: tuple[Trace, ...],
     ):
-        _set(self, "most_probable", most_probable)
-        _set(self, "reports", reports)
-        _set(self, "traces", traces)
+        self.__dict__.update(most_probable=most_probable, reports=reports,
+                             traces=traces)
 
 
 def _conducting_literal(suspect: str, operation: str) -> Literal:

@@ -45,7 +45,6 @@ from .language import (
     TOP,
     Value,
     World,
-    _set,
     formula_atoms,
     satisfies,  # noqa: F401  (bench/tracer.py wraps this name)
 )
@@ -80,9 +79,9 @@ class AnnotationFunction(Value):
                 )
             if formula != TOP:
                 canonical.append((label, formula))
-        _set(self, "mapping", tuple(canonical))
-        # Lookup table; not a field, so equality and hashing stay on mapping.
-        _set(self, "_table", dict(canonical))
+        # _table is a lookup table; not a field, so equality and hashing stay
+        # on mapping.
+        self.__dict__.update(mapping=tuple(canonical), _table=dict(canonical))
 
     def annotation_for(self, label: str) -> Formula:
         if label in self._table:

@@ -28,7 +28,6 @@ from .language import (
     Formula,
     Value,
     World,
-    _set,
     evaluate,
     formula_atoms,
     render_formula,
@@ -72,15 +71,11 @@ class ProbabilisticFormula(Value):
             raise ValueError(
                 f"eps must be in [0, min(p, 1-p)], got {eps} with p={p}"
             )
-        _set(self, "formula", formula)
-        _set(self, "p", p)
-        _set(self, "eps", eps)
+        lower = upper = p
         if en:
-            _set(self, "lower", Fraction(pn * ed - en * pd, pd * ed))
-            _set(self, "upper", Fraction(pn * ed + en * pd, pd * ed))
-        else:
-            _set(self, "lower", p)
-            _set(self, "upper", p)
+            lower = Fraction(pn * ed - en * pd, pd * ed)
+            upper = Fraction(pn * ed + en * pd, pd * ed)
+        self.__dict__.update(formula=formula, p=p, eps=eps, lower=lower, upper=upper)
 
     def __str__(self) -> str:
         return f"{render_formula(self.formula)} : {self.p} +- {self.eps}"
@@ -100,7 +95,7 @@ class IntegrityConstraint(Value):
         for a in atoms:
             if not isinstance(a, Atom) or a.model != EM or not a.is_ground:
                 raise ValueError(f"oneOf takes ground environmental atoms, got {a}")
-        _set(self, "atoms", atoms)
+        self.__dict__["atoms"] = atoms
 
     def __str__(self) -> str:
         return "oneOf{" + ", ".join(str(a) for a in self.atoms) + "}"
@@ -115,11 +110,10 @@ class EMKnowledgeBase(Value):
         constraints: tuple[IntegrityConstraint, ...] = (),
         atom_universe: tuple[Atom, ...] | None = None,
     ):
-        _set(self, "formulas", tuple(formulas))
-        _set(self, "constraints", tuple(constraints))
+        formulas, constraints = tuple(formulas), tuple(constraints)
         mentioned = dict.fromkeys(
-            [a for pf in self.formulas for a in formula_atoms(pf.formula)]
-            + [a for ic in self.constraints for a in ic.atoms]
+            [a for pf in formulas for a in formula_atoms(pf.formula)]
+            + [a for ic in constraints for a in ic.atoms]
         )
         if atom_universe is None:
             atom_universe = tuple(mentioned)
@@ -134,9 +128,11 @@ class EMKnowledgeBase(Value):
                     "atom universe is missing atoms used by the knowledge base: "
                     + ", ".join(str(a) for a in missing)
                 )
-        _set(self, "atom_universe", atom_universe)
         # Hashed once: the cached world space and LP are looked up by kb.
-        _set(self, "_hash", hash((self.formulas, self.constraints, atom_universe)))
+        self.__dict__.update(
+            formulas=formulas, constraints=constraints, atom_universe=atom_universe,
+            _hash=hash((formulas, constraints, atom_universe)),
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -253,8 +249,7 @@ class ProbabilityInterval(Value):
         upper = _as_fraction(upper)
         if lower > upper:
             raise ValueError(f"empty interval [{lower}, {upper}]")
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
+        self.__dict__.update(lower=lower, upper=upper)
 
     @property
     def eps(self) -> Fraction:

@@ -47,7 +47,6 @@ from .language import (
     Term,
     Value,
     World,
-    _set,
     atom_formula,
     conj,
     disj,
@@ -58,17 +57,19 @@ from .language import (
 
 SECTIONS = ("#sorts", "#em", "#ic", "#am", "#af", "#universe")
 
-# One token after optional whitespace. The alternatives are tried in this
-# order at each position: '.' is a symbol before a number can start, so ".5"
-# reads as "." then "5". The last alternative takes any other non-space
-# character, a bare '#' included, so that the scan never skips input;
-# _tokenize rejects those.
+# One token after optional whitespace. Apart from the last, the alternatives
+# start with disjoint characters, so their order only sets how soon the
+# common ones match: identifiers, then one-character symbols. '.' is a
+# symbol and a number starts with a digit, so ".5" reads as "." then "5".
+# The last alternative takes any other non-space character, a bare '#'
+# included, so that the scan never skips input; _tokenize rejects those.
 _TOKEN_RE = re.compile(
-    r"\s*(#[A-Za-z_][A-Za-z0-9_]*|\+-|<-|-<|!=|[.:,(){}\[\]~^/]"
-    r"|\d+(?:\.\d+)?|[A-Za-z_][A-Za-z0-9_]*|\S)"
+    r"\s*([A-Za-z_][A-Za-z0-9_]*|[.:,(){}\[\]~^/]|\d+(?:\.\d+)?"
+    r"|#[A-Za-z_][A-Za-z0-9_]*|\+-|<-|-<|!=|\S)"
 )
 _SYMBOLS = frozenset(["+-", "<-", "-<", "!=", *".:,(){}[]~^/"])
 _CONNECTIVES = {"^": conj, "v": disj}
+_CONSTANTS = {"true": TOP, "false": BOTTOM}
 
 
 def format_fraction(value) -> str:
@@ -143,20 +144,18 @@ class KBDocument(Value):
         universe: tuple[Atom, ...] | None = None,
     ):
         am = tuple(am)
-        af = tuple(tuple(a) for a in af)
+        af = tuple(map(tuple, af))
         labels = [e.label for e in am]
-        if len(set(labels)) != len(labels):
-            raise AssemblyError("duplicate element labels")
         known = set(labels)
+        if len(known) != len(labels):
+            raise AssemblyError("duplicate element labels")
         for label, _ in af:
             if label not in known and _base_label(label) not in known:
                 raise AssemblyError(f"annotation for unknown element {label}")
-        _set(self, "sorts", tuple(tuple(s) for s in sorts))
-        _set(self, "em", tuple(em))
-        _set(self, "ic", tuple(ic))
-        _set(self, "am", am)
-        _set(self, "af", af)
-        _set(self, "universe", None if universe is None else tuple(universe))
+        self.__dict__.update(
+            sorts=tuple(map(tuple, sorts)), em=tuple(em), ic=tuple(ic), am=am,
+            af=af, universe=None if universe is None else tuple(universe),
+        )
 
 
 class _Parser:
@@ -169,10 +168,14 @@ class _Parser:
         self.pos = 0
         # arity bookkeeping, keyed by (model, predicate)
         self.arities: dict[tuple[str, str], int] = {}
-        # Each distinct term and atom of this text is built once; the tables
-        # live only as long as the parse.
+        # Each distinct term, atom, literal and atom formula of this text is
+        # built once; the four tables live only as long as the parse. Terms
+        # are keyed by their token, atoms by (model, *their raw tokens),
+        # literals by (atom, negated) and atom formulas by their atom.
         self.terms: dict[str, Term] = {}
-        self.atoms: dict[tuple[str, str, tuple[Term, ...]], Atom] = {}
+        self.atoms: dict[tuple[str, ...], Atom] = {}
+        self.literals: dict[tuple[Atom, bool], Literal] = {}
+        self.formulas: dict[Atom, Formula] = {}
 
     # -- token plumbing ------------------------------------------------------
 
@@ -195,12 +198,8 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at_symbol(self, text: str, ahead: int = 0) -> bool:
-        return self.tokens[self.pos + ahead] == text
-
-    def at_keyword(self, word: str) -> bool:
-        # contextual keyword: an identifier not used as a predicate
-        return self.tokens[self.pos] == word and self.tokens[self.pos + 1] != "("
+    def at_symbol(self, text: str) -> bool:
+        return self.tokens[self.pos] == text
 
     # -- shared pieces --------------------------------------------------------
 
@@ -215,7 +214,21 @@ class _Parser:
         return term
 
     def parse_atom(self, model: str) -> Atom:
-        start = self.pos
+        # An atom seen before is found by its raw tokens. Only well-formed
+        # atoms are stored, and the first ')' after '(' closes one; any
+        # other slice misses and takes the full parse below.
+        tokens, start = self.tokens, self.pos
+        end = start + 1
+        if tokens[end] == "(":
+            try:
+                end = tokens.index(")", end) + 1
+            except ValueError:
+                end = len(tokens)
+        key = (model, *tokens[start:end])
+        atom = self.atoms.get(key)
+        if atom is not None:
+            self.pos = end
+            return atom
         name = self.expect_ident("a predicate name")
         args = []
         if self.tokens[self.pos] == "(":
@@ -231,17 +244,21 @@ class _Parser:
                 f"{name} used with {len(args)} argument(s), earlier with {arity}",
                 start,
             )
-        key = (model, name, tuple(args))
-        atom = self.atoms.get(key)
-        if atom is None:
-            atom = self.atoms[key] = Atom(name, key[2], model)
+        atom = self.atoms[key] = Atom(name, tuple(args), model)
         return atom
 
     def parse_literal(self) -> Literal:
-        if self.at_keyword("neg"):
-            self.pos += 1
-            return Literal(self.parse_atom(AM), negated=True)
-        return Literal(self.parse_atom(AM))
+        # A keyword (neg, true, false, fact, presume) is contextual: an
+        # identifier not followed by '(', which would make it a predicate.
+        tokens, pos = self.tokens, self.pos
+        negated = tokens[pos] == "neg" and tokens[pos + 1] != "("
+        if negated:
+            self.pos = pos + 1
+        key = (self.parse_atom(AM), negated)
+        literal = self.literals.get(key)
+        if literal is None:
+            literal = self.literals[key] = Literal(*key)
+        return literal
 
     def parse_formula(self, model: str) -> Formula:
         """A formula: ~ binds tightest, then ^, then v, each binary
@@ -255,14 +272,15 @@ class _Parser:
             while tokens[self.pos] in ("~", "("):
                 ops.append(tokens[self.pos])
                 self.pos += 1
-            if self.at_keyword("true"):
+            tok = tokens[self.pos]
+            if tok in _CONSTANTS and tokens[self.pos + 1] != "(":
                 self.pos += 1
-                f = TOP
-            elif self.at_keyword("false"):
-                self.pos += 1
-                f = BOTTOM
+                f = _CONSTANTS[tok]
             else:
-                f = atom_formula(self.parse_atom(model))
+                atom = self.parse_atom(model)
+                f = self.formulas.get(atom)
+                if f is None:
+                    f = self.formulas[atom] = atom_formula(atom)
             while True:
                 while ops and ops[-1] == "~":
                     ops.pop()
@@ -438,42 +456,44 @@ def _parse_document(parser: _Parser) -> KBDocument:
     return KBDocument(sorts, em, ic, am, af, universe)
 
 
+_UNIT_KINDS = {"fact": FACT, "presume": PRESUMPTION}
+_RULE_KINDS = {"<-": STRICT_RULE, "-<": DEFEASIBLE_RULE}
+
+
 def _parse_element(parser: _Parser, label: str) -> AMElement:
-    if parser.at_keyword("fact") or parser.at_keyword("presume"):
-        kind = FACT if parser.peek() == "fact" else PRESUMPTION
+    tokens = parser.tokens
+    tok = tokens[parser.pos]
+    if tok in _UNIT_KINDS and tokens[parser.pos + 1] != "(":
         parser.pos += 1
         head = parser.parse_literal()
         parser.expect_symbol(".")
-        return AMElement(label, kind, head)
+        return AMElement(label, _UNIT_KINDS[tok], head)
     head = parser.parse_literal()
-    if parser.at_symbol("<-"):
-        kind = STRICT_RULE
-    elif parser.at_symbol("-<"):
-        kind = DEFEASIBLE_RULE
-    else:
+    kind = _RULE_KINDS.get(tokens[parser.pos])
+    if kind is None:
         parser.error("expected '<-' or '-<'")
     parser.pos += 1
     body: list[Literal] = []
     guards: list[tuple[str, str]] = []
     while True:
         left_at = parser.pos
-        left = parser.tokens[left_at]
-        if left.isidentifier() and parser.at_symbol("!=", 1):
+        left = tokens[left_at]
+        if left.isidentifier() and tokens[left_at + 1] == "!=":
             parser.pos += 2
             right_at = parser.pos
             right = parser.expect_ident("a variable")
             for at in (left_at, right_at):
-                if not parser.tokens[at][0].isupper():
+                if not tokens[at][0].isupper():
                     parser.error("inequality guards compare variables", at)
             guards.append((left, right))
         else:
             body.append(parser.parse_literal())
-        if parser.at_symbol(","):
+        if tokens[parser.pos] == ",":
             parser.pos += 1
             continue
         break
     parser.expect_symbol(".")
-    return AMElement(label, kind, head, tuple(body), tuple(guards))
+    return AMElement(label, kind, head, body, guards)
 
 
 def parse_kb(text: str) -> KBDocument:
@@ -602,17 +622,20 @@ def assemble(doc: KBDocument, max_atoms: int = DEFAULT_MAX_ATOMS) -> InCAFramewo
     up the framework. The atom universe defaults to every atom mentioned in
     the probabilistic section, the constraints, and the annotations, in
     document order."""
+    # The declared constants are built, and so checked, in any case; the
+    # mentioned ones only for a schematic program, as instantiate returns a
+    # ground element as it is.
     pool: list[Term] = [Term(name, role) for role, name in doc.sorts]
-    seen = {t.name for t in pool}
-    for e in doc.am:
-        for lit in (e.head, *e.body):
-            for t in lit.atom.args:
-                if not t.is_variable and t.name not in seen:
-                    seen.add(t.name)
-                    pool.append(t)
-    elements: list[AMElement] = []
-    for e in doc.am:
-        elements.extend(instantiate(e, pool))
+    elements = doc.am
+    if not all(e.is_ground for e in elements):
+        seen = {t.name for t in pool}
+        for e in doc.am:
+            for lit in (e.head, *e.body):
+                for t in lit.atom.args:
+                    if not t.is_variable and t.name not in seen:
+                        seen.add(t.name)
+                        pool.append(t)
+        elements = [g for e in doc.am for g in instantiate(e, pool)]
     program = AMProgram(tuple(elements))
 
     universe = doc.universe

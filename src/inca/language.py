@@ -24,14 +24,14 @@ _VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 _CONSTANT_RE = re.compile(r"[a-z0-9][A-Za-z0-9_]*\Z")
 _PREDICATE_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
-_set = object.__setattr__
-
 
 class Value:
     """An immutable value: equal to an instance of its own class with equal
-    `_fields`, hashed and shown by those fields. A subclass's __init__ sets
-    its attributes with object.__setattr__; assigning one afterwards raises
-    AttributeError.
+    `_fields`, hashed and shown by those fields. A subclass's __init__
+    writes its attributes straight into self.__dict__, by one update or, in
+    the hottest constructors, item by item; assigning or deleting one
+    afterwards raises AttributeError. Pickling rebuilds a value through
+    its constructor, so no cached hash outlives the process that made it.
     """
 
     _fields: tuple[str, ...]
@@ -55,6 +55,11 @@ class Value:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        # attrgetter of one field gives the bare value, not a 1-tuple.
+        values = self._values(self)
+        return self.__class__, values if len(self._fields) > 1 else (values,)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
@@ -84,9 +89,7 @@ class Term(Value):
             raise ValueError(f"bad term name: {name!r}")
         if role not in ROLES:
             raise ValueError(f"bad role: {role!r}")
-        _set(self, "name", name)
-        _set(self, "role", role)
-        _set(self, "_hash", hash(name))
+        self.__dict__.update(name=name, role=role, _hash=hash(name))
 
     def __hash__(self) -> int:
         return self._hash
@@ -114,12 +117,12 @@ class Atom(Value):
             raise ValueError(f"bad predicate name: {predicate!r}")
         if model not in (EM, AM):
             raise ValueError(f"bad model tag: {model!r}")
-        _set(self, "_hash", hash((predicate, args, model)))
-        _set(self, "predicate", predicate)
-        _set(self, "args", args)
-        _set(self, "model", model)
-        # Not a field: grounding checks read it on every element.
-        _set(self, "is_ground", not any(t.is_variable for t in args))
+        self.__dict__.update(
+            _hash=hash((predicate, args, model)), predicate=predicate, args=args,
+            model=model,
+            # Not a field: grounding checks read it on every element.
+            is_ground=not any(t.is_variable for t in args),
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -144,9 +147,7 @@ class Literal(Value):
     def __init__(self, atom: Atom, negated: bool = False):
         if atom.model != AM:
             raise ValueError("literals belong to the analytical model")
-        _set(self, "_hash", hash((atom, negated)))
-        _set(self, "atom", atom)
-        _set(self, "negated", negated)
+        self.__dict__.update(_hash=hash((atom, negated)), atom=atom, negated=negated)
 
     def __hash__(self) -> int:
         return self._hash
@@ -182,36 +183,38 @@ class Formula(Value):
     def __init__(
         self, op: str, atom: Atom | None = None, parts: tuple[Formula, ...] = ()
     ):
+        # model and is_ground are not fields: set once per node from its
+        # parts, so neither a check nor a connective ever walks the tree.
+        # model is None when no atom occurs.
         if op == F_ATOM:
             if atom is None or parts:
                 raise ValueError("atom formula needs an atom and no parts")
+            model, is_ground = atom.model, atom.is_ground
         elif op == F_NOT:
             if atom is not None or len(parts) != 1:
                 raise ValueError("negation takes exactly one part")
+            model, is_ground = parts[0].model, parts[0].is_ground
         elif op in (F_AND, F_OR):
             if atom is not None or len(parts) != 2:
                 raise ValueError(f"{op} takes exactly two parts")
+            left, right = parts
+            model = left.model or right.model
+            if right.model not in (model, None):
+                raise ValueError("formula mixes atoms from both models")
+            is_ground = left.is_ground and right.is_ground
         elif op in (F_TOP, F_BOTTOM):
             if atom is not None or parts:
                 raise ValueError(f"{op} takes no arguments")
+            model, is_ground = None, True
         else:
             raise ValueError(f"bad formula op: {op!r}")
-        models = {p.model for p in parts} - {None}
-        if len(models) > 1:
-            raise ValueError("formula mixes atoms from both models")
-        _set(self, "_hash", hash((op, atom, parts)))
-        _set(self, "op", op)
-        _set(self, "atom", atom)
-        _set(self, "parts", parts)
-        # Not fields: set once per node from its parts, so neither a check
-        # nor a connective ever walks the tree. model is None when no atom
-        # occurs.
-        if op == F_ATOM:
-            _set(self, "model", atom.model)
-            _set(self, "is_ground", atom.is_ground)
-        else:
-            _set(self, "model", models.pop() if models else None)
-            _set(self, "is_ground", all(p.is_ground for p in parts))
+        d = self.__dict__
+        d["_hash"] = hash((op, atom, parts))
+        d["op"] = op
+        d["atom"] = atom
+        d["parts"] = parts
+        d["model"] = model
+        d["is_ground"] = is_ground
 
     def __hash__(self) -> int:
         return self._hash

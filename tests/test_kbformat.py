@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,18 @@ from inca.kbformat import (
     render_kb,
     render_world,
 )
-from inca.language import TOP, Atom, atom_formula, conj, disj, formula_atoms, neg, render_formula
+from inca.language import (
+    F_ATOM,
+    TOP,
+    Atom,
+    _postorder,
+    atom_formula,
+    conj,
+    disj,
+    formula_atoms,
+    neg,
+    render_formula,
+)
 
 from conftest import AGE, FIXTURES, GOV, MSE, ematom, lit
 from generators import random_am_program, random_em_kb
@@ -194,12 +206,34 @@ def test_parse_error_positions():
          "bad term name: '1.5'"),
         (parse_evidence, "p(a).\n  q(X) : 1/2 +- 0.\n", 2, 3,
          "formula must be ground: q(X)"),
+        # The parser finds an atom seen before by its raw tokens; an atom
+        # read well-formed and then again with another arity or a malformed
+        # argument list misses and is reported as a first use would be.
+        (parse_kb, "#em\np(a) : 0.5 +- 0.\np(a,b) : 0.5 +- 0.\n", 3, 1,
+         "p used with 2 argument(s), earlier with 1"),
+        (parse_kb, "#em\np(a) : 0.5 +- 0.\np(a b) : 0.5 +- 0.\n", 3, 5,
+         "expected ')', found 'b'"),
+        (parse_kb, "#em\np(a) : 0.5 +- 0.\np(a,) : 0.5 +- 0.\n", 3, 5,
+         "expected a constant, variable, or number"),
+        (parse_kb, "#em\np : 0.5 +- 0.\np(a : 0.5 +- 0.\n", 3, 5,
+         "expected ')', found ':'"),
+        (parse_kb, "#am\nf1 : fact p(a).\nf2 : fact p(a, b).\n", 3, 11,
+         "p used with 2 argument(s), earlier with 1"),
+        (parse_kb, "#am\nf1 : fact p(a).\nf2 : fact neg p(a b).\n", 3, 19,
+         "expected ')', found 'b'"),
+        (parse_kb, "#am\nf1 : fact p(a).\nr1 : q(a) -< p(a,).\n", 3, 18,
+         "expected a constant, variable, or number"),
+        (parse_kb, "#am\nf1 : fact p(a).\nf2 : fact p(a\n", 4, 1,
+         "expected ')', found 'end of input'"),
     ],
     ids=["tab", "unknown-section", "bare-hash", "crlf", "eof", "leading-dot",
          "em-term", "em-predicate", "em-not-ground", "em-interval",
          "ic-term", "af-predicate", "universe-term", "query-term",
          "query-predicate", "literal-term", "world-term", "evidence-term",
-         "evidence-not-ground"],
+         "evidence-not-ground", "seen-then-arity", "seen-then-no-comma",
+         "seen-then-trailing-comma", "nullary-then-unclosed", "am-seen-then-arity",
+         "am-seen-then-no-comma", "am-seen-then-trailing-comma",
+         "am-seen-then-unclosed"],
 )
 def test_parse_error_exact_position(parse, text, line, column, message):
     with pytest.raises(ParseError) as excinfo:
@@ -293,13 +327,23 @@ def test_tokenizer_matches_oracle(text):
 def _mentioned_atoms(doc):
     atoms = [a for f in doc.em for a in formula_atoms(f.formula)]
     atoms += [a for _, f in doc.af for a in formula_atoms(f)]
-    return atoms + [lit.atom for e in doc.am for lit in (e.head, *e.body)]
+    return atoms + [lit.atom for lit in _mentioned_literals(doc)]
+
+
+def _mentioned_literals(doc):
+    return [lit for e in doc.am for lit in (e.head, *e.body)]
+
+
+def _atom_formulas(doc):
+    formulas = [f.formula for f in doc.em] + [f for _, f in doc.af]
+    return [n for f in formulas for n in _postorder(f) if n.op == F_ATOM]
 
 
 def test_equal_atoms_of_one_parse_are_one_object():
     doc = parse_kb(
         "#em\np2(c0) : 0.5 +- 0.\n"
         "#am\nf1 : fact p2(c0).\nr1 : q(c0) -< p2(c0).\n"
+        "r2 : neg q(c0) -< p2( c0 ), neg q(c0).\n"
         "#af\nr1 : p2(c0) v ~p2(c0).\n"
     )
     em_atom = doc.em[0].formula.atom
@@ -308,6 +352,15 @@ def test_equal_atoms_of_one_parse_are_one_object():
     assert doc.am[0].head.atom is doc.am[1].body[0].atom
     assert doc.am[0].head.atom is not em_atom  # another model
     assert doc.am[1].head.atom.args[0] is em_atom.args[0]
+    # literals: one per (atom, negated); whitespace is no part of the key
+    assert doc.am[0].head is doc.am[1].body[0] is doc.am[2].body[0]
+    assert doc.am[2].head is doc.am[2].body[1]
+    assert doc.am[2].head.atom is doc.am[1].head.atom
+    assert doc.am[2].head is not doc.am[1].head
+    # atom formulas: one per atom, across sections
+    em_formula = doc.em[0].formula
+    assert doc.af[0][1].parts[0] is em_formula
+    assert doc.af[0][1].parts[1].parts[0] is em_formula
 
 
 @pytest.mark.parametrize(
@@ -334,10 +387,13 @@ def test_parses_share_no_atoms():
     text = (FIXTURES / "worm123.inca").read_text()
     first, second = parse_kb(text), parse_kb(text)
     assert first == second
-    first_ids = {id(a) for a in _mentioned_atoms(first)}
-    first_ids |= {id(t) for a in _mentioned_atoms(first) for t in a.args}
-    assert not first_ids & {id(a) for a in _mentioned_atoms(second)}
-    assert not first_ids & {id(t) for a in _mentioned_atoms(second) for t in a.args}
+    def ids(doc):
+        atoms = _mentioned_atoms(doc)
+        found = {id(a) for a in atoms} | {id(t) for a in atoms for t in a.args}
+        found |= {id(lit) for lit in _mentioned_literals(doc)}
+        return found | {id(f) for f in _atom_formulas(doc)}
+
+    assert not ids(first) & ids(second)
     # the assembled knowledge base and program compare and hash alike
     one, two = assemble(first), assemble(second)
     assert one.em == two.em and hash(one.em) == hash(two.em)
@@ -514,6 +570,16 @@ def test_sorts_after_am_ground_the_same_program():
     assert {e.label for e in last} == {
         "f1", "de1[worm123,baja]", "de1[worm123,mojave]",
     }
+
+
+@pytest.mark.parametrize(
+    "name, message", [("Baja", "variable Baja cannot carry a role"), ("_x", "bad term name: '_x'")]
+)
+def test_assemble_checks_declared_constants_of_a_ground_program(name, message):
+    # A ground program grounds nothing, but a bad declared name still fails.
+    doc = parse_kb(f"#sorts\nactor {name}.\n#am\nf1 : fact p(a).\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        assemble(doc)
 
 
 def test_assemble_rejects_conducting_facts():

@@ -2,7 +2,11 @@
 class, immutability, keyword construction with defaults, and a repr that
 names the fields. `InCAFramework` is the mutable exception."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +135,21 @@ VALUES = {
 }
 
 
+# What an instance holds besides its fields: the attributes __init__ derives.
+DERIVED = {
+    "Term": {"_hash"},
+    "Atom": {"_hash", "is_ground"},
+    "Literal": {"_hash"},
+    "Formula": {"_hash", "model", "is_ground"},
+    "AMElement": {"_hash", "is_ground"},
+    "AMProgram": {"_hash"},
+    "Argument": {"_hash"},
+    "ProbabilisticFormula": {"lower", "upper"},
+    "EMKnowledgeBase": {"_hash"},
+    "AnnotationFunction": {"_table"},
+}
+
+
 def _value_classes(base=Value):
     for cls in base.__subclasses__():
         if cls.__module__.startswith("inca."):
@@ -156,6 +175,40 @@ def test_equal_fields_make_equal_values(name):
     assert repr(a).startswith(f"{name}({type(a)._fields[0]}=")
     # Keyword construction names the fields.
     assert type(a)(**{f: getattr(a, f) for f in type(a)._fields}) == a
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_instance_dict_holds_the_fields_and_what_is_derived(name):
+    a = VALUES[name][0]()
+    assert set(vars(a)) == set(type(a)._fields) | DERIVED.get(name, set())
+
+
+def test_pickled_values_equal_fresh_ones_under_another_hash_seed():
+    # str hashes differ between processes, so a value loaded from a pickle
+    # must not keep a hash cached where it was pickled.
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    dump = (
+        "import pickle, sys; from test_values import VALUES; "
+        "sys.stdout.buffer.write(pickle.dumps({n: v[0]() for n, v in VALUES.items()}))"
+    )
+    check = (
+        "import pickle, sys; from test_values import VALUES; "
+        "loaded = pickle.loads(sys.stdin.buffer.read()); "
+        "fresh = {n: v[0]() for n, v in VALUES.items()}; "
+        "print(*(n for n, a in loaded.items() if not "
+        "(a == fresh[n] and hash(a) == hash(fresh[n]) and a in {fresh[n]})))"
+    )
+    pickled = subprocess.run(
+        [sys.executable, "-c", dump], capture_output=True, check=True,
+        env={**env, "PYTHONHASHSEED": "1"},
+    ).stdout
+    proc = subprocess.run(
+        [sys.executable, "-c", check], input=pickled, capture_output=True,
+        env={**env, "PYTHONHASHSEED": "2"},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.split() == []
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
