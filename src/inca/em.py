@@ -55,7 +55,7 @@ class ProbabilisticFormula(Value):
     def __init__(self, formula: Formula, p: Fraction, eps: Fraction = Fraction(0)):
         p = _as_fraction(p)
         eps = _as_fraction(eps)
-        if formula.model != EM:
+        if formula.model not in (EM, None):
             raise ValueError("probabilistic formulas live in the environmental model")
         if not formula.is_ground:
             raise GroundednessError(
@@ -287,19 +287,15 @@ class _EMLinearProgram:
         tables = [self.space.table(pf.formula) for pf in kb.formulas]
         classes = refine(self.space.conforming, tables)
         self.classes = [c for c, _ in classes]
-        rows = [([1] * len(classes), simplex.EQ, 1)]
+        rows = [([1] * len(classes), 1, 1)]
         for k, pf in enumerate(kb.formulas):
-            coeffs = [signature >> k & 1 for _, signature in classes]
             lower, upper = pf.lower, pf.upper
-            if not pf.eps:
-                rows.append((coeffs, simplex.EQ, lower))
-                continue
-            # x >= 0 and the sum-to-one row already imply 0 <= row <= 1.
-            # The two rows of a formula merge into one ranged row.
-            if lower.numerator > 0:
-                rows.append((coeffs, simplex.GE, lower))
-            if upper.numerator < upper.denominator:
-                rows.append((coeffs, simplex.LE, upper))
+            if pf.eps:
+                # x >= 0 and the sum-to-one row already imply 0 <= row <= 1.
+                lower = lower or None
+                upper = None if upper == 1 else upper
+            coeffs = [signature >> k & 1 for _, signature in classes]
+            rows.append((coeffs, lower, upper))
         try:
             self.polytope = simplex.Polytope(len(self.classes), rows)
         except simplex.Infeasible:

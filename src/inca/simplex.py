@@ -11,24 +11,24 @@ artificials sum to 0, the most it can reach. Inputs are ints and
 fractions.Fraction (a float raises ValueError: its binary expansion is not
 the number it was written as), answers are Fractions, and no float is used.
 
-Consecutive constraints with equal coefficients merge into one ranged row,
-lo <= a . x <= hi, whose slack is bounded by hi - lo; `em` states each
-formula's p +- eps as a >= row followed by a <= row, so its LP has one row
-per formula. The ratio test also stops where a basic slack reaches its
-bound, or where the entering slack does. That slack is then complemented
-(s becomes U - s: its column is negated and rhs -= column * U), so every
-nonbasic variable stays at zero. An empty range raises Infeasible.
+Every constraint is a range, lo <= a . x <= hi with None for an open end,
+and becomes one row whose slack is bounded by hi - lo; ranges with equal
+coefficients, wherever they sit, merge into their intersection, and an
+empty one raises Infeasible. The ratio test also stops where a basic slack
+reaches its bound, or where the entering slack does. That slack is then
+complemented (s becomes U - s: its column is negated and rhs -= column * U),
+so every nonbasic variable stays at zero.
 
 Inside, the tableau holds exact integers (Edmonds 1967; Bareiss 1968).
 Integer coefficients and objectives go in as they are, and a row of
-fractions is scaled by the lcm of its denominators. The variables are solved
-for in units of 1/unit, with unit the lcm of the right-hand sides'
-denominators, so only the right-hand sides and slack bounds carry that
-scale, and the 0/1 rows of `em` keep their small minors. Rows, ranges and
-bounds are built from numerators and denominators, with no Fraction
-arithmetic; Fractions are made only for the answers. All rows share one
-denominator d > 0. A pivot on p = T[r][c] maps each other row to
-(p * row - row[c] * T[r]) // d, always exact, and sets d = p.
+fractions is scaled, ends and all, by the lcm of its denominators. The
+variables are solved for in units of 1/unit, with unit the lcm of the ends'
+denominators, so only the ends and slack bounds carry that scale, and the
+0/1 rows of `em` keep their small minors. Rows, ranges and bounds are built
+from numerators and denominators, with no Fraction arithmetic; Fractions
+are made only for the answers. All rows share one denominator d > 0. A
+pivot on p = T[r][c] maps each other row to (p * row - row[c] * T[r]) // d,
+always exact, and sets d = p.
 
 A `Polytope` runs phase 1 once, when it is built; each objective then runs
 phase 2 on a copy of that feasible basis, so any number of objectives over
@@ -41,11 +41,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-LE = "<="
-GE = ">="
-EQ = "=="
-
-
 class Infeasible(Exception):
     pass
 
@@ -57,8 +52,8 @@ class Unbounded(Exception):
 def maximize(objective, constraints):
     """Maximize objective . x subject to constraints and x >= 0.
 
-    Each constraint is a (coefficients, relation, rhs) triple with relation
-    one of "<=", ">=", "==". Returns (optimal value, solution vector).
+    Each constraint is a (coefficients, lo, hi) triple, lo <= coefficients . x
+    <= hi, where None is an open end. Returns (optimal value, solution vector).
     """
     return Polytope(len(objective), constraints).maximize(objective)
 
@@ -94,51 +89,42 @@ class Polytope:
     constructor raises Infeasible when the region is empty."""
 
     def __init__(self, n, constraints):
-        # The variables are solved for in units of 1/unit, x = y / unit, with
-        # unit the lcm of the right-hand sides' denominators: then every row
-        # keeps its integer coefficients, and the right-hand sides and slack
-        # bounds become integers too.
-        parsed = []
+        # Each row is scaled to integer coefficients, its ends with it. The
+        # variables are then solved for in units of 1/unit, x = y / unit,
+        # with unit the lcm of the ends' denominators, so the ends and slack
+        # bounds become integers too while the coefficients stay as they
+        # are. Rows with equal coefficients share one range, the greatest
+        # of their lower ends to the least of their upper ones.
+        ranges = {}
         unit = 1
-        for coeffs, rel, rhs in constraints:
+        for coeffs, lo, hi in constraints:
             scale, co = _integers(coeffs)
             if len(co) != n:
                 raise ValueError("constraint width does not match objective")
-            if rel not in (LE, GE, EQ):
-                raise ValueError(f"bad relation: {rel!r}")
-            num, den = _exact(rhs)
-            unit = lcm(unit, den)
-            parsed.append((scale, co, rel, num, den))
+            ends = ranges.setdefault(tuple(co), ([], []))
+            for side, end in zip(ends, (lo, hi)):
+                if end is not None:
+                    num, den = _exact(end)
+                    side.append((num * scale, den))
+                    unit = lcm(unit, den)
 
-        # [scale, integer coefficients, lo, hi], lo and hi in units of
-        # 1/unit; None is an open end.
-        ranges = []
-        for scale, co, rel, num, den in parsed:
-            b = num * (unit // den)
-            lo = None if rel == LE else b
-            hi = None if rel == GE else b
-            last = ranges[-1] if ranges else None
-            if last is not None and last[0] == scale and last[1] == co:
-                if lo is not None and (last[2] is None or lo > last[2]):
-                    last[2] = lo
-                if hi is not None and (last[3] is None or hi < last[3]):
-                    last[3] = hi
-            else:
-                ranges.append([scale, co, lo, hi])
-
-        # Each range becomes the row sign * s * (a . y) +- slack
-        # (+ artificial) = sign * s * b >= 0, where s * a are its integer
-        # coefficients and b is lo or hi; the slack is bounded by
-        # s * (hi - lo). The slack is basic when the origin satisfies the
-        # range. Otherwise the row is the >= form, slack -1, and needs an
-        # artificial, as does an equality, which has no slack.
+        # Each range becomes the row sign * (a . y) +- slack (+ artificial)
+        # = sign * b >= 0, where b is lo or hi; the slack is bounded by
+        # hi - lo. The slack is basic when the origin satisfies the range.
+        # Otherwise the row is the >= form, slack -1, and needs an
+        # artificial, as does an equality, which has no slack. A range with
+        # no end is no row.
         rows = []
-        for scale, co, lo, hi in ranges:
+        for co, (los, his) in ranges.items():
+            lo = max((num * (unit // den) for num, den in los), default=None)
+            hi = min((num * (unit // den) for num, den in his), default=None)
+            if lo is None and hi is None:
+                continue
             bound = None
             if lo is not None and hi is not None:
                 if lo > hi:
                     raise Infeasible
-                bound = (hi - lo) * scale
+                bound = hi - lo
             if lo == hi:
                 sign, b, slack = (1 if lo >= 0 else -1), lo, 0
             elif (lo is None or lo <= 0) and (hi is None or hi >= 0):
@@ -149,18 +135,18 @@ class Polytope:
                 sign, b, slack = -1, hi, -1
             if sign < 0:
                 co = [-v for v in co]
-            rows.append((co, sign * b * scale, slack, bound, scale))
+            rows.append((co, sign * b, slack, bound))
 
         m = len(rows)
         ncols = n
         slack_col = [None] * m
         art_col = [None] * m
-        for i, (_, _, slack, _, _) in enumerate(rows):
+        for i, (_, _, slack, _) in enumerate(rows):
             if slack:
                 slack_col[i] = ncols
                 ncols += 1
         first_artificial = ncols
-        for i, (_, _, slack, _, _) in enumerate(rows):
+        for i, (_, _, slack, _) in enumerate(rows):
             if slack != 1:
                 art_col[i] = ncols
                 ncols += 1
@@ -169,7 +155,7 @@ class Polytope:
         basis = []
         bounds = [None] * ncols
         zeros = [0] * (ncols - n)
-        for i, (co, b, slack, bound, _) in enumerate(rows):
+        for i, (co, b, slack, bound) in enumerate(rows):
             row = [*co, *zeros, b]
             if slack:
                 row[slack_col[i]] = slack
@@ -181,12 +167,9 @@ class Polytope:
 
         d = 1
         if ncols > first_artificial:
-            # Phase 1 maximizes -(sum of the unscaled artificials), times
-            # unit and the lcm L of their rows' scales s_i: artificial i
-            # costs -L / s_i.
-            scales = [s for _, _, slack, _, s in rows if slack != 1]
-            common = lcm(*scales)
-            crow = [0] * first_artificial + [-(common // s) for s in scales]
+            # Phase 1 maximizes -(sum of the artificials), which reaches 0
+            # exactly when every artificial is 0: when the region is nonempty.
+            crow = [0] * first_artificial + [-1] * (ncols - first_artificial)
             d = _run(tableau, basis, crow, d, bounds, zero_is_max=True)
             if sum(crow[bi] * tableau[i][-1] for i, bi in enumerate(basis)):
                 raise Infeasible

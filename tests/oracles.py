@@ -31,7 +31,6 @@ from inca.am import (
 from inca.em import ProbabilityInterval
 from inca.errors import CapacityError, InCAError, ParseError
 from inca.language import F_AND, F_ATOM, F_NOT, F_OR, F_TOP
-from inca.simplex import EQ, GE, LE
 
 
 def formula_holds(world, f):
@@ -90,25 +89,29 @@ def _solve(matrix, rhs):
 
 def lp_vertices_oracle(n, constraints):
     """Vertices of {x in Q^n : x >= 0 and every constraint holds}, with
-    constraints as for `simplex.maximize`; empty iff the region is.
+    constraints (coefficients, lo, hi) as for `simplex.maximize`; empty iff
+    the region is.
 
-    A vertex is a feasible point where n independent constraints are tight
-    (x >= 0 makes the region pointed, so a nonempty one has a vertex).
-    Every choice of n constraints, x_j >= 0 included, is solved as
-    equalities and the feasible solutions kept.
+    A vertex is a feasible point where n independent faces are tight: each
+    end of a range is a face, as is each x_j >= 0 (which makes the region
+    pointed, so a nonempty one has a vertex). Every choice of n faces is
+    solved as equalities and the feasible solutions kept.
     """
-    rows = [([Fraction(v) for v in co], rel, Fraction(b)) for co, rel, b in constraints]
-    rows += [([Fraction(int(j == k)) for j in range(n)], GE, Fraction(0))
-             for k in range(n)]
+    def exact(end):
+        return None if end is None else Fraction(end)
 
-    def holds(x, co, rel, b):
+    rows = [([Fraction(v) for v in co], exact(lo), exact(hi)) for co, lo, hi in constraints]
+    faces = [(co, end) for co, lo, hi in rows for end in {lo, hi} - {None}]
+    faces += [([Fraction(int(j == k)) for j in range(n)], Fraction(0)) for k in range(n)]
+
+    def holds(x, co, lo, hi):
         lhs = sum((c * v for c, v in zip(co, x)), Fraction(0))
-        return {LE: lhs <= b, GE: lhs >= b, EQ: lhs == b}[rel]
+        return (lo is None or lo <= lhs) and (hi is None or lhs <= hi)
 
     vertices = set()
-    for tight in combinations(rows, n):
-        x = _solve([co for co, _, _ in tight], [b for _, _, b in tight])
-        if x is not None and all(holds(x, *row) for row in rows):
+    for tight in combinations(faces, n):
+        x = _solve([co for co, _ in tight], [b for _, b in tight])
+        if x is not None and all(v >= 0 for v in x) and all(holds(x, *row) for row in rows):
             vertices.add(tuple(x))
     return vertices
 

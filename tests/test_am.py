@@ -414,6 +414,62 @@ def test_forest_returns_marked_roots(worm_index):
     assert any(n.mark == "U" for n in forest)
 
 
+def test_line_takes_no_subargument_of_an_earlier_argument():
+    # layered_am_program at seed 934 (3 layers of width 2, 14 elements).
+    # The root R for l2_1(x) is blocked by B, for neg l2_1(x), and by C, for
+    # l1_0(x). Each is properly defeated only by D = <{e0_0, e0_1, e1_0_0},
+    # neg l1_0(x)>, a sub-argument of R, so D may not extend the lines
+    # R, B and R, C: B and C stay U and R is D. In B's own tree R blocks
+    # it, so neither side is warranted. Without the condition, l2_1(x) and
+    # neg l3_0(x) are warranted and neg l2_1(x) not.
+    x = "x"
+    program = AMProgram((
+        AMElement("e0_0", FACT, lit("l0_0", x)),
+        AMElement("e0_1", FACT, lit("l0_1", x)),
+        AMElement("e1_0_0", DEFEASIBLE_RULE, lit("l1_0", x, negated=True),
+                  (lit("l0_1", x), lit("l0_0", x))),
+        AMElement("e1_0_1", DEFEASIBLE_RULE, lit("l1_0", x), (lit("l0_1", x),)),
+        AMElement("e1_1_0", DEFEASIBLE_RULE, lit("l1_1", x), (lit("l0_1", x),)),
+        AMElement("e1_1_1", STRICT_RULE, lit("l1_1", x), (lit("l0_0", x),)),
+        AMElement("e2_0_0", STRICT_RULE, lit("l2_0", x),
+                  (lit("l1_0", x, negated=True), lit("l1_0", x), lit("l0_1", x))),
+        AMElement("e2_0_1", DEFEASIBLE_RULE, lit("l2_0", x), (lit("l1_0", x),)),
+        AMElement("e2_1_0", DEFEASIBLE_RULE, lit("l2_1", x),
+                  (lit("l1_0", x, negated=True), lit("l1_1", x))),
+        AMElement("e2_1_1", DEFEASIBLE_RULE, lit("l2_1", x, negated=True),
+                  (lit("l1_0", x), lit("l0_0", x))),
+        AMElement("e3_0_0", DEFEASIBLE_RULE, lit("l3_0", x, negated=True),
+                  (lit("l2_1", x, negated=True), lit("l0_0", x))),
+        AMElement("e3_0_1", DEFEASIBLE_RULE, lit("l3_0", x, negated=True), (lit("l2_1", x),)),
+        AMElement("e3_1_0", DEFEASIBLE_RULE, lit("l3_1", x),
+                  (lit("l1_0", x, negated=True), lit("l1_0", x))),
+        AMElement("e3_1_1", DEFEASIBLE_RULE, lit("l3_1", x, negated=True),
+                  (lit("l1_0", x), lit("l2_0", x))),
+    ))
+    rng = random.Random(934)
+    assert program == layered_am_program(rng, rng.randint(3, 5), rng.randint(2, 4))
+    index = index_for(program)
+    for literal in (lit("l2_1", x), lit("l2_1", x, negated=True), lit("l3_0", x, negated=True)):
+        assert index.warrant_status(literal) == UNDECIDED
+        assert not forest_warrants_oracle(index, literal)
+        assert not forest_warrants_oracle(index, literal.complement())
+
+    def shape(node):
+        return (set(node.argument.labels), node.defeat_kind, node.mark,
+                [shape(child) for child in node.children])
+
+    r = {"e0_0", "e0_1", "e1_0_0", "e1_1_1", "e2_1_0"}
+    b = {"e0_0", "e0_1", "e1_0_1", "e2_1_1"}
+    c = {"e0_1", "e1_0_1"}
+    d = {"e0_0", "e0_1", "e1_0_0"}
+    assert [shape(t) for t in index.forest(lit("l2_1", x))] == [
+        (r, None, "D", [(b, BLOCKING, "U", []), (c, BLOCKING, "U", [])]),
+    ]
+    assert [shape(t) for t in index.forest(lit("l2_1", x, negated=True))] == [
+        (b, None, "D", [(r, BLOCKING, "U", []), (d, PROPER, "U", [])]),
+    ]
+
+
 # -- randomized cross-checks ---------------------------------------------------
 
 

@@ -319,6 +319,25 @@ def test_inconsistent_em_with_evidence_blames_the_em(capsys, tmp_path):
 # -- json envelopes -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("query, answer", [
+    ("true", "1 +- 0"), ("false", "0 +- 0"), ("~false", "1 +- 0"),
+    ("govCybLab(baja) v true", "1 +- 0"),
+])
+def test_entail_constant_query(capsys, query, answer):
+    code, out, err = run(capsys, "entail", KB, "-q", query)
+    assert (code, out, err) == (0, answer + "\n", "")
+
+
+@pytest.mark.parametrize("statement, answer", [
+    ("true : 1 +- 0.", "consistent"), ("false : 1/2 +- 0.", "inconsistent"),
+])
+def test_check_constant_statement(capsys, tmp_path, statement, answer):
+    kb = tmp_path / "constant.inca"
+    kb.write_text(f"#em\n{statement}\n")
+    code, out, err = run(capsys, "check", str(kb))
+    assert (code, out, err) == (0, answer + "\n", "")
+
+
 def test_entail_json(capsys):
     payload = run_json(
         capsys, "entail", KB, "-q", "govCybLab(baja) v mseTT(baja,2)", "--json"
@@ -328,6 +347,8 @@ def test_entail_json(capsys):
     assert payload["interval"] == {
         "p": "0.9", "eps": "0.1", "lower": "0.8", "upper": "1",
     }
+    payload = run_json(capsys, "entail", KB, "-q", "~false", "--json")
+    assert payload["result"] == "1 +- 0"
 
 
 def test_bounds_json(capsys):

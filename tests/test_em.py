@@ -28,7 +28,7 @@ from inca.language import (
     neg,
 )
 from inca import simplex
-from inca.simplex import EQ, GE, LE, maximize, minimize
+from inca.simplex import maximize, minimize
 
 from conftest import AGE, GOV, MSE, ematom, worm_em_kb
 from generators import random_em_kb, random_formula, with_constraints, witnessed_em_kb
@@ -56,6 +56,19 @@ def test_probabilistic_formula_validation():
         ProbabilisticFormula(f, F(9, 10), F(2, 10))  # interval leaves [0,1]
     with pytest.raises(GroundednessError):
         ProbabilisticFormula(atom_formula(Atom("p", (Term("X"),))), F(1, 2))
+
+
+def test_constant_formulas_are_environmental():
+    # true and false mention no atom, so their model is None; they are EM
+    # formulas all the same, as queries and as statements. A formula over
+    # an analytical-model atom is not.
+    kb = worm_em_kb()
+    for f, p in ((TOP, 1), (BOTTOM, 0), (neg(BOTTOM), 1), (disj(atom_formula(GOV), TOP), 1)):
+        assert max_entailment(kb, f) == ProbabilisticFormula(f, p)
+    assert is_consistent(EMKnowledgeBase((ProbabilisticFormula(TOP, 1),)))
+    assert not is_consistent(EMKnowledgeBase((ProbabilisticFormula(BOTTOM, F(1, 2)),)))
+    with pytest.raises(ValueError, match="environmental model"):
+        ProbabilisticFormula(atom_formula(Atom("p", (Term("a"),), "am")), F(1, 2))
 
 
 def test_probabilistic_formula_reads_floats_as_decimals():
@@ -288,13 +301,12 @@ def test_sampled_distributions_conform():
 
 def _dense_extrema(kb, target):
     """(min, max) mass on target from the LP with one column per world and
-    both bound rows of every formula."""
+    one range per formula."""
     worlds = enumerate_worlds(kb)
-    rows = [([1] * len(worlds), EQ, 1)]
+    rows = [([1] * len(worlds), 1, 1)]
     for pf in kb.formulas:
         coeffs = [int(formula_holds(w, pf.formula)) for w in worlds]
-        rows.append((coeffs, GE, pf.lower))
-        rows.append((coeffs, LE, pf.upper))
+        rows.append((coeffs, pf.lower, pf.upper))
     objective = [int(w in target) for w in worlds]
     return minimize(objective, rows)[0], maximize(objective, rows)[0]
 

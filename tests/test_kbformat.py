@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from inca.am import WARRANTED, index_for
 from inca.em import IntegrityConstraint, max_entailment
 from inca.errors import AssemblyError, ParseError
 from inca.kbformat import (
@@ -225,6 +226,21 @@ def test_parse_error_positions():
          "expected a constant, variable, or number"),
         (parse_kb, "#am\nf1 : fact p(a).\nf2 : fact p(a\n", 4, 1,
          "expected ')', found 'end of input'"),
+        (parse_kb, "#em\np(a) : 1/2.5 +- 0.\n", 2, 10, "expected an integer denominator"),
+        (parse_kb, "#am\nd1[(] : fact p(a).\n", 2, 4,
+         "expected a constant inside the label"),
+        (parse_kb, "p(a) : 0.5 +- 0.\n", 1, 1, "statements must appear inside a section"),
+        (parse_kb, "#sorts\nagent baja.\n", 2, 1, "expected 'actor' or 'operation'"),
+        (parse_kb, "#ic\nnoneOf{p(a), q(a)}.\n", 2, 1, "expected 'oneOf'"),
+        (parse_kb, "#universe\np(a).\n#universe\nq(a).\n", 4, 1,
+         "the universe is already given"),
+        (parse_kb, "#am\nr1 : q(a) p(a).\n", 2, 11, "expected '<-' or '-<'"),
+        (parse_kb, "#am\nr1 : q(X) -< p(X), X != b.\n", 2, 25,
+         "inequality guards compare variables"),
+        (parse_kb, "#am\nr1 : q(a) -< 5.\n", 2, 14, "expected a predicate name"),
+        (parse_query, "p(a) q(a)", 1, 6, "unexpected trailing input"),
+        (parse_literal_text, "p(a) q", 1, 6, "unexpected trailing input"),
+        (parse_world_spec, "p(a), q(a) r", 1, 12, "unexpected trailing input"),
     ],
     ids=["tab", "unknown-section", "bare-hash", "crlf", "eof", "leading-dot",
          "em-term", "em-predicate", "em-not-ground", "em-interval",
@@ -233,7 +249,10 @@ def test_parse_error_positions():
          "evidence-not-ground", "seen-then-arity", "seen-then-no-comma",
          "seen-then-trailing-comma", "nullary-then-unclosed", "am-seen-then-arity",
          "am-seen-then-no-comma", "am-seen-then-trailing-comma",
-         "am-seen-then-unclosed"],
+         "am-seen-then-unclosed", "fractional-denominator", "label-inner",
+         "outside-section", "sort-kind", "constraint-kind", "second-universe",
+         "rule-arrow", "guard-constant", "body-number", "query-trailing",
+         "literal-trailing", "world-trailing"],
 )
 def test_parse_error_exact_position(parse, text, line, column, message):
     with pytest.raises(ParseError) as excinfo:
@@ -527,6 +546,23 @@ def test_assemble_grounds_schematic_rules():
     assert "de1[worm123,baja]" in labels
     assert "de1[worm123,mojave]" in labels
     assert fw.program.is_ground
+
+
+def test_label_with_two_constants():
+    text = "#am\nd1[a,b] : fact p(a).\n\n#af\nd1[a,b] : true.\n"
+    doc = parse_kb(text)
+    assert doc.am[0].label == "d1[a,b]"
+    assert doc.af == (("d1[a,b]", TOP),)
+    assert render_kb(doc) == text
+
+
+def test_assemble_grounds_over_constants_of_statements():
+    # a appears only in the fact, and the rule is grounded over it.
+    fw = assemble(parse_kb("#am\nd1 : q(X) -< p(X).\nf1 : fact p(a).\n"))
+    index = index_for(fw.program)
+    q = parse_literal_text("q(a)")
+    assert [str(a) for a in index.arguments_for(q)] == ["<{d1[a], f1}, q(a)>"]
+    assert index.warrant_status(q) == WARRANTED
 
 
 def test_annotation_on_ground_instance_label():

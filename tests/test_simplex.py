@@ -4,16 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inca import simplex
-from inca.simplex import (
-    EQ,
-    GE,
-    LE,
-    Infeasible,
-    Polytope,
-    Unbounded,
-    maximize,
-    minimize,
-)
+from inca.simplex import Infeasible, Polytope, Unbounded, maximize, minimize
 
 from oracles import lp_vertices_oracle
 
@@ -22,59 +13,63 @@ F = Fraction
 
 def test_basic_maximization():
     # max 3x + 2y  s.t. x + y <= 4, x <= 2
-    value, x = maximize([3, 2], [([1, 1], LE, 4), ([1, 0], LE, 2)])
+    value, x = maximize([3, 2], [([1, 1], None, 4), ([1, 0], None, 2)])
     assert value == 10
     assert x == [F(2), F(2)]
 
 
 def test_basic_minimization():
     # min x + y  s.t. x + 2y >= 4, x >= 1  (x=1, y=3/2)
-    value, x = minimize([1, 1], [([1, 2], GE, 4), ([1, 0], GE, 1)])
+    value, x = minimize([1, 1], [([1, 2], 4, None), ([1, 0], 1, None)])
     assert value == F(5, 2)
     assert x == [F(1), F(3, 2)]
 
 
 def test_equality_constraints():
-    value, x = maximize([1, 0], [([1, 1], EQ, 1)])
+    value, x = maximize([1, 0], [([1, 1], 1, 1)])
     assert value == 1
     assert x == [F(1), F(0)]
 
 
 def test_exact_fractions_no_rounding():
-    value, _ = maximize([F(1, 3)], [([F(1)], LE, F(1, 7))])
+    value, _ = maximize([F(1, 3)], [([F(1)], None, F(1, 7))])
     assert value == F(1, 21)
 
 
 def test_infeasible():
     with pytest.raises(Infeasible):
-        maximize([1], [([1], GE, 2), ([1], LE, 1)])
+        maximize([1], [([1], 2, None), ([1], None, 1)])
     with pytest.raises(Infeasible):
-        Polytope(1, [([1], GE, 2), ([1], LE, 1)])
+        Polytope(1, [([1], 2, 1)])
+    with pytest.raises(Infeasible):
+        Polytope(2, [([1, 0], 1, None), ([0, 1], 1, None), ([1, 1], None, 1)])
 
 
 def test_unbounded():
     with pytest.raises(Unbounded):
-        maximize([1], [([-1], LE, 0)])
+        maximize([1], [([-1], None, 0)])
 
 
 def test_negative_rhs_is_normalized():
     # x >= 0 and -x >= -3  <=>  x <= 3
-    value, _ = maximize([1], [([-1], GE, -3)])
+    value, _ = maximize([1], [([-1], -3, None)])
     assert value == 3
 
 
 def test_drive_out_pivots_on_a_negative_entry():
     # -x >= 0 leaves its artificial basic at zero after phase 1, with -1 as
     # the row's first nonzero entry; phase 2 must still see x pinned at 0.
-    value, x = maximize([2, 1], [([-1, 0], GE, 0), ([1, 1], LE, 3)])
+    value, x = maximize([2, 1], [([-1, 0], 0, None), ([1, 1], None, 3)])
     assert value == 3
     assert x == [F(0), F(3)]
 
 
 def test_redundant_row_is_dropped():
-    # The second row is the first halved: its artificial stays basic on a
-    # row with no structural entry left, so the row goes.
-    rows = [([1, 1], EQ, 1), ([F(1, 2), F(1, 2)], EQ, F(1, 2)), ([1, 0], LE, 2)]
+    # The second row is the first doubled. Its integer coefficients differ,
+    # so the two do not merge: its artificial stays basic on a row with no
+    # structural entry left, and _drive_out_artificials drops the row.
+    rows = [([1, 1], 1, 1), ([2, 2], 2, 2), ([1, 0], None, 2)]
+    assert len(Polytope(2, rows)._tableau) == 2
     assert maximize([1, 0], rows) == (1, [F(1), F(0)])
     assert minimize([1, 0], rows) == (0, [F(0), F(1)])
 
@@ -83,11 +78,11 @@ def test_degenerate_program_terminates():
     # Multiple redundant constraints force degenerate pivots; Bland's rule
     # must still terminate with the right optimum.
     rows = [
-        ([1, 1], LE, 1),
-        ([1, 1], LE, 1),
-        ([1, 0], LE, 1),
-        ([0, 1], LE, 1),
-        ([1, 1], GE, 0),
+        ([1, 1], None, 1),
+        ([1, 1], None, 1),
+        ([1, 0], None, 1),
+        ([0, 1], None, 1),
+        ([1, 1], 0, None),
     ]
     value, _ = maximize([1, 1], rows)
     assert value == 1
@@ -95,34 +90,39 @@ def test_degenerate_program_terminates():
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        maximize([1, 2], [([1], LE, 1)])
+        maximize([1, 2], [([1], None, 1)])
+    # A relation string is no end: the (coefficients, relation, rhs) form
+    # is refused, not misread.
     with pytest.raises(ValueError):
-        maximize([1], [([1], "<", 1)])
+        maximize([1], [([1], "<=", 1)])
+    with pytest.raises(ValueError):
+        maximize([1], [([1], 1)])
 
 
 def test_floats_are_rejected():
     # Fraction(0.1) is the binary expansion 3602879701896397/36028797018963968,
     # not 1/10: a float is refused wherever it enters.
     with pytest.raises(ValueError):
-        maximize([1], [([0.5], LE, 1)])
+        maximize([1], [([0.5], None, 1)])
     with pytest.raises(ValueError):
-        maximize([1], [([1], LE, 0.1)])
+        maximize([1], [([1], None, 0.1)])
     with pytest.raises(ValueError):
-        maximize([0.1], [([1], LE, 1)])
+        maximize([1], [([1], 0.1, None)])
     with pytest.raises(ValueError):
-        Polytope(1, [([1], LE, 1)]).minimize([0.1])
+        maximize([1], [([1], 0.5, 0.5)])
+    with pytest.raises(ValueError):
+        maximize([0.1], [([1], None, 1)])
+    with pytest.raises(ValueError):
+        Polytope(1, [([1], None, 1)]).minimize([0.1])
 
 
 def test_ranged_rows(monkeypatch):
-    # Consecutive rows with equal coefficients are one ranged row.
-    with pytest.raises(Infeasible):
-        Polytope(2, [([1, 1], GE, F(3, 2)), ([1, 1], LE, 1)])
     # -2 <= -x - y <= -1: both ends below zero.
-    below = [([-1, -1], GE, -2), ([-1, -1], LE, -1), ([0, 1], LE, F(1, 2))]
+    below = [([-1, -1], -2, -1), ([0, 1], None, F(1, 2))]
     assert maximize([1, 0], below) == (2, [F(2), F(0)])
     assert minimize([1, 2], below) == (1, [F(1), F(0)])
     # -1 <= x - y <= 2 straddles 0, so the origin is feasible.
-    straddle = [([1, -1], GE, -1), ([1, -1], LE, 2), ([1, 1], LE, 4)]
+    straddle = [([1, -1], -1, 2), ([1, 1], None, 4)]
     assert maximize([1, 0], straddle) == (3, [F(3), F(1)])
     assert maximize([0, 1], straddle) == (F(5, 2), [F(3, 2), F(5, 2)])
     for rows in (below, straddle):
@@ -138,17 +138,32 @@ def test_ranged_rows(monkeypatch):
     monkeypatch.setattr(
         simplex, "_complement", lambda *a: flips.append(a[2]) or complement(*a)
     )
-    assert maximize([1], [([1], GE, 1), ([1], LE, 3)]) == (3, [F(3)])
+    assert maximize([1], [([1], 1, 3)]) == (3, [F(3)])
     assert flips
+
+
+def test_rows_with_equal_coefficients_merge_wherever_they_sit():
+    # Their ranges intersect into one row; a row of fractions merges by its
+    # integer coefficients (1/2, 1/2 are 1, 1), and a row with neither end is
+    # no row at all.
+    rows = [([1, 1], F(1, 4), None), ([1, 0], None, 1), ([0, 0], None, None),
+            ([F(1, 2), F(1, 2)], None, F(3, 8)), ([1, 1], 0, 1)]
+    polytope = Polytope(2, rows)
+    assert len(polytope._tableau) == 2
+    assert polytope.maximize([1, 1]) == (F(3, 4), [F(3, 4), F(0)])
+    assert polytope.minimize([1, 1]) == (F(1, 4), [F(1, 4), F(0)])
+    # The intersection of 3/2 <= x + y and x + y <= 1 is empty.
+    with pytest.raises(Infeasible):
+        Polytope(2, [([1, 1], F(3, 2), None), ([1, 0], None, 1), ([1, 1], None, 1)])
 
 
 def test_beale_cycling_program_terminates():
     # Beale (1955): the textbook pivoting rules cycle on this program;
     # Bland's rule, with bounds in the ratio test, must not.
     rows = [
-        ([F(1, 4), -60, F(-1, 25), 9], LE, 0),
-        ([F(1, 2), -90, F(-1, 50), 3], LE, 0),
-        ([0, 0, 1, 0], LE, 1),
+        ([F(1, 4), -60, F(-1, 25), 9], None, 0),
+        ([F(1, 2), -90, F(-1, 50), 3], None, 0),
+        ([0, 0, 1, 0], None, 1),
     ]
     value, x = maximize([F(3, 4), -150, F(1, 50), -6], rows)
     assert value == F(1, 20)
@@ -207,14 +222,14 @@ def test_degenerate_run_falls_back_to_blands_rule():
     # rule would. All three settings reach the same optimal vertex.
     objective = [7, -9, 8, 9, -2, 5, 5]
     rows = [
-        ([2, -2, 4, -6, 9, 3, -7], LE, 0),
-        ([0, -1, -2, 1, 1, -9, -5], LE, 0),
-        ([8, -6, 2, -7, 5, 5, -4], LE, 0),
-        ([1, 6, 0, 8, -5, -6, -4], LE, 0),
-        ([-9, -6, 1, 1, -4, 1, 4], LE, 0),
-        ([4, -2, -8, 1, 6, -5, -8], LE, 0),
-        ([3, -5, -9, 9, 5, 2, 3], LE, 0),
-        ([1, 1, 1, 1, 1, 1, 1], LE, 1),
+        ([2, -2, 4, -6, 9, 3, -7], None, 0),
+        ([0, -1, -2, 1, 1, -9, -5], None, 0),
+        ([8, -6, 2, -7, 5, 5, -4], None, 0),
+        ([1, 6, 0, 8, -5, -6, -4], None, 0),
+        ([-9, -6, 1, 1, -4, 1, 4], None, 0),
+        ([4, -2, -8, 1, 6, -5, -8], None, 0),
+        ([3, -5, -9, 9, 5, 2, 3], None, 0),
+        ([1, 1, 1, 1, 1, 1, 1], None, 1),
     ]
     optimum = (F(4661, 669), [F(44, 223), F(0), F(76, 223), F(92, 669),
                               F(0), F(0), F(217, 669)])
@@ -236,14 +251,14 @@ def test_phase_one_stops_when_the_artificials_are_zero():
     # so phase 1 prices nothing; one drive-out pivot takes the artificial
     # out of the basis.
     polytope, pivots = _priced(
-        simplex.BLAND_AFTER, lambda: Polytope(2, [([1, 1], EQ, 0), ([1, -1], LE, 3)])
+        simplex.BLAND_AFTER, lambda: Polytope(2, [([1, 1], 0, 0), ([1, -1], None, 3)])
     )
     assert pivots == [None]
     assert polytope.maximize([1, 2]) == (0, [F(0), F(0)])
 
 
 def test_zero_objective_feasibility_probe():
-    value, x = maximize([0, 0], [([1, 1], EQ, 1)])
+    value, x = maximize([0, 0], [([1, 1], 1, 1)])
     assert value == 0
     assert sum(x) == 1
 
@@ -259,8 +274,8 @@ def test_solution_is_feasible_and_optimal_on_box(objective, raw_rows):
     """Against <=-only rows the reported solution must satisfy every row,
     and the value must dominate the obvious vertex candidates."""
     n = len(objective)
-    rows = [([F(c) for c in (co + [0] * n)[:n]], LE, F(rhs)) for co, rhs in raw_rows]
-    rows.append(([F(1)] * n, LE, F(10)))  # keep it bounded
+    rows = [([F(c) for c in (co + [0] * n)[:n]], None, F(rhs)) for co, rhs in raw_rows]
+    rows.append(([F(1)] * n, None, F(10)))  # keep it bounded
     value, x = maximize(objective, rows)
     assert len(x) == n
     assert all(v >= 0 for v in x)
@@ -274,14 +289,19 @@ _coefficient = st.integers(min_value=-3, max_value=3)
 
 
 @st.composite
+def _rows(draw, width, ends):
+    """A row (coefficients, lo, hi): an inequality, an equality, or a range
+    with two drawn ends, which is empty when lo > hi."""
+    co, lo, hi = draw(width), draw(ends), draw(ends)
+    return draw(st.sampled_from([(co, None, hi), (co, lo, None), (co, lo, lo), (co, lo, hi)]))
+
+
+@st.composite
 def _programs(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     width = st.lists(_coefficient, min_size=n, max_size=n)
-    rows = draw(st.lists(
-        st.tuples(width, st.sampled_from([LE, GE, EQ]), st.integers(-4, 4)),
-        max_size=4,
-    ))
-    rows.append(([1] * n, LE, 10))  # keep it bounded
+    rows = draw(st.lists(_rows(width, st.integers(-4, 4)), max_size=4))
+    rows.append(([1] * n, None, 10))  # keep it bounded
     objectives = draw(st.lists(width, min_size=1, max_size=4))
     return n, rows, objectives
 
@@ -303,41 +323,34 @@ def test_polytope_reused_across_objectives_matches_fresh_solves(program):
 
 
 _rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-_relation = {LE: GE, GE: LE, EQ: EQ}
 
 
 @st.composite
 def _rational_programs(draw):
     n = draw(st.integers(min_value=1, max_value=3))
     width = st.lists(_rational, min_size=n, max_size=n)
-    # Zero right-hand sides make degenerate vertices, where artificials stay
-    # basic after phase 1 and are driven out.
-    rhs = st.one_of(st.just(F(0)), _rational)
-    rows = draw(st.lists(
-        st.tuples(width, st.sampled_from([LE, GE, EQ]), rhs),
-        min_size=1, max_size=4,
-    ))
-    # Ranged rows: an inequality followed by one with equal coefficients and
-    # the other relation merges into lo <= a . x <= hi, empty when lo > hi.
-    ranged = []
-    for co, rel, b in rows:
-        ranged.append((co, rel, b))
-        if rel != EQ and draw(st.booleans()):
-            ranged.append((list(co), _relation[rel], draw(rhs)))
-    rows = ranged
+    # Zero ends make degenerate vertices, where artificials stay basic after
+    # phase 1 and are driven out.
+    ends = st.one_of(st.just(F(0)), _rational)
+    rows = draw(st.lists(_rows(width, ends), min_size=1, max_size=4))
+    # Rows with equal coefficients, wherever they sit, merge into the
+    # intersection of their ranges, which may be empty.
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
+        rows.append(draw(_rows(st.just(list(rows[i][0])), ends)))
     # Redundant rows: copies of a row scaled by a nonzero rational (a
-    # negative factor flips the relation) and sums of two equalities.
+    # negative factor swaps the ends) and sums of two equalities.
     for i, k in draw(st.lists(
         st.tuples(st.integers(0, len(rows) - 1), _rational.filter(bool)),
         max_size=2,
     )):
-        co, rel, b = rows[i]
-        rows.append(([k * v for v in co], rel if k > 0 else _relation[rel], k * b))
-    equalities = [r for r in rows if r[1] == EQ]
+        co, lo, hi = rows[i]
+        lo, hi = (None if e is None else k * e for e in ((lo, hi) if k > 0 else (hi, lo)))
+        rows.append(([k * v for v in co], lo, hi))
+    equalities = [r for r in rows if r[1] is not None and r[1] == r[2]]
     if len(equalities) >= 2 and draw(st.booleans()):
-        (c1, _, b1), (c2, _, b2) = equalities[:2]
-        rows.append(([u + v for u, v in zip(c1, c2)], EQ, b1 + b2))
-    rows.append(([1] * n, LE, draw(st.fractions(1, 9, max_denominator=6))))
+        (c1, b1, _), (c2, b2, _) = equalities[:2]
+        rows.append(([u + v for u, v in zip(c1, c2)], b1 + b2, b1 + b2))
+    rows.append(([1] * n, None, draw(st.fractions(1, 9, max_denominator=6))))
     objectives = draw(st.lists(width, min_size=1, max_size=3))
     return n, rows, objectives
 
@@ -365,7 +378,7 @@ def test_pricing_returns_to_dantzig_once_the_objective_rises(bland_after):
     # rule, but here the first pivot raises the objective, so Dantzig's rule
     # prices the second and enters x3 where Bland's rule would enter x2.
     objective = [4, 1, -1, -3]
-    rows = [([2, 0, -3, 1], LE, 2), ([1, -2, 2, 0], LE, 1), ([1, 1, 1, 1], LE, 3)]
+    rows = [([2, 0, -3, 1], None, 2), ([1, -2, 2, 0], None, 1), ([1, 1, 1, 1], None, 3)]
     (value, x), _ = _priced(bland_after, lambda: maximize(objective, rows))
     vertices = lp_vertices_oracle(4, rows)
     assert tuple(x) in vertices
