@@ -4,14 +4,15 @@ A knowledge base pairs ground formulas with probability intervals p +- eps.
 Its models are distributions over the worlds that conform to the integrity
 constraints; queries are answered by optimizing the query's probability over
 all such distributions, which reduces to a linear program with one variable
-per class of conforming worlds that satisfy the same formulas. That program
-is built, and its phase 1 solved, once per knowledge base.
+per formula signature: the formulas that some conforming world satisfies.
+That program is built, and its phase 1 solved, once per knowledge base.
 
 Inside the engine a set of worlds is a Python int over the knowledge base's
 `WorldSpace`: bit w stands for world w. Formulas compile to such truth
-tables with `&`, `|` and `^`, and the LP's classes come from splitting the
-conforming worlds by those tables, so `check` and `entail` list no worlds.
-Frozenset worlds appear only where the API hands worlds in or out.
+tables with `&`, `|` and `^`, and `signatures` reads the LP's columns and
+objectives off them a chunk of worlds at a time, so no column keeps a set
+of worlds and `check` and `entail` list none. Frozenset worlds appear only
+where the API hands worlds in or out.
 """
 
 from __future__ import annotations
@@ -203,21 +204,33 @@ class WorldSpace:
         return int.from_bytes(marks, "little")
 
 
-def refine(mask: int, tables: Iterable[int]) -> list[tuple[int, int]]:
-    """Split the worlds of mask into classes that agree on every table,
-    ordered by their lowest world. Each class comes with its signature:
-    bit k is set iff its worlds lie in the k-th table."""
-    classes = [(mask, 0)] if mask else []
-    for k, table in enumerate(tables):
-        split = []
-        for c, signature in classes:
-            inside = c & table
-            if inside:
-                split.append((inside, signature | 1 << k))
-            if inside != c:
-                split.append((c ^ inside, signature))
-        classes = split
-    return sorted(classes, key=lambda cs: cs[0] & -cs[0])
+# A chunk of w worlds splits into at most min(w, 2^k) classes of w bits, so
+# w = max(2^12, 2^24 >> k) worlds keeps about 2^24 class bits live at once.
+CHUNK_WORLDS, CHUNK_CLASS_BITS = 1 << 12, 1 << 24
+
+
+def signatures(mask: int, tables: list[int]) -> set[int]:
+    """The signatures of the worlds in mask: bit k of a world's signature is
+    set iff the world lies in the k-th table. The worlds are split by the
+    tables one chunk at a time, so no class wider than a chunk is kept."""
+    step = max(CHUNK_WORLDS, CHUNK_CLASS_BITS >> len(tables)) // 8
+    size = (mask.bit_length() + 7) // 8
+    chunks = [(t & mask).to_bytes(size, "little") for t in (mask, *tables)]
+    found = set()
+    for start in range(0, size, step):
+        classes = [(int.from_bytes(chunks[0][start:start + step], "little"), 0)]
+        for k, data in enumerate(chunks[1:]):
+            table = int.from_bytes(data[start:start + step], "little")
+            split = []
+            for c, signature in classes:
+                inside = c & table
+                if inside:
+                    split.append((inside, signature | 1 << k))
+                if inside != c:
+                    split.append((c ^ inside, signature))
+            classes = split
+        found.update(signature for _, signature in classes)
+    return found
 
 
 @lru_cache(maxsize=1)
@@ -277,27 +290,25 @@ def _check_query(kb: EMKnowledgeBase, query: Formula) -> None:
 class _EMLinearProgram:
     """The LP of one knowledge base, built once for every objective on it.
 
-    Worlds that satisfy the same formulas get one column: moving mass
-    between them changes no row, so the class's total mass is all the LP
-    needs. Raises InconsistentKBError when no distribution satisfies kb.
+    Moving mass between worlds that satisfy the same formulas changes no
+    row, so a column is a formula signature that some conforming world has.
+    Raises InconsistentKBError when no distribution satisfies kb.
     """
 
     def __init__(self, kb: EMKnowledgeBase, max_atoms: int):
         self.space = world_space(kb, max_atoms)
-        tables = [self.space.table(pf.formula) for pf in kb.formulas]
-        classes = refine(self.space.conforming, tables)
-        self.classes = [c for c, _ in classes]
-        rows = [([1] * len(classes), 1, 1)]
+        self.tables = [self.space.table(pf.formula) for pf in kb.formulas]
+        self.columns = sorted(signatures(self.space.conforming, self.tables))
+        rows = [([1] * len(self.columns), 1, 1)]
         for k, pf in enumerate(kb.formulas):
             lower, upper = pf.lower, pf.upper
             if pf.eps:
                 # x >= 0 and the sum-to-one row already imply 0 <= row <= 1.
                 lower = lower or None
                 upper = None if upper == 1 else upper
-            coeffs = [signature >> k & 1 for _, signature in classes]
-            rows.append((coeffs, lower, upper))
+            rows.append(([s >> k & 1 for s in self.columns], lower, upper))
         try:
-            self.polytope = simplex.Polytope(len(self.classes), rows)
+            self.polytope = simplex.Polytope(len(self.columns), rows)
         except simplex.Infeasible:
             raise InconsistentKBError(
                 "no probability distribution satisfies the knowledge base"
@@ -306,14 +317,13 @@ class _EMLinearProgram:
     def extrema(self, target: int, upper: int | None = None) -> tuple[Fraction, Fraction]:
         """The min mass on target and the max mass on upper (default:
         target), each a mask of worlds of self.space."""
-        if upper is None:
-            upper = target
-        # A class can keep all of its mass inside the target only if all of
-        # its worlds are there, and can put some there if any one is.
-        lo, _ = self.polytope.minimize(
-            [int(c & target == c) for c in self.classes]
-        )
-        hi, _ = self.polytope.maximize([int(c & upper != 0) for c in self.classes])
+        upper = target if upper is None else upper
+        # A column can keep all of its mass inside the target only if none
+        # of its worlds is outside, and can put some there if any one is in.
+        outside = signatures(self.space.conforming & ~target, self.tables)
+        inside = signatures(self.space.conforming & upper, self.tables)
+        lo, _ = self.polytope.minimize([int(s not in outside) for s in self.columns])
+        hi, _ = self.polytope.maximize([int(s in inside) for s in self.columns])
         return lo, hi
 
 

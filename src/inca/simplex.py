@@ -33,7 +33,7 @@ always exact, and sets d = p.
 A `Polytope` runs phase 1 once, when it is built; each objective then runs
 phase 2 on a copy of that feasible basis, so any number of objectives over
 the same constraints pay for phase 1 once. `em` builds one per EM knowledge
-base, with one column per class of worlds that satisfy the same formulas.
+base, with one column per formula signature that some world has.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from inca.em import (
     lp_bounds,
     lp_extrema,
     max_entailment,
+    signatures,
     world_space,
 )
 from inca.errors import CapacityError, GroundednessError, InconsistentKBError
@@ -27,11 +29,17 @@ from inca.language import (
     disj,
     neg,
 )
-from inca import simplex
+from inca import em, simplex
 from inca.simplex import maximize, minimize
 
 from conftest import AGE, GOV, MSE, ematom, worm_em_kb
-from generators import random_em_kb, random_formula, with_constraints, witnessed_em_kb
+from generators import (
+    random_bound,
+    random_em_kb,
+    random_formula,
+    with_constraints,
+    witnessed_em_kb,
+)
 from oracles import (
     allows,
     distribution_probability,
@@ -352,3 +360,55 @@ def test_sixteen_formula_lp_takes_few_pivots(monkeypatch):
     monkeypatch.setattr(simplex, "_pivot", lambda *a: pivots.append(a[5]) or pivot(*a))
     assert is_consistent(kb)
     assert len(pivots) <= 50
+
+
+@pytest.fixture
+def narrow_chunks(monkeypatch):
+    """Chunks of 8 worlds, so that a mask over more than 3 atoms spans
+    several chunks."""
+    monkeypatch.setattr(em, "CHUNK_WORLDS", 8)
+    monkeypatch.setattr(em, "CHUNK_CLASS_BITS", 8)
+    em._linear_program.cache_clear()
+    yield
+    em._linear_program.cache_clear()
+
+
+def test_lp_extrema_matches_dense_lp_across_chunks(narrow_chunks):
+    test_lp_extrema_matches_dense_per_world_lp_on_padded_kb()
+
+
+def test_signatures_match_per_world_oracle_across_chunks(narrow_chunks):
+    rng = random.Random(25)
+    for _ in range(24):
+        atoms = tuple(ematom(f"s{i}") for i in range(rng.randint(4, 7)))
+        formulas = tuple(
+            ProbabilisticFormula(random_formula(rng, list(atoms)), *random_bound(rng))
+            for _ in range(rng.randint(0, 5))
+        )
+        one_of = IntegrityConstraint(tuple(rng.sample(atoms, rng.randint(2, 3))))
+        for constraints in ((), (one_of,)):
+            kb = EMKnowledgeBase(formulas, constraints, atoms)
+            space = world_space(kb)
+            tables = [space.table(pf.formula) for pf in formulas]
+            conforming = worlds_oracle(kb)
+            for worlds in (conforming, rng.sample(conforming, len(conforming) // 3), []):
+                expected = {
+                    sum(formula_holds(w, pf.formula) << k for k, pf in enumerate(formulas))
+                    for w in worlds
+                }
+                assert signatures(space.mask_of(worlds), tables) == expected
+
+
+def test_eighteen_formula_lp_keeps_no_world_set_per_column():
+    # 18 atoms, 18 formulas, 5,400 columns: the LP keeps one int of 18 bits
+    # per column. With one 2^18-bit mask per column it peaked at 250 MiB.
+    kb = witnessed_em_kb(random.Random("scale-18"), 18, 18)
+    em.world_space.cache_clear()
+    em._linear_program.cache_clear()
+    tracemalloc.start()
+    try:
+        assert is_consistent(kb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
