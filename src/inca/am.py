@@ -8,29 +8,35 @@ which literals come out warranted.
 Whether a defeater may extend a dialectical line depends on the line alone,
 so each subprogram's tree is the full tree cut to its available arguments,
 and one walk over masks of subprograms, pruned as in DeLP, decides warrant
-in all of them; marked trees are built only to be shown.
+in all of them. The walk tries a node's defeaters fail-first, those with the
+fewest defeaters of their own first (Chesnevar, Simari and Garcia 2000):
+that changes how much is walked, never a mark. Marked trees are built only
+to be shown, and keep defeaters() order.
 
 Each ProgramIndex gives every literal of its ground program one bit, with a
-literal and its complement side by side, and every element one bit, in
-program order, and one rule (body mask, head bit); facts and presumptions
-have body 0. One forward-chaining fixpoint over such rules and one
-contradiction test on the resulting mask serve derivability, argument
-consistency, strict supports, attacks, specificity and the consistency of
-dialectical lines; one memo of closures, keyed by the element mask and the
-seed literals, serves all but derivability and attacks. An argument's
-support is an element mask: one ATMS label pass gives every literal its
-minimal consistent defeasible supports, so it builds every argument, and
-sub-arguments, attacks, preference and the acceptability of a line's next
-argument are tests on those masks. The same pass, with literals in place
-of elements as assumptions, gives the minimal activating sets on which
+literal and its complement side by side, and every element one bit and one
+rule (body mask, head bit); facts and presumptions have body 0. Elements
+are numbered in dependency order, each producer of a literal before every
+rule that uses it, so one forward pass is a closure (a program with a cycle
+keeps program order and repeats its passes). Closures, memoized by element
+mask and seed literals, and one contradiction test serve derivability,
+argument consistency, strict supports, attacks, specificity and the
+consistency of dialectical lines. An argument's support is an element mask.
+An ATMS label pass (de Kleer 1986) over a literal's backward cone gives it
+its minimal consistent defeasible supports, so arguments are built on
+demand, and sub-arguments, attacks, preference and the acceptability of a
+line's next argument are tests on those masks. The same pass, with
+literals as assumptions, gives the minimal activating sets on which
 specificity is decided.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
-from functools import cached_property, lru_cache
+from collections import Counter
+from functools import lru_cache
 
 from .errors import (
     AssemblyError,
@@ -235,19 +241,6 @@ def _check_ground(elements):
             raise GroundednessError(f"element {e.label} is not ground")
 
 
-def _fixpoint(rules, mask: int) -> int:
-    """Forward-chaining closure of a literal bitmask under (body mask, head
-    bit) rules; a fact or presumption is a rule with body 0."""
-    changed = True
-    while changed:
-        changed = False
-        for body, head in rules:
-            if not mask & head and mask & body == body:
-                mask |= head
-                changed = True
-    return mask
-
-
 def _bits(mask: int):
     """The positions of the set bits of mask, lowest first."""
     while mask:
@@ -311,15 +304,15 @@ class ProgramIndex:
     def __init__(self, program: AMProgram):
         _check_ground(program.elements)
         self.program = program
-        self.strict_elements = tuple(
-            e for e in program.elements if not e.is_defeasible
-        )
         self._arguments: dict[Literal, tuple[Argument, ...]] = {}
-        self._all_arguments: tuple[Argument, ...] | None = None
         self._mask: dict[Argument, int] = {}
         self._defeaters: dict[Argument, tuple] = {}
+        self._walks: dict[Argument, list] = {}
+        self._rivals: dict[int, int] = {}
         self._prefers_ps: dict[tuple, bool] = {}
         self._closures: dict[int, int] = {}
+        self._labels: dict[int, list[int]] = {}
+        self._labelled = 0
         # Atom i's literal takes bit 2i and its negation bit 2i + 1, so one
         # shift tests every complementary pair at once.
         atoms: dict = {}
@@ -332,40 +325,85 @@ class ProgramIndex:
                 b = self._bit[lit] = 1 << (2 * i + lit.negated)
             return b
 
+        rules = [(tuple(map(bit, e.body)), bit(e.head)) for e in program.elements]
+        self._literal = {b.bit_length() - 1: lit for lit, b in self._bit.items()}
+        # Dependency order by Kahn's algorithm over literal bits; a program
+        # with a cycle keeps program order.
+        producers = Counter(head for _, head in rules)
+        waiting = [producers.keys() & set(body) for body, _ in rules]
+        users: dict[int, list[int]] = {}
+        for i, pending in enumerate(waiting):
+            for b in pending:
+                users.setdefault(b, []).append(i)
+        order = [i for i, pending in enumerate(waiting) if not pending]
+        for i in order:
+            head = rules[i][1]
+            producers[head] -= 1
+            for j in users.get(head, ()) if not producers[head] else ():
+                waiting[j].discard(head)
+                if not waiting[j]:
+                    order.append(j)
+        self._cyclic = len(order) < len(rules)
+        if self._cyclic:
+            order = range(len(rules))
         # Element i takes bit i of an element mask and one rule (body mask,
         # head bit); _body keeps its body literals' bits one by one.
-        self._rule: list[tuple[int, int]] = []
-        self._body: list[tuple[int, ...]] = []
+        self._elements = [program.elements[i] for i in order]
+        self._rule = [(sum(set(rules[i][0])), rules[i][1]) for i in order]
+        self._body = [rules[i][0] for i in order]
         self._kind = dict.fromkeys(KINDS, 0)
+        self._producers: dict[int, int] = {}
         self._position: dict[str, int] = {}
-        for i, e in enumerate(program.elements):
+        for i, e in enumerate(self._elements):
             self._position[e.label] = i
-            self._body.append(tuple(bit(b) for b in e.body))
-            self._rule.append((sum(set(self._body[i])), bit(e.head)))
             self._kind[e.kind] |= 1 << i
+            head = self._rule[i][1]
+            self._producers[head] = self._producers.get(head, 0) | 1 << i
         self._strict = self._kind[FACT] | self._kind[STRICT_RULE]
         self._strict_order = sorted(
-            (i for i in range(len(self._rule)) if self._strict >> i & 1),
-            key=lambda i: program.elements[i].label,
+            _bits(self._strict), key=lambda i: self._elements[i].label
         )
         self._positive = sum(1 << 2 * i for i in range(len(atoms)))
-        derivable = _fixpoint(self._rule, 0)
+        self._derivable = derivable = self._derive((1 << len(self._rule)) - 1)
         self.derivable = frozenset(lit for lit, b in self._bit.items() if derivable & b)
 
-    def _rules_in(self, mask: int) -> list[tuple[int, int]]:
-        return [self._rule[i] for i in _bits(mask)]
+    def _derive(self, elements: int, seed: int = 0) -> int:
+        """Forward chaining of the literal mask seed under the rules of the
+        element mask. Element bits run in dependency order, so the first
+        pass is the closure unless the program has a cycle."""
+        changed = True
+        while changed:
+            changed = False
+            for i in _bits(elements):
+                body, head = self._rule[i]
+                if not seed & head and seed & body == body:
+                    seed |= head
+                    changed = self._cyclic
+        return seed
 
     def _contradictory(self, mask: int) -> bool:
         return bool(mask & (mask >> 1) & self._positive)
 
     def _closure(self, elements: int, seed: int = 0) -> int:
-        """What the rules of the element mask derive from the literal mask
-        seed; memoized per pair, keyed by one int."""
+        """_derive memoized per pair, keyed by one int."""
         key = seed << len(self._rule) | elements
         closure = self._closures.get(key)
         if closure is None:
-            closure = self._closures[key] = _fixpoint(self._rules_in(elements), seed)
+            closure = self._closures[key] = self._derive(elements, seed)
         return closure
+
+    def _cone(self, bit: int) -> int:
+        """The elements that can take part in deriving the literal bit: its
+        producers and, in turn, those of their body literals."""
+        cone, seen, todo = 0, bit, [bit]
+        while todo:
+            for i in _bits(self._producers.get(todo.pop(), 0) & ~cone):
+                cone |= 1 << i
+                for b in self._body[i]:
+                    if not seen & b:
+                        seen |= b
+                        todo.append(b)
+        return cone
 
     # -- arguments ---------------------------------------------------------
 
@@ -375,8 +413,9 @@ class ProgramIndex:
         elements of the mask rules. A rule ORs one label entry per body
         literal and its own bit within own; an entry is kept if no entry is
         a subset of it and consistent accepts it (it must accept the subsets
-        of what it accepts), and it drops the entries it subsumes. Labels
-        only grow upwards, so this ends on cyclic rules too."""
+        of what it accepts), and it drops the entries it subsumes. In
+        dependency order one pass suffices; on cyclic rules labels only grow
+        upwards, so the passes end."""
         changed = True
         while changed:
             changed = False
@@ -390,60 +429,49 @@ class ProgramIndex:
                         continue
                     label[:] = [x for x in label if x & env != env]
                     label.append(env)
-                    changed = True
+                    changed = self._cyclic
         return labels
 
-    @cached_property
-    def _labels(self) -> dict[int, list[int]]:
-        """Each literal bit's minimal defeasible-element masks from which,
-        with the strict elements, it derives consistently."""
-        return self._antichains(
-            (1 << len(self._rule)) - 1,
-            {},
-            ~self._strict,
-            lambda env: not self._contradictory(self._closure(env | self._strict)),
-        )
+    def _consistent(self, env: int) -> bool:
+        return not self._contradictory(self._closure(env | self._strict))
 
-    def _strict_part(self, env: int, bit: int) -> int:
+    def _strict_part(self, env: int, bit: int, cone: int) -> int:
         # Drop strict elements one at a time, in label order, while the
         # conclusion still derives; what remains is the recorded strict
-        # part. One that never fires from env and every strict element is
-        # dropped up front, as the greedy would drop it anyway.
+        # part. Only those of the conclusion's cone that fire from env and
+        # every strict element are tried: the greedy drops any other, as no
+        # derivation of the conclusion uses it.
         closure = self._closure(env | self._strict)
         used = env | sum(
-            1 << i for i in _bits(self._strict)
+            1 << i for i in _bits(self._strict & cone)
             if self._rule[i][0] & closure == self._rule[i][0]
         )
         for i in self._strict_order:
             trial = used & ~(1 << i)
-            if trial != used and _fixpoint(self._rules_in(trial), 0) & bit:
+            if trial != used and self._derive(trial) & bit:
                 used = trial
         return used & self._strict
 
     def arguments_for(self, literal: Literal) -> tuple[Argument, ...]:
+        # The label pass runs over the rules of the literal's cone that no
+        # earlier cone held; a cone holds every producer of its literals.
         args = self._arguments.get(literal)
         if args is not None:
             return args
         bit = self._bit.get(literal, 0)
+        cone = self._cone(bit)
+        if cone & ~self._labelled:
+            self._antichains(cone & ~self._labelled, self._labels, ~self._strict,
+                             self._consistent)
+            self._labelled |= cone
         out = []
         for env in self._labels.get(bit, ()):
-            mask = env | self._strict_part(env, bit)
-            a = Argument(
-                frozenset(self.program.elements[i] for i in _bits(mask)),
-                literal,
-            )
+            mask = env | self._strict_part(env, bit, cone)
+            a = Argument(frozenset(self._elements[i] for i in _bits(mask)), literal)
             self._mask[a] = mask
             out.append(a)
         args = self._arguments[literal] = tuple(sorted(out, key=Argument.sort_key))
         return args
-
-    def all_arguments(self) -> tuple[Argument, ...]:
-        if self._all_arguments is None:
-            out = []
-            for lit in sorted(self.derivable, key=Literal.key):
-                out.extend(self.arguments_for(lit))
-            self._all_arguments = tuple(out)
-        return self._all_arguments
 
     def _mask_of(self, a: Argument) -> int:
         """The element mask of an argument's support; set when the index
@@ -454,9 +482,13 @@ class ProgramIndex:
         return mask
 
     def subarguments_of(self, a: Argument) -> tuple[Argument, ...]:
+        """The arguments whose support lies in a's, which can only conclude
+        a literal that a's support derives; by conclusion in Literal.key order."""
         m = self._mask_of(a)
+        literals = sorted(map(self._literal.get, _bits(self._closure(m))), key=Literal.key)
         return tuple(
-            b for b in self.all_arguments() if (mb := self._mask_of(b)) & m == mb
+            b for lit in literals for b in self.arguments_for(lit)
+            if (mb := self._mask_of(b)) & m == mb
         )
 
     # -- attack ------------------------------------------------------------
@@ -469,10 +501,10 @@ class ProgramIndex:
         return self._attacks(a2, self._mask_of(a1), self._attack_points(a1))
 
     def _attacks(self, a2: Argument, m1: int, points: set[int]) -> bool:
-        shared = self._rules_in((m1 | self._mask_of(a2)) & self._strict)
+        shared = (m1 | self._mask_of(a2)) & self._strict
         counter = self._bit[a2.conclusion]
         return any(
-            self._contradictory(_fixpoint(shared, counter | point)) for point in points
+            self._contradictory(self._derive(shared, counter | point)) for point in points
         )
 
     # -- generalized specificity --------------------------------------------
@@ -542,9 +574,19 @@ class ProgramIndex:
     def defeaters(self, a: Argument) -> tuple:
         if a in self._defeaters:
             return self._defeaters[a]
-        out = []
         m, points = self._mask_of(a), self._attack_points(a)
-        for b in self.all_arguments():
+        # Only a literal that contradicts a point under every strict element
+        # can attack there, as closure is monotone; cached per point.
+        rivals = 0
+        for point in points:
+            if point not in self._rivals:
+                self._rivals[point] = sum(
+                    1 << k for k in _bits(self._derivable)
+                    if self._contradictory(self._derive(self._strict, point | 1 << k))
+                )
+            rivals |= self._rivals[point]
+        out = []
+        for b in (b for k in _bits(rivals) for b in self.arguments_for(self._literal[k])):
             if not self._attacks(b, m, points):
                 continue
             if self.prefers(b, a):
@@ -554,6 +596,21 @@ class ProgramIndex:
         result = tuple(sorted(out, key=lambda pair: (pair[1], pair[0].sort_key())))
         self._defeaters[a] = result
         return result
+
+    def _walk_order(self, a: Argument) -> list:
+        """a's defeaters for the walk, fewest defeaters of their own first;
+        one whose defeaters raise CapacityError goes last, so the order
+        itself never raises."""
+        order = self._walks.get(a)
+        if order is None:
+            order = self._walks[a] = sorted(self.defeaters(a), key=self._defeater_count)
+        return order
+
+    def _defeater_count(self, pair: tuple) -> float:
+        try:
+            return len(self.defeaters(pair[0]))
+        except CapacityError:
+            return math.inf
 
     def _acceptable(self, line: tuple, own: int, kind: str | None, b: int, b_kind: str) -> bool:
         """Whether a defeater with element mask b (a defeat of b_kind) may
@@ -612,7 +669,7 @@ class ProgramIndex:
         the walk stops once every world is beaten."""
         own, other = sides
         beaten = 0
-        for b, b_kind in self.defeaters(a):
+        for b, b_kind in self._walk_order(a):
             if beaten == mask:
                 break
             here = mask & ~beaten & available(b)
@@ -632,10 +689,10 @@ class ProgramIndex:
         for lit in (literal, literal.complement()):
             out = 0
             for a in self.arguments_for(lit):
-                m = self._mask_of(a)
-                out |= self._undefeated(
-                    a, None, (m,), (0, m), mask & ~out & available(a), available
-                )
+                here = mask & ~out & available(a)
+                if here:
+                    m = self._mask_of(a)
+                    out |= self._undefeated(a, None, (m,), (0, m), here, available)
             found.append(out)
         pro, con = found
         if pro & con:

@@ -21,7 +21,6 @@ from .language import (
     Term,
     Value,
     World,
-    formula_atoms,
 )
 
 def _irreducible_conflict(formulas, constraints, max_atoms):
@@ -54,7 +53,7 @@ def apply_evidence(framework: InCAFramework, evidence) -> InCAFramework:
     formulas = tuple(em.formulas) + evidence
     universe = dict.fromkeys(em.atom_universe)
     for f in evidence:
-        universe.update(dict.fromkeys(formula_atoms(f.formula)))
+        universe.update(dict.fromkeys(f.atoms))
     kb = EMKnowledgeBase(
         formulas=formulas,
         constraints=em.constraints,

@@ -76,7 +76,9 @@ class ProbabilisticFormula(Value):
         if en:
             lower = Fraction(pn * ed - en * pd, pd * ed)
             upper = Fraction(pn * ed + en * pd, pd * ed)
-        self.__dict__.update(formula=formula, p=p, eps=eps, lower=lower, upper=upper)
+        # Not a field: the universe and its checks read it on every load.
+        self.__dict__.update(formula=formula, p=p, eps=eps, lower=lower, upper=upper,
+                             atoms=formula_atoms(formula))
 
     def __str__(self) -> str:
         return f"{render_formula(self.formula)} : {self.p} +- {self.eps}"
@@ -113,7 +115,7 @@ class EMKnowledgeBase(Value):
     ):
         formulas, constraints = tuple(formulas), tuple(constraints)
         mentioned = dict.fromkeys(
-            [a for pf in formulas for a in formula_atoms(pf.formula)]
+            [a for pf in formulas for a in pf.atoms]
             + [a for ic in constraints for a in ic.atoms]
         )
         if atom_universe is None:
@@ -322,8 +324,8 @@ class _EMLinearProgram:
         # of its worlds is outside, and can put some there if any one is in.
         outside = signatures(self.space.conforming & ~target, self.tables)
         inside = signatures(self.space.conforming & upper, self.tables)
-        lo, _ = self.polytope.minimize([int(s not in outside) for s in self.columns])
-        hi, _ = self.polytope.maximize([int(s in inside) for s in self.columns])
+        lo = self.polytope.optimum([int(s not in outside) for s in self.columns], -1)
+        hi = self.polytope.optimum([int(s in inside) for s in self.columns], 1)
         return lo, hi
 
 

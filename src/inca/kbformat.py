@@ -641,7 +641,7 @@ def assemble(doc: KBDocument, max_atoms: int = DEFAULT_MAX_ATOMS) -> InCAFramewo
     universe = doc.universe
     if universe is None:
         universe = tuple(dict.fromkeys(
-            [a for f in doc.em for a in formula_atoms(f.formula)]
+            [a for f in doc.em for a in f.atoms]
             + [a for c in doc.ic for a in c.atoms]
             + [a for _, f in doc.af for a in formula_atoms(f)]
         ))

@@ -191,10 +191,14 @@ class Polytope:
         return self._optimum(objective, 1)
 
     def minimize(self, objective):
-        value, x = self._optimum(objective, -1)
-        return -value, x
+        return self._optimum(objective, -1)
 
-    def _optimum(self, objective, sign):
+    def optimum(self, objective, sign):
+        """The maximum (sign 1) or minimum (sign -1) of objective . x over
+        the polytope, without a solution vector."""
+        return self._optimum(objective, sign, vector=False)[0]
+
+    def _optimum(self, objective, sign, vector=True):
         scale, crow = _integers(objective)
         if len(crow) != self.n:
             raise ValueError("objective width does not match the polytope")
@@ -207,11 +211,14 @@ class Polytope:
         d = _run(tableau, basis, crow, self._d, self._bounds)
         total = sum(crow[bi] * tableau[i][-1] for i, bi in enumerate(basis))
         d *= self._unit
+        value = Fraction(sign * total, d * scale)
+        if not vector:
+            return value, None
         x = [Fraction(0)] * self.n
         for i, bi in enumerate(basis):
             if bi < self.n:
                 x[bi] = Fraction(tableau[i][-1], d)
-        return Fraction(total, d * scale), x
+        return value, x
 
 
 # Consecutive degenerate pivots after which Bland's rule prices.

@@ -30,7 +30,7 @@ from inca.am import (
 )
 from inca.em import ProbabilityInterval
 from inca.errors import CapacityError, InCAError, ParseError
-from inca.language import F_AND, F_ATOM, F_NOT, F_OR, F_TOP
+from inca.language import F_AND, F_ATOM, F_NOT, F_OR, F_TOP, Literal
 
 
 def formula_holds(world, f):
@@ -336,6 +336,15 @@ def delta(program):
     return _of_kind(program.elements, DEFEASIBLE_RULE)
 
 
+def all_arguments(index):
+    """Every argument of an index's program: the arguments of each derivable
+    literal, the literals in Literal.key order."""
+    return tuple(
+        a for lit in sorted(index.derivable, key=Literal.key)
+        for a in index.arguments_for(lit)
+    )
+
+
 def presumptions_of(argument):
     """The presumptions in an argument's support."""
     return frozenset(_of_kind(argument.support, PRESUMPTION))
@@ -368,6 +377,24 @@ def closure_oracle(elements, start=()):
                 known.add(head)
                 changed = True
     return known
+
+
+def cyclic_oracle(program):
+    """Whether some literal derives from itself through rules: a search from
+    each body literal along body-to-head edges that comes back to it."""
+    edges = {}
+    for e in program.elements:
+        for b in e.body:
+            edges.setdefault(b, set()).add(e.head)
+    for start in edges:
+        seen, todo = set(), [start]
+        while todo:
+            for head in edges.get(todo.pop(), set()) - seen:
+                if head == start:
+                    return True
+                seen.add(head)
+                todo.append(head)
+    return False
 
 
 def contradictory_oracle(literals):

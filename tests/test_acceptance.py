@@ -45,6 +45,7 @@ from generators import (
     random_framework,
 )
 from oracles import (
+    all_arguments,
     arguments_oracle,
     available_oracle,
     consistent_subsets_oracle,
@@ -148,7 +149,7 @@ def test_criterion_4():
         }
 
         named = {}
-        for a in index.all_arguments():
+        for a in all_arguments(index):
             for name, labels in NAMED_ARGUMENTS.items():
                 if frozenset(labels_of(a)) == labels:
                     named[name] = a

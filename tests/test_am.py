@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from inca import am
 from inca.am import (
     AMElement,
     AMProgram,
@@ -13,6 +14,7 @@ from inca.am import (
     NOT_WARRANTED,
     PRESUMPTION,
     PROPER,
+    ProgramIndex,
     STRICT_RULE,
     UNDECIDED,
     WARRANTED,
@@ -34,12 +36,14 @@ from conftest import (
 )
 from generators import AM_LITERALS, layered_am_program, random_am_program
 from oracles import (
+    all_arguments,
     arguments_oracle,
     attacks_oracle,
     by_label,
     closure_oracle,
     consistent_subsets_oracle,
     contradictory_oracle,
+    cyclic_oracle,
     delta,
     forest_warrants_oracle,
     ground_program,
@@ -110,7 +114,7 @@ def test_derivation_and_contradiction():
     assert COND_BAJA in index.derivable
     assert lit("expCw", "baja") not in index.derivable
     # strictly, only facts and strict-rule consequences are reachable
-    strict = index_for(AMProgram(index.strict_elements)).derivable
+    strict = index_for(AMProgram(theta(index.program) + omega(index.program))).derivable
     assert lit("evidOf", "baja", "worm123") in strict
     assert IS_CAP not in strict
     # the full element set derives complementary literals
@@ -502,7 +506,7 @@ def test_label_pass_matches_oracles(rng):
     program = random_am_program(rng, max_defeasible=6, max_strict=6)
     index = index_for(program)
     table = consistent_subsets_oracle(program)
-    everything = index.all_arguments()
+    everything = all_arguments(index)
     built = {id(a) for a in everything}
     for literal in AM_LITERALS + (lit("absent", "x"),):
         arguments = index.arguments_for(literal)
@@ -520,16 +524,26 @@ def test_label_pass_matches_oracles(rng):
 
 
 def test_attacks_match_oracle():
+    """Attacks match the oracle, and an argument's defeaters are its
+    attackers, each proper if preferred to it and blocking if neither is
+    preferred, among every argument of the program (defeaters() itself
+    looks only at literals that contradict an attack point)."""
     rng = random.Random(5)
     outcomes = set()
     for _ in range(100):
         index = index_for(random_am_program(rng))
-        arguments = index.all_arguments()
+        arguments = all_arguments(index)
         for a in arguments:
+            defeaters = set()
             for b in arguments:
                 expected = attacks_oracle(arguments, b, a)
                 assert index.attacks(b, a) == expected
                 outcomes.add(expected)
+                if expected and index.prefers(b, a):
+                    defeaters.add((b, PROPER))
+                elif expected and not index.prefers(a, b):
+                    defeaters.add((b, BLOCKING))
+            assert set(index.defeaters(a)) == defeaters
     assert outcomes == {True, False}
 
 
@@ -542,7 +556,7 @@ def test_specificity_matches_exhaustive_oracle():
             continue
         checked += 1
         index = index_for(program)
-        arguments = index.all_arguments()[:4]
+        arguments = all_arguments(index)[:4]
         for a in arguments:
             for b in arguments:
                 if a is not b:
@@ -563,7 +577,7 @@ def test_specificity_cap_ignores_unrelated_facts():
         checked += 1
         index = index_for(program)
         padded = index_for(AMProgram(program.elements + padding))
-        arguments = index.all_arguments()[:4]
+        arguments = all_arguments(index)[:4]
         for a in arguments:
             for b in arguments:
                 if a is not b:
@@ -607,7 +621,7 @@ def test_specificity_matches_subset_walk_over_relevant_literals():
     pairs = []
     for program in [layered_am_program(rng, 6, 4) for _ in range(6)]:
         index = index_for(program)
-        arguments = index.all_arguments()
+        arguments = all_arguments(index)
         pairs += [(program, index, a, b) for a in arguments for b in arguments if a is not b]
     rng.shuffle(pairs)
     checked = Counter()
@@ -675,3 +689,76 @@ def test_warrant_masks_match_full_forests(rng):
         else:
             expected = WARRANTED if pro else NOT_WARRANTED if con else UNDECIDED
             assert index.warrant_status(literal, valid) == expected
+
+
+def test_cyclic_programs_match_oracles():
+    """A program whose rules form a cycle keeps program order, and its
+    closures and label passes repeat until nothing changes. On such
+    programs the pruned walk, run first on a fresh index so that it labels
+    the cones it reaches, and then derivability and the arguments, agree
+    with the oracles."""
+    rng = random.Random(29)
+    seen = Counter()
+    while seen[True] < 40:
+        program = random_am_program(rng, max_defeasible=6, max_strict=6)
+        index = ProgramIndex(program)
+        cyclic = cyclic_oracle(program)
+        assert index._cyclic == cyclic
+        seen[cyclic] += 1
+        if not cyclic:
+            continue
+        # Every element is available in world 3.
+        element_masks = {e.label: rng.randrange(16) | 8 for e in program.elements}
+
+        def available(a):
+            mask = 0xF
+            for e in a.support:
+                mask &= element_masks[e.label]
+            return mask
+
+        for literal in AM_LITERALS[::2]:
+            pro = con = 0
+            for w in range(4):
+                in_w = lambda a: available(a) >> w & 1
+                pro |= forest_warrants_oracle(index, literal, in_w) << w
+                con |= forest_warrants_oracle(index, literal.complement(), in_w) << w
+            if pro & con:
+                with pytest.raises(InternalInconsistencyError):
+                    ProgramIndex(program).warrant_masks(literal, available, 0xF)
+            else:
+                assert ProgramIndex(program).warrant_masks(literal, available, 0xF) == (pro, con)
+        assert index.derivable == closure_oracle(program.elements)
+        table = consistent_subsets_oracle(program)
+        for literal in AM_LITERALS:
+            got = {a.defeasible_part for a in index.arguments_for(literal)}
+            assert got == arguments_oracle(table, literal)
+    assert seen[False]
+
+
+def test_walk_never_expands_a_defeater_past_the_cap(monkeypatch):
+    """The root's blocking defeater C comes first in defeaters() order, and
+    C's own defeaters need a specificity comparison of E with C over 6
+    literals, past a cap of 4. The proper defeater D has no defeaters, so
+    the walk tries D first; D beats the root, and C is never expanded."""
+    program = AMProgram((
+        AMElement("p1", PRESUMPTION, lit("a", "x")),
+        AMElement("r1", DEFEASIBLE_RULE, lit("g", "x"), (lit("a", "x"),)),
+        AMElement("fb", FACT, lit("b", "x")),
+        AMElement("d1", DEFEASIBLE_RULE, lit("a", "x", negated=True), (lit("b", "x"),)),
+        AMElement("p2", PRESUMPTION, lit("c", "x")),
+        AMElement("c2", DEFEASIBLE_RULE, lit("m", "x"), (lit("c", "x"),)),
+        AMElement("c1", DEFEASIBLE_RULE, lit("a", "x", negated=True), (lit("m", "x"),)),
+        AMElement("f1", FACT, lit("h", "x")),
+        AMElement("f2", FACT, lit("k", "x")),
+        AMElement("e1", DEFEASIBLE_RULE, lit("m", "x", negated=True),
+                  (lit("c", "x"), lit("h", "x"), lit("k", "x"))),
+    ))
+    assert ProgramIndex(program).warrant_status(lit("g", "x")) == UNDECIDED
+    monkeypatch.setattr(am, "SPECIFICITY_CAP", 4)
+    index = ProgramIndex(program)
+    (root,) = index.arguments_for(lit("g", "x"))
+    defeaters = [(set(b.labels), kind) for b, kind in index.defeaters(root)]
+    assert defeaters == [({"p2", "c2", "c1"}, BLOCKING), ({"fb", "d1"}, PROPER)]
+    with pytest.raises(CapacityError):
+        index.defeaters(index.defeaters(root)[0][0])
+    assert index.warrant_status(lit("g", "x")) == UNDECIDED

@@ -41,6 +41,7 @@ from conftest import (
 from generators import random_framework, wide20_framework, with_constraints
 from oracles import (
     DistributionError,
+    all_arguments,
     available_oracle,
     nec_at_oracle,
     nec_oracle,
@@ -145,7 +146,7 @@ def test_validity_of_capability_argument(worm_framework):
 
 def test_available_bits_per_world(worm_framework):
     fw = worm_framework
-    arguments = fw.index.all_arguments()
+    arguments = all_arguments(fw.index)
     th1a = argument_by_labels(arguments, ["th1a"])
     assert fw.available(th1a) == fw.space.full  # unannotated: every world
     gov = fw.space.number(world(GOV))
@@ -298,7 +299,7 @@ def test_nec_and_poss_match_per_world_oracles(rng):
     # Every world, conforming or not, against the per-world labels.
     for w in range(fw.space.full.bit_length()):
         world = fw.space.world(w)
-        for a in fw.index.all_arguments():
+        for a in all_arguments(fw.index):
             assert fw.available(a) >> w & 1 == available_oracle(fw, a, world)
     consistent = em.is_consistent(kb)
     heads = list(dict.fromkeys(e.head for e in fw.program.elements))[:4]

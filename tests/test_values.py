@@ -144,7 +144,7 @@ DERIVED = {
     "AMElement": {"_hash", "is_ground"},
     "AMProgram": {"_hash"},
     "Argument": {"_hash"},
-    "ProbabilisticFormula": {"lower", "upper"},
+    "ProbabilisticFormula": {"lower", "upper", "atoms"},
     "EMKnowledgeBase": {"_hash"},
     "AnnotationFunction": {"_table"},
 }
