@@ -10,8 +10,11 @@ so each subprogram's tree is the full tree cut to its available arguments,
 and one walk over masks of subprograms, pruned as in DeLP, decides warrant
 in all of them. The walk tries a node's defeaters fail-first, those with the
 fewest defeaters of their own first (Chesnevar, Simari and Garcia 2000):
-that changes how much is walked, never a mark. Marked trees are built only
-to be shown, and keep defeaters() order.
+that changes how much is walked, never a mark. The same walk, in one world,
+gives the tree that is shown: a D node with the first undefeated defeater
+it met, a U node with all its defeaters, each beaten, in walk order. That
+is a winning strategy for the root's mark, the part of the full marked tree
+that justifies it (Garcia, Chesnevar, Rotstein and Simari 2013).
 
 Each ProgramIndex gives every literal of its ground program one bit, with a
 literal and its complement side by side, and every element one bit and one
@@ -283,7 +286,7 @@ class Argument(Value):
 
 class DialecticalNode(Value):
     """Tree node: an argument, how it defeats its parent (None at the root),
-    its U/D mark, and the nodes of its defeaters."""
+    its U/D mark, and the nodes of the defeaters shown under it."""
 
     _fields = ("argument", "defeat_kind", "mark", "children")
 
@@ -598,17 +601,19 @@ class ProgramIndex:
         return result
 
     def _walk_order(self, a: Argument) -> list:
-        """a's defeaters for the walk, fewest defeaters of their own first;
-        one whose defeaters raise CapacityError goes last, so the order
-        itself never raises."""
+        """a's defeaters for the walk as (argument, kind, element mask),
+        fewest defeaters of their own first; one whose defeaters raise
+        CapacityError goes last, so the order itself never raises."""
         order = self._walks.get(a)
         if order is None:
-            order = self._walks[a] = sorted(self.defeaters(a), key=self._defeater_count)
+            order = self._walks[a] = sorted(
+                ((b, kind, self._mask_of(b)) for b, kind in self.defeaters(a)),
+                key=self._defeater_count)
         return order
 
-    def _defeater_count(self, pair: tuple) -> float:
+    def _defeater_count(self, entry: tuple) -> float:
         try:
-            return len(self.defeaters(pair[0]))
+            return len(self.defeaters(entry[0]))
         except CapacityError:
             return math.inf
 
@@ -627,59 +632,48 @@ class ProgramIndex:
                 return False
         return not self._contradictory(self._closure(own | b | self._strict))
 
-    def _node(self, a: Argument, kind: str | None, line: tuple, sides: tuple,
-              valid) -> DialecticalNode:
-        """The marked subtree of a, the line's last argument and a defeat of
-        the given kind: its children first, then its mark, U iff every child
-        is D. line holds the element masks of the line's arguments, and
-        sides the masks of the side a's defeaters join and of a's own side;
-        valid (default: every argument) says which arguments are available."""
+    def _undefeated(self, a: Argument, kind: str | None, line: tuple, sides: tuple,
+                    mask: int, available, shown: list | None = None) -> int:
+        """The worlds of mask where a, the line's last argument and a defeat
+        of the given kind, is marked U in its world's tree; line holds the
+        element masks of the line's arguments, and sides the masks of the side
+        a's defeaters join and of a's own side. A world's tree is the full tree
+        cut to the arguments available there, so each defeater is followed only
+        on the worlds where it is available and its parent is not yet beaten,
+        and the walk stops once every world is beaten. In one world, shown gets
+        a's node as walked: D with the undefeated defeater that beat it, or U
+        with every defeater, each beaten."""
         own, other = sides
-        children = []
-        for b, b_kind in self.defeaters(a):
-            if valid is not None and not valid(b):
-                continue
-            m = self._mask_of(b)
-            if self._acceptable(line, own, kind, m, b_kind):
-                children.append(
-                    self._node(b, b_kind, line + (m,), (other, own | m), valid)
+        beaten = 0
+        children = [] if shown is not None else None
+        for b, b_kind, m in self._walk_order(a):
+            if beaten == mask:
+                break
+            here = mask & ~beaten & available(b)
+            if here and self._acceptable(line, own, kind, m, b_kind):
+                beaten |= self._undefeated(
+                    b, b_kind, line + (m,), (other, own | m), here, available, children
                 )
-        mark = "D" if any(c.mark == "U" for c in children) else "U"
-        return DialecticalNode(a, kind, mark, tuple(children))
+        if shown is not None:
+            # The walk stops at the first undefeated defeater, so it is last.
+            shown.append(DialecticalNode(a, kind, "D" if beaten else "U",
+                                         children[-1:] if beaten else children))
+        return mask & ~beaten
 
     def build_tree(self, root: Argument, valid=None) -> DialecticalNode:
-        m = self._mask_of(root)
-        return self._node(root, None, (m,), (0, m), valid)
+        """The marked tree of root as the walk decides it, where valid
+        (default: every argument) says which arguments are available."""
+        m, shown = self._mask_of(root), []
+        self._undefeated(root, None, (m,), (0, m), 1, _one_world(valid), shown)
+        return shown[0]
 
     def forest(self, literal: Literal, valid=None) -> tuple[DialecticalNode, ...]:
-        """The full marked trees, for display and as a reference."""
+        """build_tree of each valid argument for the literal."""
         return tuple(
             self.build_tree(a, valid)
             for a in self.arguments_for(literal)
             if valid is None or valid(a)
         )
-
-    def _undefeated(self, a: Argument, kind: str | None, line: tuple, sides: tuple,
-                    mask: int, available) -> int:
-        """The worlds of mask where a, the line's last argument and a defeat
-        of the given kind, is marked U in its world's tree; line and sides
-        are as for _node. A world's tree is the full tree cut to the
-        arguments available there, so each defeater is followed only on the
-        worlds where it is available and its parent is not yet beaten, and
-        the walk stops once every world is beaten."""
-        own, other = sides
-        beaten = 0
-        for b, b_kind in self._walk_order(a):
-            if beaten == mask:
-                break
-            here = mask & ~beaten & available(b)
-            if here:
-                m = self._mask_of(b)
-                if self._acceptable(line, own, kind, m, b_kind):
-                    beaten |= self._undefeated(
-                        b, b_kind, line + (m,), (other, own | m), here, available
-                    )
-        return mask & ~beaten
 
     def warrant_masks(self, literal: Literal, available, mask: int = 1) -> tuple[int, int]:
         """The worlds of mask that warrant the literal and those that warrant
@@ -704,14 +698,18 @@ class ProgramIndex:
     def warrant_status(self, literal: Literal, valid=None) -> str:
         """warrant_masks in one world, where valid (default: every argument)
         says which arguments are available."""
-        pro, con = self.warrant_masks(
-            literal, lambda a: 1 if valid is None or valid(a) else 0
-        )
+        pro, con = self.warrant_masks(literal, _one_world(valid))
         if pro:
             return WARRANTED
         if con:
             return NOT_WARRANTED
         return UNDECIDED
+
+
+def _one_world(valid):
+    """The availability mask of one world where valid (default: every
+    argument) says which arguments are available."""
+    return lambda a: 1 if valid is None or valid(a) else 0
 
 
 @lru_cache(maxsize=1)

@@ -63,7 +63,7 @@ class AnnotationFunction(Value):
 
     def __init__(self, mapping: tuple[tuple[str, Formula], ...] = ()):
         items = mapping.items() if isinstance(mapping, dict) else mapping
-        canonical = []
+        canonical, atoms = [], {}
         seen = set()
         for label, formula in sorted(items, key=lambda pair: pair[0]):
             if label in seen:
@@ -79,9 +79,11 @@ class AnnotationFunction(Value):
                 )
             if formula != TOP:
                 canonical.append((label, formula))
-        # _table is a lookup table; not a field, so equality and hashing stay
-        # on mapping.
-        self.__dict__.update(mapping=tuple(canonical), _table=dict(canonical))
+                atoms[label] = formula_atoms(formula)
+        # _table is a lookup table and _atoms the atoms of each formula, walked
+        # once per load; not fields, so equality and hashing stay on mapping.
+        self.__dict__.update(mapping=tuple(canonical), _table=dict(canonical),
+                             _atoms=atoms)
 
     def annotation_for(self, label: str) -> Formula:
         if label in self._table:
@@ -110,10 +112,10 @@ class InCAFramework:
         known = {e.label for e in program.elements}
         known |= {_base_label(e.label) for e in program.elements}
         universe = set(em.atom_universe)
-        for label, formula in annotations.mapping:
+        for label, atoms in annotations._atoms.items():
             if label not in known:
                 raise AssemblyError(f"annotation for unknown element {label}")
-            for atom in formula_atoms(formula):
+            for atom in atoms:
                 if atom not in universe:
                     raise AssemblyError(
                         f"annotation for {label} mentions {atom}, which is "

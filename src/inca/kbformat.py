@@ -50,7 +50,6 @@ from .language import (
     atom_formula,
     conj,
     disj,
-    formula_atoms,
     neg,
     render_formula,
 )
@@ -638,16 +637,16 @@ def assemble(doc: KBDocument, max_atoms: int = DEFAULT_MAX_ATOMS) -> InCAFramewo
         elements = [g for e in doc.am for g in instantiate(e, pool)]
     program = AMProgram(tuple(elements))
 
+    annotations = AnnotationFunction(doc.af)
     universe = doc.universe
     if universe is None:
         universe = tuple(dict.fromkeys(
             [a for f in doc.em for a in f.atoms]
             + [a for c in doc.ic for a in c.atoms]
-            + [a for _, f in doc.af for a in formula_atoms(f)]
+            + [a for label, _ in doc.af for a in annotations._atoms.get(label, ())]
         ))
 
     em_kb = EMKnowledgeBase(doc.em, doc.ic, universe)
-    annotations = AnnotationFunction(doc.af)
     return InCAFramework(
         em=em_kb,
         program=program,

@@ -8,7 +8,8 @@ from exhaustive subset search instead of a label pass over element masks,
 and their strict parts from a greedy over frozensets of elements; the
 specificity check quantifies over every subset of a literal set instead of
 over the minimal activating sets; warrant is read off fully built and
-marked dialectical trees instead of the pruned walk over world masks;
+marked dialectical trees, whose line conditions are checked on supports,
+instead of the pruned walk over world masks;
 a formula's truth at a world comes from recursion on the formula instead of
 the package's post-order fold.
 Tokens and their positions come from one named-group scan that tracks lines
@@ -22,9 +23,12 @@ from itertools import combinations, product
 
 from inca.am import (
     AMProgram,
+    BLOCKING,
     DEFEASIBLE_RULE,
+    DialecticalNode,
     FACT,
     PRESUMPTION,
+    PROPER,
     STRICT_RULE,
     instantiate,
 )
@@ -261,10 +265,47 @@ def available_oracle(framework, argument, world):
     return all(e.label in labels for e in argument.support)
 
 
+def full_forest_oracle(index, literal, valid=None):
+    """The literal's full marked dialectical trees, one per argument valid
+    (default: every argument) accepts, cut to the arguments it accepts.
+
+    Only index.arguments_for and index.defeaters come from the engine. A
+    defeater extends a line when the line's three conditions hold, checked
+    here on supports with closure_oracle: a blocking defeat is answered
+    only by a proper one, no support lies inside that of an argument
+    already on the line, and the side the defeater joins, with the
+    program's facts and strict rules, stays consistent. A node is U iff
+    every child is D.
+    """
+    strict = theta(index.program) + omega(index.program)
+
+    def node(a, kind, line, own, other):
+        children = []
+        for b, b_kind in index.defeaters(a):
+            if valid is not None and not valid(b):
+                continue
+            if kind == BLOCKING and b_kind != PROPER:
+                continue
+            if any(b.support <= earlier.support for earlier in line):
+                continue
+            side = own | b.support
+            if contradictory_oracle(closure_oracle(tuple(side) + strict)):
+                continue
+            children.append(node(b, b_kind, line + (b,), other, side))
+        mark = "D" if any(c.mark == "U" for c in children) else "U"
+        return DialecticalNode(a, kind, mark, tuple(children))
+
+    return tuple(
+        node(a, None, (a,), frozenset(), a.support)
+        for a in index.arguments_for(literal)
+        if valid is None or valid(a)
+    )
+
+
 def forest_warrants_oracle(index, literal, valid=None):
     """Whether some root of the literal's full marked forest, cut to the
     arguments valid accepts, is undefeated."""
-    return any(t.mark == "U" for t in index.forest(literal, valid))
+    return any(t.mark == "U" for t in full_forest_oracle(index, literal, valid))
 
 
 def nec_at_oracle(framework, world, literal):

@@ -46,6 +46,7 @@ from oracles import (
     cyclic_oracle,
     delta,
     forest_warrants_oracle,
+    full_forest_oracle,
     ground_program,
     is_factual,
     is_presumptive,
@@ -385,13 +386,21 @@ def test_dialectical_tree_of_motive_argument(worm_index):
 def test_dialectical_tree_of_presumptive_argument(worm_index):
     arguments = worm_index.arguments_for(COND_BAJA)
     a2 = argument_by_labels(arguments, {"ph1", "ph2", "de4", "om2a", "th1a", "th2"})
-    tree = worm_index.build_tree(a2)
-    assert tree.mark == "D"
-    kinds = {(labels_of(n.argument), n.defeat_kind) for n in tree.children}
+    (full,) = [t for t in full_forest_oracle(worm_index, COND_BAJA) if t.argument == a2]
+    assert full.mark == "D"
+    kinds = {(labels_of(n.argument), n.defeat_kind) for n in full.children}
     assert kinds == {
         (frozenset({"th1b", "de1b", "om1a"}), PROPER),
         (frozenset({"ph3", "de5a"}), BLOCKING),
     }
+    # The walk meets the blocking defeater first, as it has no defeaters of
+    # its own, and shows only it.
+    tree = worm_index.build_tree(a2)
+    assert tree.mark == "D"
+    (child,) = tree.children
+    assert (labels_of(child.argument), child.defeat_kind) == (
+        frozenset({"ph3", "de5a"}), BLOCKING)
+    assert child.mark == "U" and not child.children
 
 
 def test_warrant_statuses(worm_index):
@@ -466,12 +475,62 @@ def test_line_takes_no_subargument_of_an_earlier_argument():
     b = {"e0_0", "e0_1", "e1_0_1", "e2_1_1"}
     c = {"e0_1", "e1_0_1"}
     d = {"e0_0", "e0_1", "e1_0_0"}
-    assert [shape(t) for t in index.forest(lit("l2_1", x))] == [
+    assert [shape(t) for t in full_forest_oracle(index, lit("l2_1", x))] == [
         (r, None, "D", [(b, BLOCKING, "U", []), (c, BLOCKING, "U", [])]),
     ]
-    assert [shape(t) for t in index.forest(lit("l2_1", x, negated=True))] == [
+    assert [shape(t) for t in full_forest_oracle(index, lit("l2_1", x, negated=True))] == [
         (b, None, "D", [(r, BLOCKING, "U", []), (d, PROPER, "U", [])]),
     ]
+    # A D node shows the first undefeated defeater the walk meets, and the
+    # walk tries fewest defeaters first: C (one, D) before B (two), and D
+    # (none) before R (two).
+    assert [shape(t) for t in index.forest(lit("l2_1", x))] == [
+        (r, None, "D", [(c, BLOCKING, "U", [])]),
+    ]
+    assert [shape(t) for t in index.forest(lit("l2_1", x, negated=True))] == [
+        (b, None, "D", [(d, PROPER, "U", [])]),
+    ]
+
+
+def test_line_keeps_each_side_consistent():
+    # Cut down from random_am_program at seed 268. R = <{d13}, q(b)> is
+    # blocked by B = <{b0, d5, d8, d15}, neg q(b)>, which C = <{b0, d5,
+    # d14}, q(b)> properly defeats. D = <{d19, d20}, neg p(b)> blocks C, but
+    # it would join B's side, and B presumes p(b): D may not extend the line
+    # R, B, C, so C stays U, B is D and q(b) is warranted. Without the
+    # condition, R is D and q(b) undecided.
+    program = AMProgram((
+        AMElement("b0", FACT, lit("s", "a", negated=True)),
+        AMElement("d5", PRESUMPTION, lit("p", "b")),
+        AMElement("d8", DEFEASIBLE_RULE, lit("q", "b", negated=True),
+                  (lit("q", "a", negated=True),)),
+        AMElement("d13", PRESUMPTION, lit("q", "b")),
+        AMElement("d14", DEFEASIBLE_RULE, lit("q", "b"),
+                  (lit("p", "b"), lit("s", "a", negated=True))),
+        AMElement("d15", DEFEASIBLE_RULE, lit("q", "a", negated=True),
+                  (lit("p", "b"), lit("s", "a", negated=True))),
+        AMElement("d19", PRESUMPTION, lit("p", "a")),
+        AMElement("d20", DEFEASIBLE_RULE, lit("p", "b", negated=True), (lit("p", "a"),)),
+    ))
+    index = index_for(program)
+    c = argument_by_labels(index.arguments_for(lit("q", "b")), {"b0", "d5", "d14"})
+    assert ({"d19", "d20"}, BLOCKING) in [(set(b.labels), k) for b, k in index.defeaters(c)]
+    assert index.warrant_status(lit("q", "b")) == WARRANTED
+    assert forest_warrants_oracle(index, lit("q", "b"))
+
+    def shape(node):
+        return (set(node.argument.labels), node.defeat_kind, node.mark,
+                [shape(child) for child in node.children])
+
+    r_tree = (
+        {"d13"}, None, "U", [({"b0", "d5", "d8", "d15"}, BLOCKING, "D", [
+            ({"b0", "d5", "d14"}, PROPER, "U", []),
+        ])],
+    )
+    r = argument_by_labels(index.arguments_for(lit("q", "b")), {"d13"})
+    assert shape(index.build_tree(r)) == r_tree
+    (full,) = [t for t in full_forest_oracle(index, lit("q", "b")) if t.argument == r]
+    assert shape(full) == r_tree
 
 
 # -- randomized cross-checks ---------------------------------------------------
@@ -689,6 +748,44 @@ def test_warrant_masks_match_full_forests(rng):
         else:
             expected = WARRANTED if pro else NOT_WARRANTED if con else UNDECIDED
             assert index.warrant_status(literal, valid) == expected
+
+
+def test_shown_trees_are_winning_strategies_of_the_full_trees():
+    """Each shown tree is part of its root's full marked tree, with the same
+    marks: a shown D node has exactly one child, marked U, and a shown U
+    node has all of the full node's children, each marked D. Seeded, as a D
+    node whose walk meets a beaten defeater before an undefeated one is
+    rare: 3 of these 200 programs have one."""
+    rng = random.Random(27)
+
+    def check(shown, full):
+        assert (shown.argument, shown.defeat_kind, shown.mark) == (
+            full.argument, full.defeat_kind, full.mark)
+        if shown.mark == "D":
+            (child,) = shown.children
+            assert child.mark == "U"
+        else:
+            assert sorted(c.argument.sort_key() for c in shown.children) == sorted(
+                c.argument.sort_key() for c in full.children)
+            assert all(c.mark == "D" for c in shown.children)
+        in_full = {c.argument: c for c in full.children}
+        for child in shown.children:
+            check(child, in_full[child.argument])
+
+    for trial in range(200):
+        if trial % 2:
+            program = layered_am_program(rng, rng.randint(3, 5), rng.randint(2, 4))
+        else:
+            program = random_am_program(rng, max_defeasible=rng.choice((8, 16, 24)))
+        index = index_for(program)
+        chosen = {e.label for e in program.elements if rng.random() < 0.7}
+        valid = rng.choice([None, lambda a: all(e.label in chosen for e in a.support)])
+        for literal in sorted({e.head for e in program.elements}, key=Literal.key):
+            shown = index.forest(literal, valid)
+            full = full_forest_oracle(index, literal, valid)
+            assert len(shown) == len(full)
+            for s, f in zip(shown, full):
+                check(s, f)
 
 
 def test_cyclic_programs_match_oracles():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from inca import bridge, kbformat
 from inca.am import WARRANTED, index_for
 from inca.em import IntegrityConstraint, max_entailment
 from inca.errors import AssemblyError, ParseError
@@ -532,6 +533,26 @@ def test_assemble_universe_extension():
     fw = assemble(doc)
     assert len(fw.em.atom_universe) == 2
     assert len(fw.worlds) == 4
+
+
+def test_assemble_walks_each_annotation_once(monkeypatch):
+    # The default universe lists annotation atoms in document order, not in
+    # the label order the annotation function keeps.
+    doc = parse_kb(
+        "#am\nzz : presume p(a).\naa : presume q(a).\nmm : presume r(a).\n"
+        "#af\nzz : e2(c) ^ e1(c).\naa : e0(c) v e1(c).\nmm : true.\n"
+    )
+    walked = []
+
+    def counting(f):
+        walked.append(f)
+        return formula_atoms(f)
+
+    for module in (bridge, kbformat):
+        monkeypatch.setattr(module, "formula_atoms", counting, raising=False)
+    fw = assemble(doc)
+    assert sorted(map(render_formula, walked)) == ["e0(c) v e1(c)", "e2(c) ^ e1(c)"]
+    assert [str(a) for a in fw.em.atom_universe] == ["e2(c)", "e1(c)", "e0(c)"]
 
 
 def test_assemble_grounds_schematic_rules():

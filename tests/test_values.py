@@ -146,7 +146,7 @@ DERIVED = {
     "Argument": {"_hash"},
     "ProbabilisticFormula": {"lower", "upper", "atoms"},
     "EMKnowledgeBase": {"_hash"},
-    "AnnotationFunction": {"_table"},
+    "AnnotationFunction": {"_table", "_atoms"},
 }
 
 
