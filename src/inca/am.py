@@ -28,9 +28,10 @@ consistency of dialectical lines. An argument's support is an element mask.
 An ATMS label pass (de Kleer 1986) over a literal's backward cone gives it
 its minimal consistent defeasible supports, so arguments are built on
 demand, and sub-arguments, attacks, preference and the acceptability of a
-line's next argument are tests on those masks. The same pass, with
-literals as assumptions, gives the minimal activating sets on which
-specificity is decided.
+line's next argument are tests on those masks. An argument's attackers are
+among the arguments for the complements of its strict closure (defeaters
+proves it). The same pass, with literals as assumptions, gives the minimal
+activating sets on which specificity is decided.
 """
 
 from __future__ import annotations
@@ -238,12 +239,6 @@ def instantiate(element: AMElement, constants) -> tuple[AMElement, ...]:
     return tuple(out)
 
 
-def _check_ground(elements):
-    for e in elements:
-        if not e.is_ground:
-            raise GroundednessError(f"element {e.label} is not ground")
-
-
 def _bits(mask: int):
     """The positions of the set bits of mask, lowest first."""
     while mask:
@@ -305,13 +300,14 @@ class ProgramIndex:
     """Cached argumentation machinery over one ground program."""
 
     def __init__(self, program: AMProgram):
-        _check_ground(program.elements)
+        for e in program.elements:
+            if not e.is_ground:
+                raise GroundednessError(f"element {e.label} is not ground")
         self.program = program
         self._arguments: dict[Literal, tuple[Argument, ...]] = {}
         self._mask: dict[Argument, int] = {}
         self._defeaters: dict[Argument, tuple] = {}
         self._walks: dict[Argument, list] = {}
-        self._rivals: dict[int, int] = {}
         self._prefers_ps: dict[tuple, bool] = {}
         self._closures: dict[int, int] = {}
         self._labels: dict[int, list[int]] = {}
@@ -575,21 +571,22 @@ class ProgramIndex:
     # -- defeat and dialectical trees ---------------------------------------
 
     def defeaters(self, a: Argument) -> tuple:
+        """a's defeaters as (argument, kind), by kind and sort_key. If b for L
+        attacks a at point P, ~L is in C_a, a's support closed under every
+        fact and strict rule (_consistent's closure when a was built). a's
+        strict rules fire in C_a (_strict_part keeps no other), and the
+        greedy drops every strict element with L in its body from b's. So for
+        L not in C_a the attack closure is {L} and the closure of P, inside
+        the consistent C_a, so ~L is there; for L in C_a it all lies in C_a."""
         if a in self._defeaters:
             return self._defeaters[a]
-        m, points = self._mask_of(a), self._attack_points(a)
-        # Only a literal that contradicts a point under every strict element
-        # can attack there, as closure is monotone; cached per point.
-        rivals = 0
-        for point in points:
-            if point not in self._rivals:
-                self._rivals[point] = sum(
-                    1 << k for k in _bits(self._derivable)
-                    if self._contradictory(self._derive(self._strict, point | 1 << k))
-                )
-            rivals |= self._rivals[point]
+        m = self._mask_of(a)
+        c = self._closure(m | self._strict)
+        rivals = ((c & self._positive) << 1 | c >> 1 & self._positive) & self._derivable
+        candidates = [b for k in _bits(rivals) for b in self.arguments_for(self._literal[k])]
+        points = self._attack_points(a) if candidates else set()
         out = []
-        for b in (b for k in _bits(rivals) for b in self.arguments_for(self._literal[k])):
+        for b in candidates:
             if not self._attacks(b, m, points):
                 continue
             if self.prefers(b, a):

@@ -577,6 +577,8 @@ def parse_literal_text(text: str) -> Literal:
     literal = parser.parse_literal()
     if parser.peek():
         parser.error("unexpected trailing input")
+    if not literal.is_ground:
+        raise GroundednessError(f"query must be ground: {literal}")
     return literal
 
 

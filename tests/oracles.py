@@ -541,6 +541,31 @@ def specificity_oracle(program, a1, a2, literals=None):
     return cond1 and cond2
 
 
+def preferred_oracle(program, a1, a2):
+    """Whether a1 is preferred to a2: a proper subset of a2's presumptions
+    wins, and equal presumptions go to specificity_oracle."""
+    p1, p2 = presumptions_of(a1), presumptions_of(a2)
+    if p1 != p2:
+        return p1 < p2
+    return specificity_oracle(program, a1, a2)
+
+
+def defeat_oracle(program, arguments, a):
+    """a's defeaters, given every argument of the program, as a set of
+    (argument, kind): each argument that attacks a per attacks_oracle,
+    proper if preferred_oracle prefers it to a, and blocking if neither is
+    preferred to the other."""
+    out = set()
+    for b in arguments:
+        if not attacks_oracle(arguments, b, a):
+            continue
+        if preferred_oracle(program, b, a):
+            out.add((b, PROPER))
+        elif not preferred_oracle(program, a, b):
+            out.add((b, BLOCKING))
+    return out
+
+
 # -- tokenizer oracle -----------------------------------------------------------
 
 _SECTIONS = ("#sorts", "#em", "#ic", "#am", "#af", "#universe")

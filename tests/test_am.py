@@ -44,6 +44,7 @@ from oracles import (
     consistent_subsets_oracle,
     contradictory_oracle,
     cyclic_oracle,
+    defeat_oracle,
     delta,
     forest_warrants_oracle,
     full_forest_oracle,
@@ -582,15 +583,31 @@ def test_label_pass_matches_oracles(rng):
         assert index.subarguments_of(a) == expected
 
 
+def _oracle_programs(rng, count, layered):
+    """count programs of each random_am_program shape: the default one, and
+    one with up to 6 extra strict elements, where strict cycles and
+    alternative strict derivations are common. Both draw on 8 literals.
+    Then layered programs of 4 layers of width 3: they have 12 to 16
+    derivable literals, over which specificity_oracle walks every subset,
+    so there are only a few of them."""
+    for _ in range(count):
+        yield random_am_program(rng)
+        yield random_am_program(rng, max_defeasible=6, max_strict=6)
+    for _ in range(layered):
+        yield layered_am_program(rng, 4, 3)
+
+
 def test_attacks_match_oracle():
     """Attacks match the oracle, and an argument's defeaters are its
     attackers, each proper if preferred to it and blocking if neither is
     preferred, among every argument of the program (defeaters() itself
-    looks only at literals that contradict an attack point)."""
+    looks only at the arguments for the complements of the literals its
+    support closes to under every fact and strict rule)."""
     rng = random.Random(5)
     outcomes = set()
-    for _ in range(100):
-        index = index_for(random_am_program(rng))
+    programs = [random_am_program(rng) for _ in range(100)]
+    for program in programs + list(_oracle_programs(random.Random(7), 40, 10)):
+        index = index_for(program)
         arguments = all_arguments(index)
         for a in arguments:
             defeaters = set()
@@ -604,6 +621,41 @@ def test_attacks_match_oracle():
                     defeaters.add((b, BLOCKING))
             assert set(index.defeaters(a)) == defeaters
     assert outcomes == {True, False}
+
+
+def test_defeaters_match_defeat_oracle():
+    """Every argument's defeaters, kinds included, are those of
+    defeat_oracle: attackers by attacks_oracle, preference by presumption
+    subsets and then by specificity over every subset of the derivable
+    literals."""
+    kinds = Counter()
+    for program in _oracle_programs(random.Random(28), 200, 12):
+        index = index_for(program)
+        arguments = all_arguments(index)
+        for a in arguments:
+            defeaters = index.defeaters(a)
+            assert len(defeaters) == len(set(defeaters))
+            assert set(defeaters) == defeat_oracle(program, arguments, a)
+            kinds.update(kind for _, kind in defeaters)
+    assert kinds[PROPER] and kinds[BLOCKING]
+
+
+def test_attackers_contradict_the_strict_closure():
+    """Without the engine's closures: whenever b attacks a, b's conclusion
+    contradicts a literal that a's defeasible part derives with every fact
+    and strict rule of the program. This is why defeaters() seeks a's
+    attackers among the arguments for the complements of that closure."""
+    attacks = 0
+    for program in _oracle_programs(random.Random(28), 200, 20):
+        strict = theta(program) + omega(program)
+        arguments = all_arguments(index_for(program))
+        for a in arguments:
+            closed = closure_oracle(tuple(a.defeasible_part) + strict)
+            for b in arguments:
+                if attacks_oracle(arguments, b, a):
+                    attacks += 1
+                    assert b.conclusion.complement() in closed
+    assert attacks > 100
 
 
 def test_specificity_matches_exhaustive_oracle():

@@ -440,6 +440,15 @@ def test_schematic_query_is_rendered(capsys):
     assert (code, out, err) == (1, "", "error: query must be ground: govCybLab(X)\n")
 
 
+@pytest.mark.parametrize("command", ["args", "warrant", "nec", "poss", "bounds", "explain"])
+def test_schematic_literal_is_rejected(capsys, command):
+    # A literal with a variable names no argument, so any answer would read
+    # as if nothing were known about it.
+    world = ["-w", "govCybLab(baja)"] if command == "explain" else []
+    code, out, err = run(capsys, command, KB, "-l", "condOp(X,worm123)", *world)
+    assert (code, out, err) == (1, "", "error: query must be ground: condOp(X,worm123)\n")
+
+
 def test_help_exits_zero(capsys):
     code, _, _ = run(capsys, "--help")
     assert code == 0
