@@ -207,13 +207,20 @@ def cmd_explain(ns):
     return text, payload
 
 
+def _count(text: str) -> int:
+    """An integer >= 0 in decimal digits, as an argparse type."""
+    if text.isdecimal():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("kb", help="knowledge-base file")
     common.add_argument("--json", action="store_true", help="JSON output")
     common.add_argument(
         "--max-atoms",
-        type=int,
+        type=_count,
         default=em.DEFAULT_MAX_ATOMS,
         help="largest atom universe to enumerate (default %(default)s)",
     )

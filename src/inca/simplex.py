@@ -7,9 +7,11 @@ degenerate program, so after BLAND_AFTER degenerate pivots in a row Bland's
 rule (lowest-index entering column) prices until the objective rises. The
 objective never falls and rises only finitely often, and Bland's rule does
 not cycle (Bland 1977), so every run ends. Phase 1 stops as soon as the
-artificials sum to 0, the most it can reach. Inputs are ints and
-fractions.Fraction (a float raises ValueError: its binary expansion is not
-the number it was written as), answers are Fractions, and no float is used.
+artificials sum to 0, the most it can reach, and phase 2 starts from that
+tableau as it stands: artificials stay as columns fixed at 0 that never
+enter. Inputs are ints and fractions.Fraction (a float raises ValueError:
+its binary expansion is not the number it was written as), answers are
+Fractions, and no float is used.
 
 Every constraint is a range, lo <= a . x <= hi with None for an open end,
 and becomes one row whose slack is bounded by hi - lo; ranges with equal
@@ -170,16 +172,16 @@ class Polytope:
             # Phase 1 maximizes -(sum of the artificials), which reaches 0
             # exactly when every artificial is 0: when the region is nonempty.
             crow = [0] * first_artificial + [-1] * (ncols - first_artificial)
-            d = _run(tableau, basis, crow, d, bounds, zero_is_max=True)
+            d = _run(tableau, basis, crow, d, bounds, first_artificial, zero_is_max=True)
             if sum(crow[bi] * tableau[i][-1] for i, bi in enumerate(basis)):
                 raise Infeasible
-            d = _drive_out_artificials(tableau, basis, first_artificial, d)
-            # No artificial is basic any more, and none may enter in
-            # phase 2, so their columns go.
-            tableau = [row[:first_artificial] + row[-1:] for row in tableau]
+            # Every artificial is now 0 and stays there: its bound is 0, so
+            # one still basic leaves at a ratio of 0, and none ever enters.
+            bounds[first_artificial:] = [0] * (ncols - first_artificial)
 
         self.n = n
-        self._width = first_artificial
+        self._width = ncols
+        self._enterable = first_artificial
         self._tableau = tableau
         self._basis = basis
         self._bounds = bounds
@@ -208,7 +210,7 @@ class Polytope:
         # objective.
         tableau = list(self._tableau)
         basis = list(self._basis)
-        d = _run(tableau, basis, crow, self._d, self._bounds)
+        d = _run(tableau, basis, crow, self._d, self._bounds, self._enterable)
         total = sum(crow[bi] * tableau[i][-1] for i, bi in enumerate(basis))
         d *= self._unit
         value = Fraction(sign * total, d * scale)
@@ -225,10 +227,18 @@ class Polytope:
 BLAND_AFTER = 8
 
 
-def _run(tableau, basis, crow, d, bounds, zero_is_max=False):
+def _run(tableau, basis, crow, d, bounds, enterable, zero_is_max=False):
     """Simplex pivots from basis to an optimum of crow; returns the new d.
-    bounds[j] is the upper bound of column j, or None. With zero_is_max the
-    objective is known to be at most 0, and reaching 0 ends the run.
+    bounds[j] is the upper bound of column j, or None, and only columns
+    below enterable may enter. With zero_is_max the objective is known to
+    be at most 0, and reaching 0 ends the run.
+
+    The artificials never enter, so once one leaves it stays nonbasic at 0,
+    and the run is the simplex method on the program without it. Phase 1
+    still reaches 0 exactly when the region is nonempty, as every feasible
+    point has all its artificials at 0. In phase 2 an artificial still
+    basic is bounded by 0: it leaves at a ratio of 0, and a redundant row
+    keeps it as its basic variable.
 
     Dantzig's rule enters the column of largest reduced cost. It can cycle,
     but only through degenerate pivots, which leave the objective where it
@@ -237,7 +247,8 @@ def _run(tableau, basis, crow, d, bounds, zero_is_max=False):
     its complemented slacks) seen before it comes back after it, and there
     are finitely many bases: the rises end.
     A run of degenerate pivots then ends too, since Bland's rule does not
-    cycle (Bland 1977)."""
+    cycle (Bland 1977). No column that may enter has a bound of 0 (an
+    equality has no slack), so a bound flip is never degenerate."""
     # Reduced costs for the current basis, times d, and -d times the
     # objective's value in z[-1]. They share the denominator d > 0, so
     # the integers compare as the costs do.
@@ -250,10 +261,10 @@ def _run(tableau, basis, crow, d, bounds, zero_is_max=False):
         if zero_is_max and not z[-1]:
             return d
         if stalled < BLAND_AFTER:
-            best = max(z[:-1], default=0)
+            best = max(z[:enterable], default=0)
             enter = z.index(best) if best > 0 else -1
         else:
-            enter = next((j for j, v in enumerate(z[:-1]) if v > 0), -1)
+            enter = next((j for j, v in enumerate(z[:enterable]) if v > 0), -1)
         if enter < 0:
             return d
         # The entering column rises by t until a basic variable falls to 0,
@@ -279,7 +290,7 @@ def _run(tableau, basis, crow, d, bounds, zero_is_max=False):
                 leave, best_rhs, best_a = i, rhs, a
         if best_rhs is None:
             raise Unbounded
-        # A bound is positive, so only a pivot at a zero ratio is degenerate.
+        # An entering bound is positive: only a zero-ratio pivot is degenerate.
         stalled = stalled + 1 if leave >= 0 and not best_rhs else 0
         if leave < 0:
             _complement(tableau, z, enter, bounds[enter])
@@ -322,8 +333,7 @@ def _pivot(tableau, z, basis, d, r, c):
     for k, row in enumerate(tableau):
         if k != r:
             tableau[k] = _eliminate(row, prow, p, c, d)
-    if z is not None:
-        z = _eliminate(z, prow, p, c, d)
+    z = _eliminate(z, prow, p, c, d)
     basis[r] = c
     return z, p
 
@@ -333,23 +343,3 @@ def _eliminate(row, prow, p, c, d):
     if f:
         return [(p * a - f * b) // d for a, b in zip(row, prow)]
     return row if p == d else [p * a // d for a in row]
-
-
-def _drive_out_artificials(tableau, basis, first_artificial, d):
-    # Artificial columns are the ones from first_artificial on. A basic
-    # artificial at value zero either pivots out on a structural or slack
-    # column, whose value stays 0, within its bound, or marks a redundant
-    # row, which is dropped.
-    drop = []
-    for i in range(len(tableau)):
-        if basis[i] >= first_artificial:
-            for j in range(first_artificial):
-                if tableau[i][j] != 0:
-                    _, d = _pivot(tableau, None, basis, d, i, j)
-                    break
-            else:
-                drop.append(i)
-    for i in reversed(drop):
-        del tableau[i]
-        del basis[i]
-    return d

@@ -22,6 +22,7 @@ from inca.am import (
     instantiate,
 )
 from inca.errors import AssemblyError, CapacityError, InternalInconsistencyError
+from inca.kbformat import parse_kb
 from inca.language import AM, Atom, Literal, ROLE_ACTOR, ROLE_OPERATION, Term
 
 from conftest import (
@@ -672,6 +673,41 @@ def test_specificity_matches_exhaustive_oracle():
             for b in arguments:
                 if a is not b:
                     assert index.prefers_ps(a, b) == specificity_oracle(program, a, b)
+
+
+def test_omega_consistency_drops_an_inconsistent_activating_set(monkeypatch):
+    """{x, neg x} activates l1 minimally (d1 on x, and y through s), but is
+    contradictory under the strict rule s, so the consistency filter that
+    prefers_ps hands to _antichains drops it. Neither answer changes:
+    {v} and {x, y} are consistent witnesses."""
+    program = AMProgram(tuple(parse_kb(
+        "#am\nfv : fact v.\nfw : fact w.\nd4 : y -< v.\nd5 : x -< v.\n"
+        "d1 : l1 -< x, y.\nd2 : neg x -< w.\ns : y <- neg x.\n"
+        "d3 : l2 -< y, u.\nd6 : u -< w.\n"
+    ).am))
+    index = index_for(program)
+    dropped = []
+    antichains = index._antichains
+
+    def spied(rules, labels, own, consistent):
+        def checked(env):
+            ok = consistent(env)
+            if not ok:
+                dropped.append(env)
+            return ok
+        return antichains(rules, labels, own, checked)
+
+    monkeypatch.setattr(index, "_antichains", spied)
+    (l1,) = index.arguments_for(lit("l1"))
+    l2 = argument_by_labels(index.arguments_for(lit("l2")), {"d2", "d3", "d6", "fw", "s"})
+    assert not index.prefers_ps(l1, l2)
+    assert not index.prefers_ps(l2, l1)
+    assert index._bit[lit("x")] | index._bit[lit("x", negated=True)] in dropped
+    arguments = all_arguments(index)
+    assert len(arguments) == 10
+    for a in arguments:
+        for b in arguments:
+            assert index.prefers_ps(a, b) == specificity_oracle(program, a, b)
 
 
 def test_specificity_cap_ignores_unrelated_facts():

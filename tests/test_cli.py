@@ -478,6 +478,18 @@ def test_max_atoms_cap(capsys):
     assert "atoms" in err
 
 
+def test_negative_max_atoms_is_a_usage_error(capsys, tmp_path):
+    for value in ("-1", "two"):
+        code, out, err = run(capsys, "check", KB, "--max-atoms", value)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:")
+        assert f"argument --max-atoms: expected an integer >= 0, got '{value}'" in err
+    # No world is enumerated for a KB without EM atoms, so 0 is a valid cap.
+    am_only = tmp_path / "am.inca"
+    am_only.write_text("#am\nf : fact p(a).\n")
+    assert run(capsys, "check", str(am_only), "--max-atoms", "0") == (0, "consistent\n", "")
+
+
 def test_inconsistent_kb_query_fails_cleanly(capsys, tmp_path):
     bad = tmp_path / "bad.inca"
     bad.write_text(

@@ -19,6 +19,7 @@ from inca.em import (
     world_space,
 )
 from inca.errors import CapacityError, GroundednessError, InconsistentKBError
+from inca.kbformat import assemble, parse_kb, parse_query
 from inca.language import (
     BOTTOM,
     TOP,
@@ -352,7 +353,7 @@ def test_lp_extrema_matches_dense_per_world_lp_on_padded_kb():
 
 def test_sixteen_formula_lp_takes_few_pivots(monkeypatch):
     # 16 atoms, 16 formulas, 1,764 columns: Dantzig's rule reaches a feasible
-    # basis in 21 pivots, where Bland's rule alone takes 128. A return to
+    # basis in 12 pivots, where Bland's rule alone takes 140. A return to
     # Bland-only pricing fails here rather than only slowing CI.
     kb = witnessed_em_kb(random.Random("scale-16"), 16, 16)
     pivots = []
@@ -360,6 +361,23 @@ def test_sixteen_formula_lp_takes_few_pivots(monkeypatch):
     monkeypatch.setattr(simplex, "_pivot", lambda *a: pivots.append(a[5]) or pivot(*a))
     assert is_consistent(kb)
     assert len(pivots) <= 50
+
+
+def test_dependent_formula_rows_answer_as_before():
+    # Under oneOf{a, b}, the row of a v b is the sum of the rows of a and b,
+    # so after phase 1 one of the three keeps its zero artificial as its
+    # basic variable, through every objective.
+    kb = assemble(parse_kb(
+        "#em\na(x) : 0.3 +- 0.\nb(x) : 0.2 +- 0.\na(x) v b(x) : 0.5 +- 0.\n"
+        "c(x) : 0.5 +- 0.5.\n#ic\noneOf{a(x), b(x)}.\n"
+    )).em
+    for query, answer in (("a(x) v c(x)", (F(13, 20), F(7, 20))),
+                          ("~a(x) ^ ~b(x)", (F(1, 2), F(0)))):
+        formula = parse_query(query)
+        entailed = max_entailment(kb, formula)
+        assert (entailed.p, entailed.eps) == answer
+        interval = lp_bounds(kb, formula)
+        assert (interval.lower, interval.upper) == lp_bounds_oracle(kb, formula)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -56,22 +57,67 @@ def test_negative_rhs_is_normalized():
     assert value == 3
 
 
-def test_drive_out_pivots_on_a_negative_entry():
-    # -x >= 0 leaves its artificial basic at zero after phase 1, with -1 as
-    # the row's first nonzero entry; phase 2 must still see x pinned at 0.
+def test_basic_artificial_leaves_on_a_negative_entry():
+    # -x >= 0 pins x at 0; phase 2 must still see it there.
     value, x = maximize([2, 1], [([-1, 0], 0, None), ([1, 1], None, 3)])
     assert value == 3
     assert x == [F(0), F(3)]
+    # The artificial of x - y == 0 starts basic at 0 and stays basic through
+    # phase 1. y enters first in phase 2, at -1 in that row: the artificial
+    # leaves at its bound 0, a degenerate pivot, and x then rises with y.
+    (value, x), pivots = _priced(
+        simplex.BLAND_AFTER, lambda: maximize([0, 1], [([1, -1], 0, 0), ([1, 1], None, 2)])
+    )
+    assert (value, x) == (1, [F(1), F(1)])
+    assert pivots[0] == (1, True)
 
 
-def test_redundant_row_is_dropped():
+def test_redundant_row_keeps_its_zero_artificial():
     # The second row is the first doubled. Its integer coefficients differ,
-    # so the two do not merge: its artificial stays basic on a row with no
-    # structural entry left, and _drive_out_artificials drops the row.
+    # so the two do not merge: its artificial stays basic at 0 on a row with
+    # no structural entry left, and bounds nothing in phase 2.
     rows = [([1, 1], 1, 1), ([2, 2], 2, 2), ([1, 0], None, 2)]
-    assert len(Polytope(2, rows)._tableau) == 2
+    polytope = Polytope(2, rows)
+    assert max(polytope._basis) >= polytope._enterable
     assert maximize([1, 0], rows) == (1, [F(1), F(0)])
     assert minimize([1, 0], rows) == (0, [F(0), F(1)])
+
+
+def test_redundant_and_dependent_rows_match_fresh_solves_and_vertices():
+    # Rows that keep a zero artificial as their basic variable after phase
+    # 1: an equality and its double, an equality at 0, and the sum of two
+    # equalities, among random rows through a seeded point p of the region.
+    # One polytope answers every objective.
+    rng = random.Random(29)
+    for _ in range(40):
+        w = F(rng.randint(0, 4), 4)
+        p = [w, 1 - w, F(0), F(0)]
+
+        def row(co, below, above):
+            at = sum(c * v for c, v in zip(co, p))
+            return co, None if below is None else at - below, None if above is None else at + above
+
+        co = [rng.randint(-3, 3) for _ in range(4)]
+        rows = [([1, 1, 0, 0], 1, 1), ([2, 2, 0, 0], 2, 2), ([0, 0, 1, 1], 0, 0),
+                row(co, 0, 0), row([1 + co[0], 1 + co[1], *co[2:]], 0, 0),
+                ([1, 1, 1, 1], None, 5)]
+        rows += [
+            row([rng.randint(-3, 3) for _ in range(4)],
+                *rng.choice([(None, rng.randint(0, 2)), (rng.randint(0, 2), None),
+                             (rng.randint(0, 2), rng.randint(0, 2))]))
+            for _ in range(rng.randint(0, 3))
+        ]
+        rng.shuffle(rows)
+        vertices = lp_vertices_oracle(4, rows)
+        polytope = Polytope(4, rows)
+        assert max(polytope._basis) >= polytope._enterable
+        for _ in range(4):
+            c = [rng.randint(-3, 3) for _ in range(4)]
+            values = [sum(ci * xi for ci, xi in zip(c, v)) for v in vertices]
+            top, bottom = polytope.maximize(c), polytope.minimize(c)
+            assert top == maximize(c, rows) and bottom == minimize(c, rows)
+            assert top[0] == max(values) and bottom[0] == min(values)
+            assert tuple(top[1]) in vertices and tuple(bottom[1]) in vertices
 
 
 def test_degenerate_program_terminates():
@@ -175,37 +221,37 @@ def _priced(bland_after, solve):
     column is Dantzig's pick (largest reduced cost, lowest index on ties),
     or Bland's (lowest index with a positive reduced cost) once bland_after
     degenerate pivots have passed in a row since the run began or the
-    objective last rose. Returns what solve() returns and, for each pivot,
-    (entering column, degenerate), or None for a drive-out pivot."""
+    objective last rose. Only the columns that the run may enter are priced,
+    and no other column is pivoted in or flipped to its bound.
+    Returns what solve() returns and, for each pivot, (entering column,
+    degenerate)."""
     pivots = []
-    streak = 0
+    streak = enterable = 0
     pivot, complement, run = simplex._pivot, simplex._complement, simplex._run
 
     def checked_pivot(tableau, z, basis, d, r, c):
         nonlocal streak
-        if z is None:
-            pivots.append(None)
+        costs = z[:enterable]
+        if streak >= bland_after:
+            assert c == next(j for j, v in enumerate(costs) if v > 0)
         else:
-            costs = z[:-1]
-            if streak >= bland_after:
-                assert c == next(j for j, v in enumerate(costs) if v > 0)
-            else:
-                assert c == costs.index(max(costs))
-            # The leaving row's right-hand side is the step, times d.
-            degenerate = tableau[r][-1] == 0
-            streak = streak + 1 if degenerate else 0
-            pivots.append((c, degenerate))
+            assert c == costs.index(max(costs))
+        # The leaving row's right-hand side is the step, times d.
+        degenerate = tableau[r][-1] == 0
+        streak = streak + 1 if degenerate else 0
+        pivots.append((c, degenerate))
         return pivot(tableau, z, basis, d, r, c)
 
-    def checked_complement(*args):
+    def checked_complement(tableau, z, c, bound):
         nonlocal streak
+        assert c < enterable
         streak = 0
-        return complement(*args)
+        return complement(tableau, z, c, bound)
 
-    def checked_run(*args, **kwargs):
-        nonlocal streak
-        streak = 0
-        return run(*args, **kwargs)
+    def checked_run(tableau, basis, crow, d, bounds, enter_below, **kwargs):
+        nonlocal streak, enterable
+        streak, enterable = 0, enter_below
+        return run(tableau, basis, crow, d, bounds, enter_below, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex, "BLAND_AFTER", bland_after)
@@ -248,12 +294,12 @@ def test_degenerate_run_falls_back_to_blands_rule():
 
 def test_phase_one_stops_when_the_artificials_are_zero():
     # The artificial of x + y == 0 starts at 0, the most phase 1 can reach,
-    # so phase 1 prices nothing; one drive-out pivot takes the artificial
-    # out of the basis.
+    # so phase 1 prices nothing and pivots nothing; the artificial stays
+    # basic at 0.
     polytope, pivots = _priced(
         simplex.BLAND_AFTER, lambda: Polytope(2, [([1, 1], 0, 0), ([1, -1], None, 3)])
     )
-    assert pivots == [None]
+    assert pivots == []
     assert polytope.maximize([1, 2]) == (0, [F(0), F(0)])
 
 
@@ -329,8 +375,8 @@ _rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 def _rational_programs(draw):
     n = draw(st.integers(min_value=1, max_value=3))
     width = st.lists(_rational, min_size=n, max_size=n)
-    # Zero ends make degenerate vertices, where artificials stay basic after
-    # phase 1 and are driven out.
+    # Zero ends make degenerate vertices, where artificials stay basic at 0
+    # after phase 1 and into phase 2.
     ends = st.one_of(st.just(F(0)), _rational)
     rows = draw(st.lists(_rows(width, ends), min_size=1, max_size=4))
     # Rows with equal coefficients, wherever they sit, merge into the
