@@ -627,7 +627,7 @@ class ProgramIndex:
         for m in line:
             if b & m == b:
                 return False
-        return not self._contradictory(self._closure(own | b | self._strict))
+        return self._consistent(own | b)
 
     def _undefeated(self, a: Argument, kind: str | None, line: tuple, sides: tuple,
                     mask: int, available, shown: list | None = None) -> int:

@@ -17,9 +17,11 @@ Every constraint is a range, lo <= a . x <= hi with None for an open end,
 and becomes one row whose slack is bounded by hi - lo; ranges with equal
 coefficients, wherever they sit, merge into their intersection, and an
 empty one raises Infeasible. The ratio test also stops where a basic slack
-reaches its bound, or where the entering slack does. That slack is then
-complemented (s becomes U - s: its column is negated and rhs -= column * U),
-so every nonbasic variable stays at zero.
+reaches its bound, or where the entering slack does. One substitution serves
+both events (Dantzig 1955): the slack is complemented (s becomes U - s: its
+column is negated and rhs -= column * U), so every nonbasic variable stays
+at zero. A slack that leaves at its bound is complemented while still basic,
+which changes its row only, and the pivot on that row follows.
 
 Inside, the tableau holds exact integers (Edmonds 1967; Bareiss 1968).
 Integer coefficients and objectives go in as they are, and a row of
@@ -139,41 +141,33 @@ class Polytope:
                 co = [-v for v in co]
             rows.append((co, sign * b, slack, bound))
 
-        m = len(rows)
-        ncols = n
-        slack_col = [None] * m
-        art_col = [None] * m
-        for i, (_, _, slack, _) in enumerate(rows):
-            if slack:
-                slack_col[i] = ncols
-                ncols += 1
-        first_artificial = ncols
-        for i, (_, _, slack, _) in enumerate(rows):
-            if slack != 1:
-                art_col[i] = ncols
-                ncols += 1
-
+        # Slacks take the columns after the structural ones, in row order,
+        # and the artificials the columns after those.
+        first_artificial = n + sum(1 for row in rows if row[2])
+        ncols = first_artificial + sum(1 for row in rows if row[2] != 1)
         tableau = []
         basis = []
         bounds = [None] * ncols
         zeros = [0] * (ncols - n)
-        for i, (co, b, slack, bound) in enumerate(rows):
+        s, a = n, first_artificial
+        for co, b, slack, bound in rows:
             row = [*co, *zeros, b]
             if slack:
-                row[slack_col[i]] = slack
-                bounds[slack_col[i]] = bound
-            if art_col[i] is not None:
-                row[art_col[i]] = 1
+                row[s], bounds[s] = slack, bound
+                basic, s = s, s + 1
+            if slack != 1:
+                row[a] = 1
+                basic, a = a, a + 1
             tableau.append(row)
-            basis.append(art_col[i] if art_col[i] is not None else slack_col[i])
+            basis.append(basic)
 
         d = 1
         if ncols > first_artificial:
             # Phase 1 maximizes -(sum of the artificials), which reaches 0
             # exactly when every artificial is 0: when the region is nonempty.
             crow = [0] * first_artificial + [-1] * (ncols - first_artificial)
-            d = _run(tableau, basis, crow, d, bounds, first_artificial, zero_is_max=True)
-            if sum(crow[bi] * tableau[i][-1] for i, bi in enumerate(basis)):
+            d, total = _run(tableau, basis, crow, d, bounds, first_artificial, zero_is_max=True)
+            if total:
                 raise Infeasible
             # Every artificial is now 0 and stays there: its bound is 0, so
             # one still basic leaves at a ratio of 0, and none ever enters.
@@ -210,8 +204,7 @@ class Polytope:
         # objective.
         tableau = list(self._tableau)
         basis = list(self._basis)
-        d = _run(tableau, basis, crow, self._d, self._bounds, self._enterable)
-        total = sum(crow[bi] * tableau[i][-1] for i, bi in enumerate(basis))
+        d, total = _run(tableau, basis, crow, self._d, self._bounds, self._enterable)
         d *= self._unit
         value = Fraction(sign * total, d * scale)
         if not vector:
@@ -228,10 +221,11 @@ BLAND_AFTER = 8
 
 
 def _run(tableau, basis, crow, d, bounds, enterable, zero_is_max=False):
-    """Simplex pivots from basis to an optimum of crow; returns the new d.
-    bounds[j] is the upper bound of column j, or None, and only columns
-    below enterable may enter. With zero_is_max the objective is known to
-    be at most 0, and reaching 0 ends the run.
+    """Simplex pivots from basis to an optimum of crow; returns the new d
+    and the objective's value there, times d. bounds[j] is the upper bound
+    of column j, or None, and only columns below enterable may enter. With
+    zero_is_max the objective is known to be at most 0, and reaching 0 ends
+    the run.
 
     The artificials never enter, so once one leaves it stays nonbasic at 0,
     and the run is the simplex method on the program without it. Phase 1
@@ -259,14 +253,14 @@ def _run(tableau, basis, crow, d, bounds, enterable, zero_is_max=False):
     stalled = 0
     while True:
         if zero_is_max and not z[-1]:
-            return d
+            return d, -z[-1]
         if stalled < BLAND_AFTER:
             best = max(z[:enterable], default=0)
             enter = z.index(best) if best > 0 else -1
         else:
             enter = next((j for j, v in enumerate(z[:enterable]) if v > 0), -1)
         if enter < 0:
-            return d
+            return d, -z[-1]
         # The entering column rises by t until a basic variable falls to 0,
         # a basic slack rises to its bound, or it reaches its own bound
         # (leave = -1, which wins a tie). Each limit is a ratio of integers
@@ -295,22 +289,17 @@ def _run(tableau, basis, crow, d, bounds, enterable, zero_is_max=False):
         if leave < 0:
             _complement(tableau, z, enter, bounds[enter])
             continue
-        row = tableau[leave]
-        if row[enter] < 0:
-            # The basic slack leaves at its bound: complement it, which
-            # negates its row (all but its own entry d) and sets the rhs
-            # to d * bound - rhs; no other row has it.
-            bi = basis[leave]
-            row = [-v for v in row]
-            row[bi] = d
-            row[-1] += bounds[bi] * d
-            tableau[leave] = row
+        if tableau[leave][enter] < 0:
+            # The basic variable leaves at its bound: complement it, which
+            # changes its row only, and _pivot negates that row.
+            _complement(tableau, z, basis[leave], bounds[basis[leave]])
         z, d = _pivot(tableau, z, basis, d, leave, enter)
 
 
 def _complement(tableau, z, c, bound):
-    """Substitute bound - x for nonbasic column c: negate the column and
-    take column * bound off every right-hand side."""
+    """Substitute bound - x for column c: negate the column and take
+    column * bound off every right-hand side. A basic column is a unit
+    column with reduced cost 0, so then only its row changes."""
     for i, row in enumerate(tableau):
         a = row[c]
         if a:

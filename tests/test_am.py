@@ -21,7 +21,12 @@ from inca.am import (
     index_for,
     instantiate,
 )
-from inca.errors import AssemblyError, CapacityError, InternalInconsistencyError
+from inca.errors import (
+    AssemblyError,
+    CapacityError,
+    GroundednessError,
+    InternalInconsistencyError,
+)
 from inca.kbformat import parse_kb
 from inca.language import AM, Atom, Literal, ROLE_ACTOR, ROLE_OPERATION, Term
 
@@ -88,6 +93,10 @@ def test_element_validation():
     with pytest.raises(ValueError):
         AMElement("x!", FACT, COND_BAJA)
     with pytest.raises(ValueError):
+        AMElement("x1", "axiom", COND_BAJA)
+    with pytest.raises(ValueError):
+        AMElement("f1", FACT, COND_BAJA, guards=(("X", "Y"),))  # facts take no guards
+    with pytest.raises(ValueError):
         AMElement(
             "r1", STRICT_RULE,
             Literal(Atom("condOp", (Term("X"), Term("O")), AM)),
@@ -109,6 +118,12 @@ def test_program_partitions_and_validation():
         AMProgram(worm_elements() + (AMElement("th1a", FACT, IS_CAP),))
     with pytest.raises(AssemblyError):
         AMProgram((AMElement("f1", FACT, COND_BAJA),))  # condOp is never a fact
+    schematic = AMElement(
+        "r1", STRICT_RULE, Literal(Atom("isCap", (Term("X"), Term("worm123")), AM)),
+        (Literal(Atom("evidOf", (Term("X"), Term("worm123")), AM)),),
+    )
+    with pytest.raises(GroundednessError):
+        ProgramIndex(AMProgram((schematic,)))  # the index takes ground programs only
 
 
 def test_derivation_and_contradiction():

@@ -21,6 +21,7 @@ from inca.em import (
 from inca.errors import CapacityError, GroundednessError, InconsistentKBError
 from inca.kbformat import assemble, parse_kb, parse_query
 from inca.language import (
+    AM,
     BOTTOM,
     TOP,
     Atom,
@@ -129,6 +130,10 @@ def test_integrity_constraint_validation_and_allows():
         IntegrityConstraint((GOV,))
     with pytest.raises(ValueError):
         IntegrityConstraint((GOV, GOV))
+    with pytest.raises(ValueError):
+        IntegrityConstraint((GOV, Atom("q", (Term("a"),), AM)))
+    with pytest.raises(ValueError):
+        IntegrityConstraint((GOV, Atom("q", (Term("X"),))))
 
 
 def test_universe_defaults_to_mentioned_atoms_in_order():
@@ -221,6 +226,8 @@ def test_query_validation():
         lp_bounds(kb, atom_formula(ematom("unknown")))
     with pytest.raises(GroundednessError):
         lp_bounds(kb, atom_formula(Atom("p", (Term("X"),))))
+    with pytest.raises(ValueError):
+        lp_bounds(kb, atom_formula(Atom("p", (Term("a"),), AM)))
 
 
 def test_contradictory_band_pair_is_inconsistent():

@@ -432,6 +432,9 @@ def test_duplicate_am_labels_rejected():
     text = "#am\nf1 : fact p(a).\nf1 : fact q(a).\n"
     with pytest.raises(ParseError):
         parse_kb(text)
+    element = parse_kb("#am\nf1 : fact p(a).\n").am[0]
+    with pytest.raises(AssemblyError):
+        KBDocument(am=(element, element))
 
 
 def test_af_must_reference_known_labels():

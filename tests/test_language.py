@@ -15,6 +15,9 @@ from inca.language import (
     Atom,
     Formula,
     F_AND,
+    F_ATOM,
+    F_NOT,
+    F_TOP,
     Literal,
     Term,
     atom_formula,
@@ -42,6 +45,8 @@ def test_term_constants_and_variables():
         Term("")
     with pytest.raises(ValueError):
         Term("bad name")
+    with pytest.raises(ValueError):
+        Term("a", "boss")
 
 
 def test_term_role_is_not_part_of_identity():
@@ -103,6 +108,12 @@ def test_formula_shape_validation():
         Formula(F_AND, parts=(a,))
     with pytest.raises(ValueError):
         Formula("xor", parts=(a, a))
+    with pytest.raises(ValueError):
+        Formula(F_ATOM, a.atom, (TOP,))
+    with pytest.raises(ValueError):
+        Formula(F_NOT)
+    with pytest.raises(ValueError):
+        Formula(F_TOP, a.atom)
     b = Formula("atom", atom=Atom("q", (), AM))
     with pytest.raises(ValueError):
         conj(a, b)  # one formula cannot mix the two models

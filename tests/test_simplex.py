@@ -137,6 +137,8 @@ def test_degenerate_program_terminates():
 def test_input_validation():
     with pytest.raises(ValueError):
         maximize([1, 2], [([1], None, 1)])
+    with pytest.raises(ValueError):
+        Polytope(2, [([1, 1], None, 1)]).maximize([1, 2, 3])
     # A relation string is no end: the (coefficients, relation, rhs) form
     # is refused, not misread.
     with pytest.raises(ValueError):
@@ -188,6 +190,32 @@ def test_ranged_rows(monkeypatch):
     assert flips
 
 
+def test_slack_leaves_at_its_bound_through_one_complement(monkeypatch):
+    # From a seeded search: in phase 2 the slack of 2 <= x + 3y <= 4 (column
+    # 2) enters, then leaves at its bound 2 on a step that is not degenerate.
+    # It is complemented while basic, so the pivot on its row meets a
+    # negative entry, which _pivot negates.
+    rows = [([1, 3], 2, 4), ([1, 1], None, 3)]
+    negative = []
+    pivot = simplex._pivot
+    monkeypatch.setattr(
+        simplex, "_pivot",
+        lambda tableau, z, basis, d, r, c: negative.append(tableau[r][c] < 0)
+        or pivot(tableau, z, basis, d, r, c),
+    )
+    at_bound = []
+    (value, x), pivots = _priced(
+        simplex.BLAND_AFTER, lambda: maximize([2, 3], rows), at_bound
+    )
+    assert (value, x) == (F(13, 2), [F(5, 2), F(1, 2)])
+    vertices = lp_vertices_oracle(2, rows)
+    assert tuple(x) in vertices
+    assert value == max(2 * a + 3 * b for a, b in vertices)
+    assert at_bound == [(2, 3)]
+    assert pivots[3] == (1, False)
+    assert negative == [False, False, False, True]
+
+
 def test_rows_with_equal_coefficients_merge_wherever_they_sit():
     # Their ranges intersect into one row; a row of fractions merges by its
     # integer coefficients (1/2, 1/2 are 1, 1), and a row with neither end is
@@ -216,41 +244,52 @@ def test_beale_cycling_program_terminates():
     assert x == [F(1, 25), F(0), F(1), F(0)]
 
 
-def _priced(bland_after, solve):
+def _priced(bland_after, solve, at_bound=None):
     """solve() under BLAND_AFTER = bland_after, asserting that every entering
     column is Dantzig's pick (largest reduced cost, lowest index on ties),
     or Bland's (lowest index with a positive reduced cost) once bland_after
     degenerate pivots have passed in a row since the run began or the
     objective last rose. Only the columns that the run may enter are priced,
-    and no other column is pivoted in or flipped to its bound.
+    and no other column is pivoted in or flipped to its bound. A column
+    that is basic when it is complemented leaves at its bound: the next
+    pivot must be on its row. Each such complement is appended to at_bound,
+    when given, as (column, index of that pivot in the pivots returned).
     Returns what solve() returns and, for each pivot, (entering column,
     degenerate)."""
     pivots = []
     streak = enterable = 0
+    run_basis = leaving = None
     pivot, complement, run = simplex._pivot, simplex._complement, simplex._run
 
     def checked_pivot(tableau, z, basis, d, r, c):
-        nonlocal streak
+        nonlocal streak, leaving
+        assert leaving in (None, r)
+        leaving = None
         costs = z[:enterable]
         if streak >= bland_after:
             assert c == next(j for j, v in enumerate(costs) if v > 0)
         else:
             assert c == costs.index(max(costs))
-        # The leaving row's right-hand side is the step, times d.
+        # The leaving row's right-hand side is 0 exactly when the step is.
         degenerate = tableau[r][-1] == 0
         streak = streak + 1 if degenerate else 0
         pivots.append((c, degenerate))
         return pivot(tableau, z, basis, d, r, c)
 
     def checked_complement(tableau, z, c, bound):
-        nonlocal streak
-        assert c < enterable
-        streak = 0
+        nonlocal streak, leaving
+        if c in run_basis:
+            leaving = run_basis.index(c)
+            if at_bound is not None:
+                at_bound.append((c, len(pivots)))
+        else:
+            assert c < enterable
+            streak = 0
         return complement(tableau, z, c, bound)
 
     def checked_run(tableau, basis, crow, d, bounds, enter_below, **kwargs):
-        nonlocal streak, enterable
-        streak, enterable = 0, enter_below
+        nonlocal streak, enterable, run_basis
+        streak, enterable, run_basis = 0, enter_below, basis
         return run(tableau, basis, crow, d, bounds, enter_below, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
