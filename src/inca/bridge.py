@@ -126,6 +126,7 @@ class InCAFramework:
         self.annotations = annotations
         self.max_atoms = max_atoms
         self._available: dict[Argument, int] = {}
+        self._masks: dict[Literal, tuple[int, int]] = {}
 
     @cached_property
     def index(self):
@@ -171,13 +172,17 @@ class InCAFramework:
     def masks(self, literal: Literal) -> tuple[int, int]:
         """The nec and poss sets as masks of self.space: the conforming
         worlds that warrant the literal, and those where some argument for
-        it is available and its complement is not warranted."""
-        conforming = self.space.conforming
-        nec, con = self.index.warrant_masks(literal, self.available, conforming)
-        poss = 0
-        for a in self.index.arguments_for(literal):
-            poss |= self.available(a)
-        return nec, poss & conforming & ~con
+        it is available and its complement is not warranted. Kept per
+        literal, as `available` keeps each argument's mask."""
+        masks = self._masks.get(literal)
+        if masks is None:
+            conforming = self.space.conforming
+            nec, con = self.index.warrant_masks(literal, self.available, conforming)
+            poss = 0
+            for a in self.index.arguments_for(literal):
+                poss |= self.available(a)
+            masks = self._masks[literal] = nec, poss & conforming & ~con
+        return masks
 
     def nec_set(self, literal: Literal) -> tuple[World, ...]:
         """Worlds whose induced subprogram warrants the literal."""

@@ -157,6 +157,13 @@ class KBDocument(Value):
         )
 
 
+# The tables of terms, atoms, literals and atom formulas, in that order, of
+# the last document parse_kb returned. A parse only reads them; parse_kb
+# replaces the whole tuple once its document is built, so at most one
+# document's values stay alive here.
+_last_tables: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
+
+
 class _Parser:
     """A parser over the token list of one text. A token is referred to by
     its index, which error() turns into a position."""
@@ -168,13 +175,17 @@ class _Parser:
         # arity bookkeeping, keyed by (model, predicate)
         self.arities: dict[tuple[str, str], int] = {}
         # Each distinct term, atom, literal and atom formula of this text is
-        # built once; the four tables live only as long as the parse. Terms
-        # are keyed by their token, atoms by (model, *their raw tokens),
-        # literals by (atom, negated) and atom formulas by their atom.
+        # built once, or taken from the last document's tables when it
+        # spelled the same one. Terms are keyed by their token, atoms by
+        # (model, *their raw tokens), literals by (atom, negated) and atom
+        # formulas by their atom.
         self.terms: dict[str, Term] = {}
         self.atoms: dict[tuple[str, ...], Atom] = {}
         self.literals: dict[tuple[Atom, bool], Literal] = {}
         self.formulas: dict[Atom, Formula] = {}
+        self.last_terms, self.last_atoms, self.last_literals, self.last_formulas = (
+            _last_tables
+        )
 
     # -- token plumbing ------------------------------------------------------
 
@@ -209,7 +220,10 @@ class _Parser:
         self.pos += 1
         term = self.terms.get(tok)
         if term is None:
-            term = self.terms[tok] = Term(tok)
+            term = self.last_terms.get(tok)
+            if term is None:
+                term = Term(tok)
+            self.terms[tok] = term
         return term
 
     def parse_atom(self, model: str) -> Atom:
@@ -225,6 +239,16 @@ class _Parser:
                 end = len(tokens)
         key = (model, *tokens[start:end])
         atom = self.atoms.get(key)
+        if atom is None:
+            # The last document's atom joins this parse's arity record; on
+            # a mismatch the full parse below raises the error.
+            atom = self.last_atoms.get(key)
+            if atom is not None:
+                n = len(atom.args)
+                if self.arities.setdefault((model, atom.predicate), n) == n:
+                    self.atoms[key] = atom
+                else:
+                    atom = None
         if atom is not None:
             self.pos = end
             return atom
@@ -256,7 +280,10 @@ class _Parser:
         key = (self.parse_atom(AM), negated)
         literal = self.literals.get(key)
         if literal is None:
-            literal = self.literals[key] = Literal(*key)
+            literal = self.last_literals.get(key)
+            if literal is None:
+                literal = Literal(*key)
+            self.literals[key] = literal
         return literal
 
     def parse_formula(self, model: str) -> Formula:
@@ -279,7 +306,10 @@ class _Parser:
                 atom = self.parse_atom(model)
                 f = self.formulas.get(atom)
                 if f is None:
-                    f = self.formulas[atom] = atom_formula(atom)
+                    f = self.last_formulas.get(atom)
+                    if f is None:
+                        f = atom_formula(atom)
+                    self.formulas[atom] = f
             while True:
                 while ops and ops[-1] == "~":
                     ops.pop()
@@ -497,8 +527,13 @@ def _parse_element(parser: _Parser, label: str) -> AMElement:
 
 def parse_kb(text: str) -> KBDocument:
     """Parse a knowledge-base document; the first problem raises ParseError
-    with its 1-based position."""
-    return _parse_document(_Parser(text))
+    with its 1-based position. A document parsed without error becomes the
+    last document, whose values the next parse reuses."""
+    global _last_tables
+    parser = _Parser(text)
+    doc = _parse_document(parser)
+    _last_tables = parser.terms, parser.atoms, parser.literals, parser.formulas
+    return doc
 
 
 # -- rendering ---------------------------------------------------------------

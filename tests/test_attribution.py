@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inca.am import AMProgram
+from inca.am import AMProgram, ProgramIndex
 from inca.attribution import apply_evidence, most_probable_suspects
 from inca.bridge import InCAFramework
 from inca.em import EMKnowledgeBase, ProbabilisticFormula
@@ -65,6 +65,21 @@ def test_trace_for_most_probable_suspect(framework):
     assert trace.forest
     assert all(node.mark in ("U", "D") for node in trace.forest)
     assert any(node.mark == "U" for node in trace.forest)
+
+
+def test_each_suspect_is_walked_once(framework, monkeypatch):
+    # the trace reads the top suspect's nec mask that its bounds computed
+    walks = []
+    walk = ProgramIndex.warrant_masks
+    monkeypatch.setattr(
+        ProgramIndex, "warrant_masks",
+        lambda self, *args: walks.append(args[0]) or walk(self, *args),
+    )
+    result = most_probable_suspects(framework, "worm123", ["baja", "mojave"])
+    assert len(result.traces) == 1
+    assert [str(literal) for literal in walks] == [
+        "condOp(baja,worm123)", "condOp(mojave,worm123)",
+    ]
 
 
 def test_no_trace_without_warranting_world(framework):

@@ -1,5 +1,8 @@
+import contextlib
+import gc
 import random
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from inca import bridge, kbformat
 from inca.am import WARRANTED, index_for
 from inca.em import IntegrityConstraint, max_entailment
-from inca.errors import AssemblyError, ParseError
+from inca.errors import AssemblyError, GroundednessError, ParseError
 from inca.kbformat import (
     _FragmentParser,
     KBDocument,
@@ -29,6 +32,8 @@ from inca.language import (
     F_ATOM,
     TOP,
     Atom,
+    Literal,
+    Term,
     _postorder,
     atom_formula,
     conj,
@@ -402,22 +407,106 @@ def test_atoms_are_collected_without_pairwise_compares(monkeypatch, text):
     assert len(calls) == 0
 
 
-def test_parses_share_no_atoms():
-    # no table outlives a parse: equal documents, no common objects
-    text = (FIXTURES / "worm123.inca").read_text()
-    first, second = parse_kb(text), parse_kb(text)
-    assert first == second
-    def ids(doc):
-        atoms = _mentioned_atoms(doc)
-        found = {id(a) for a in atoms} | {id(t) for a in atoms for t in a.args}
-        found |= {id(lit) for lit in _mentioned_literals(doc)}
-        return found | {id(f) for f in _atom_formulas(doc)}
+def _values(doc):
+    """The terms, atoms, literals and atom formulas of doc, in document
+    order."""
+    atoms = _mentioned_atoms(doc)
+    return [*atoms, *(t for a in atoms for t in a.args),
+            *_mentioned_literals(doc), *_atom_formulas(doc)]
 
-    assert not ids(first) & ids(second)
+
+def test_parses_share_the_last_documents_values(monkeypatch):
+    text = (FIXTURES / "worm123.inca").read_text()
+    first = parse_kb(text)
+    built = []
+    for cls in (Term, Atom, Literal):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init:
+                            built.append(self) or init(self, *args))
+    second = parse_kb(text)
+    monkeypatch.undo()
+    assert built == []
+    assert first is not second and first == second
+    assert list(map(id, _values(first))) == list(map(id, _values(second)))
     # the assembled knowledge base and program compare and hash alike
     one, two = assemble(first), assemble(second)
     assert one.em == two.em and hash(one.em) == hash(two.em)
     assert one.program == two.program and hash(one.program) == hash(two.program)
+
+
+def test_only_the_last_document_is_kept():
+    doc = parse_kb("#em\nonly_here(c0) : 0.5 +- 0.\n#am\nf1 : fact held(c0).\n")
+    atom, literal = weakref.ref(doc.em[0].formula.atom), weakref.ref(doc.am[0].head)
+    del doc
+    parse_kb("#em\nother(c0) : 0.5 +- 0.\n")
+    gc.collect()
+    assert atom() is None and literal() is None
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_kb, "#em\np(a) : 0.5 +- 0.\nq(b) : 2 +- 0.\n"),
+        (parse_kb, "#am\nf1 : fact p(a).\nf1 : fact p(a).\n"),
+        (parse_query, "p(a) ^ ~q(b"),
+        (parse_query, "p(a) ^ ~q(b)"),
+        (parse_literal_text, "neg condOp(baja,worm123)"),
+        (parse_world_spec, "govCybLab(baja), p(a)"),
+        (parse_evidence, "p(a).\nq(b) : 1/2 +- 1/4.\n"),
+    ],
+)
+def test_a_failed_or_fragment_parse_leaves_the_tables(parse, text):
+    parse_kb((FIXTURES / "worm123.inca").read_text())
+    tables = kbformat._last_tables
+    contents = [dict(table) for table in tables]
+    with contextlib.suppress(ParseError):
+        parse(text)
+    assert kbformat._last_tables is tables
+    assert [dict(table) for table in tables] == contents
+
+
+def test_arity_is_checked_against_reused_atoms():
+    parse_kb("#em\np(a) : 0.5 +- 0.\n")
+    with pytest.raises(ParseError) as excinfo:
+        parse_kb("#em\np(a,b) : 0.5 +- 0.\np(a) : 0.5 +- 0.\n")
+    assert (excinfo.value.line, excinfo.value.column) == (3, 1)
+    assert str(excinfo.value).endswith("p used with 1 argument(s), earlier with 2")
+
+
+def _outcome(parse, text):
+    """What parse makes of text: its value, or its error's type, message
+    and position."""
+    try:
+        value = parse(text)
+    except (ParseError, GroundednessError) as exc:
+        where = getattr(exc, "line", None), getattr(exc, "column", None)
+        return type(exc), str(exc), where, getattr(exc, "snippet", None)
+    return value, repr(value)
+
+
+def _fragments(text):
+    """Each line of text, and its pieces between ':', '.', '<-' and '-<'."""
+    lines = text.splitlines()
+    pieces = [p.strip() for line in lines for p in re.split(r"[:.]|<-|-<", line)]
+    return [*lines, *pieces]
+
+
+_FRAGMENT_PARSERS = (parse_query, parse_literal_text, parse_world_spec, parse_evidence)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_kb_texts(), mutated_kb_texts())
+def test_the_last_document_changes_no_outcome(before, text):
+    def after(last):
+        parse_kb("")
+        with contextlib.suppress(ParseError):
+            parse_kb(last)
+        outcomes = [_outcome(parse_kb, text)]
+        for fragment in _fragments(text):
+            outcomes += [_outcome(parse, fragment) for parse in _FRAGMENT_PARSERS]
+        return outcomes
+
+    assert after(before) == after("")
 
 
 def test_predicate_arity_is_checked_per_model():
