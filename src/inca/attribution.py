@@ -142,16 +142,17 @@ def most_probable_suspects(
         raise SortError(f"{operation} is not an operation")
 
     extended = apply_evidence(framework, evidence)
-    reports = []
-    for name in names:
-        literal = _conducting_literal(name, operation)
-        reports.append(SuspectReport(name, extended.prob_bounds(literal)))
+    literals = {name: _conducting_literal(name, operation) for name in names}
+    reports = [
+        SuspectReport(name, extended.prob_bounds(literal))
+        for name, literal in literals.items()
+    ]
     best = max(r.interval.p for r in reports)
     most = tuple(sorted(r.suspect for r in reports if r.interval.p == best))
 
     traces = []
     for name in most:
-        literal = _conducting_literal(name, operation)
+        literal = literals[name]
         nec, _ = extended.masks(literal)
         if not nec:
             continue

@@ -14,11 +14,19 @@ its support. One pruned walk of the dialectical trees over those masks
 those that warrant its complement; nec and poss are masks read off them
 that go to the LP as they are. They are listed as worlds only when a
 caller asks for them.
+
+What a program, an annotation function and a world space determine is
+derived once and shared (`_kb_state`): each element label's table, each
+argument's availability, each literal's (nec, poss) masks and its
+probability bounds. Every framework over the same KB, such as the one each
+CLI command assembles, reads them from there, as it reads the argument
+index (`index_for`) and the EM's LP (`_linear_program`); like those, only
+the last KB's state is kept.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .am import (
     AMProgram,
@@ -82,8 +90,13 @@ class AnnotationFunction(Value):
                 atoms[label] = formula_atoms(formula)
         # _table is a lookup table and _atoms the atoms of each formula, walked
         # once per load; not fields, so equality and hashing stay on mapping.
-        self.__dict__.update(mapping=tuple(canonical), _table=dict(canonical),
-                             _atoms=atoms)
+        # Hashed once: the shared per-KB state is looked up by annotations.
+        mapping = tuple(canonical)
+        self.__dict__.update(_hash=hash(mapping), mapping=mapping,
+                             _table=dict(canonical), _atoms=atoms)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def annotation_for(self, label: str) -> Formula:
         if label in self._table:
@@ -91,10 +104,33 @@ class AnnotationFunction(Value):
         return self._table.get(_base_label(label), TOP)
 
 
+class _KBState:
+    """What `_kb_state` shares, filled in as queries reach it. An entry
+    depends only on the key and is never changed once written, so threads
+    that share the state can at worst compute one twice."""
+
+    def __init__(self):
+        self.tables: dict[str, int] = {}
+        self.available: dict[Argument, int] = {}
+        self.masks: dict[Literal, tuple[int, int]] = {}
+        self.bounds: dict[Literal, ProbabilityInterval] = {}
+
+
+@lru_cache(maxsize=1)
+def _kb_state(index, annotations: AnnotationFunction, space: WorldSpace) -> _KBState:
+    """The state of the last KB asked about. index and space compare by
+    identity: `index_for` and `world_space` return the same object for an
+    equal program and for an equal (EM, max_atoms), and the EM and max_atoms
+    fix the LP that prob_bounds reads."""
+    return _KBState()
+
+
 class InCAFramework:
     """A probabilistic knowledge base, a ground argumentation program, and
     the annotation function tying them together. Mutable, and equal only to
-    itself."""
+    itself. Availability, nec/poss masks and bounds live in the state shared
+    by every framework over an equal KB (`_kb_state`), not in the
+    instance."""
 
     def __init__(
         self,
@@ -125,8 +161,6 @@ class InCAFramework:
         self.program = program
         self.annotations = annotations
         self.max_atoms = max_atoms
-        self._available: dict[Argument, int] = {}
-        self._masks: dict[Literal, tuple[int, int]] = {}
 
     @cached_property
     def index(self):
@@ -140,18 +174,28 @@ class InCAFramework:
     def worlds(self) -> tuple[World, ...]:
         return tuple(enumerate_worlds(self.em, self.max_atoms))
 
+    @cached_property
+    def _state(self) -> _KBState:
+        return _kb_state(self.index, self.annotations, self.space)
+
     # -- availability and world-indexed warrant -----------------------------
 
     def available(self, argument: Argument) -> int:
         """The worlds, as a mask of self.space, where an argument can be
         used: those where the annotation of every element of its support
         holds."""
-        mask = self._available.get(argument)
+        state = self._state
+        mask = state.available.get(argument)
         if mask is None:
             mask = self.space.full
             for e in argument.support:
-                mask &= self.space.table(self.annotations.annotation_for(e.label))
-            self._available[argument] = mask
+                table = state.tables.get(e.label)
+                if table is None:
+                    table = state.tables[e.label] = self.space.table(
+                        self.annotations.annotation_for(e.label)
+                    )
+                mask &= table
+            state.available[argument] = mask
         return mask
 
     def _in(self, world: World):
@@ -173,15 +217,17 @@ class InCAFramework:
         """The nec and poss sets as masks of self.space: the conforming
         worlds that warrant the literal, and those where some argument for
         it is available and its complement is not warranted. Kept per
-        literal, as `available` keeps each argument's mask."""
-        masks = self._masks.get(literal)
+        literal in the shared state, as `available` keeps each argument's
+        mask."""
+        known = self._state.masks
+        masks = known.get(literal)
         if masks is None:
             conforming = self.space.conforming
             nec, con = self.index.warrant_masks(literal, self.available, conforming)
             poss = 0
             for a in self.index.arguments_for(literal):
                 poss |= self.available(a)
-            masks = self._masks[literal] = nec, poss & conforming & ~con
+            masks = known[literal] = nec, poss & conforming & ~con
         return masks
 
     def nec_set(self, literal: Literal) -> tuple[World, ...]:
@@ -199,6 +245,10 @@ class InCAFramework:
         """Tight probability interval for the literal being warranted: the
         least mass on the necessary worlds and the most on the possible
         ones."""
-        nec, poss = self.masks(literal)
-        lp = _linear_program(self.em, self.max_atoms)
-        return ProbabilityInterval(*lp.extrema(nec, poss))
+        known = self._state.bounds
+        interval = known.get(literal)
+        if interval is None:
+            nec, poss = self.masks(literal)
+            lp = _linear_program(self.em, self.max_atoms)
+            interval = known[literal] = ProbabilityInterval(*lp.extrema(nec, poss))
+        return interval

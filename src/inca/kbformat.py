@@ -187,6 +187,17 @@ class _Parser:
             _last_tables
         )
 
+    def formula_of(self, atom: Atom) -> Formula:
+        """The formula of one atom: this parse's, else the last document's,
+        else a new one."""
+        f = self.formulas.get(atom)
+        if f is None:
+            f = self.last_formulas.get(atom)
+            if f is None:
+                f = atom_formula(atom)
+            self.formulas[atom] = f
+        return f
+
     # -- token plumbing ------------------------------------------------------
 
     def peek(self) -> str:
@@ -303,13 +314,7 @@ class _Parser:
                 self.pos += 1
                 f = _CONSTANTS[tok]
             else:
-                atom = self.parse_atom(model)
-                f = self.formulas.get(atom)
-                if f is None:
-                    f = self.last_formulas.get(atom)
-                    if f is None:
-                        f = atom_formula(atom)
-                    self.formulas[atom] = f
+                f = self.formula_of(self.parse_atom(model))
             while True:
                 while ops and ops[-1] == "~":
                     ops.pop()
@@ -644,7 +649,7 @@ def parse_evidence(text: str) -> tuple[ProbabilisticFormula, ...]:
             p, eps = parser.parse_bound()
         parser.expect_symbol(".")
         try:
-            formulas.append(ProbabilisticFormula(atom_formula(atom), p, eps))
+            formulas.append(ProbabilisticFormula(parser.formula_of(atom), p, eps))
         except (ValueError, GroundednessError) as exc:
             parser.error(str(exc), start)
     return tuple(formulas)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from inca import attribution, bridge
 from inca.am import AMProgram, ProgramIndex
 from inca.attribution import apply_evidence, most_probable_suspects
 from inca.bridge import InCAFramework
@@ -68,7 +69,10 @@ def test_trace_for_most_probable_suspect(framework):
 
 
 def test_each_suspect_is_walked_once(framework, monkeypatch):
-    # the trace reads the top suspect's nec mask that its bounds computed
+    # the trace reads the top suspect's nec mask that its bounds computed;
+    # another test's framework over the same KB may have filled the shared
+    # state, so start from an empty one
+    bridge._kb_state.cache_clear()
     walks = []
     walk = ProgramIndex.warrant_masks
     monkeypatch.setattr(
@@ -80,6 +84,19 @@ def test_each_suspect_is_walked_once(framework, monkeypatch):
     assert [str(literal) for literal in walks] == [
         "condOp(baja,worm123)", "condOp(mojave,worm123)",
     ]
+
+
+def test_each_conducting_literal_is_built_once(framework, monkeypatch):
+    # the top suspect's trace reuses the literal its report was bounded on
+    built = []
+    build = attribution._conducting_literal
+    monkeypatch.setattr(
+        attribution, "_conducting_literal",
+        lambda *args: built.append(args) or build(*args),
+    )
+    result = most_probable_suspects(framework, "worm123", ["baja", "mojave"])
+    assert len(result.traces) == 1
+    assert built == [("baja", "worm123"), ("mojave", "worm123")]
 
 
 def test_no_trace_without_warranting_world(framework):

@@ -1,13 +1,18 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from inca import bridge, em
-from inca.am import AMElement, AMProgram, NOT_WARRANTED, WARRANTED
+from inca.am import AMElement, AMProgram, NOT_WARRANTED, ProgramIndex, WARRANTED
+from inca.attribution import apply_evidence, most_probable_suspects
 from inca.bridge import AnnotationFunction, InCAFramework
 from inca.em import EMKnowledgeBase, ProbabilisticFormula
+from inca.kbformat import assemble, load_kb
+from inca.simplex import Polytope
 from inca.errors import (
     AssemblyError,
     GroundednessError,
@@ -27,6 +32,7 @@ from conftest import (
     AGE,
     COND_BAJA,
     COND_MOJAVE,
+    FIXTURES,
     GOV,
     IS_CAP,
     MSE,
@@ -249,6 +255,102 @@ def test_worlds_do_not_need_a_consistent_em(worm_program):
 def test_bounds_for_literal_without_arguments(worm_framework):
     iv = worm_framework.prob_bounds(lit("unheard", "x"))
     assert (iv.lower, iv.upper) == (F(0), F(0))
+
+
+# -- the state shared by frameworks over one KB ---------------------------------
+
+
+def test_a_repeated_kb_is_answered_from_the_shared_state(monkeypatch):
+    def ask(fw):
+        return (fw.prob_bounds(IS_CAP), fw.nec_set(IS_CAP),
+                most_probable_suspects(fw, "worm123", ["baja", "mojave"]))
+
+    first = ask(assemble(load_kb(FIXTURES / "worm123.inca")))
+    calls = []
+    for cls, name in ((ProgramIndex, "warrant_masks"), (Polytope, "optimum")):
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *args, name=name, method=method:
+                            calls.append(name) or method(self, *args))
+    # a second framework over the same KB walks no tree and solves no LP
+    assert ask(assemble(load_kb(FIXTURES / "worm123.inca"))) == first
+    assert calls == []
+
+
+def test_the_shared_state_is_keyed_by_the_whole_kb(worm_program):
+    """Frameworks that differ in one part of the KB only, built in turn,
+    answer as each does from an empty state."""
+    without_de5a = AMProgram(tuple(e for e in worm_elements() if e.label != "de5a"))
+    builders = {
+        "base": lambda: InCAFramework(worm_em_kb(), worm_program, worm_annotations()),
+        "annotations": lambda: InCAFramework(
+            worm_em_kb(), worm_program,
+            AnnotationFunction({"ph1": atom_formula(AGE), "ph3": atom_formula(GOV)}),
+        ),
+        "em": lambda: apply_evidence(
+            InCAFramework(worm_em_kb(), worm_program, worm_annotations()),
+            [ProbabilisticFormula(atom_formula(AGE), F(1, 10))],
+        ),
+        "max_atoms": lambda: InCAFramework(
+            worm_em_kb(), worm_program, worm_annotations(), max_atoms=3
+        ),
+        "program": lambda: InCAFramework(worm_em_kb(), without_de5a, worm_annotations()),
+    }
+    literals = (IS_CAP, NOT_IS_CAP, COND_BAJA, COND_MOJAVE)
+
+    def answers(fw):
+        return [(fw.nec_set(x), fw.poss_set(x), fw.prob_bounds(x)) for x in literals]
+
+    expected = {}
+    for name, build in builders.items():
+        bridge._kb_state.cache_clear()
+        expected[name] = answers(build())
+    # each part of the key changes some answer, so a key without it fails
+    assert all(expected[name] != expected["base"] for name in builders
+               if name not in ("base", "max_atoms"))
+    for first in builders:
+        for second in builders:
+            assert answers(builders[first]()) == expected[first]
+            assert answers(builders[second]()) == expected[second]
+
+
+def test_threads_sharing_the_state_answer_as_one_thread(worm_program):
+    # Two KBs in turn, so threads rebuild the state while others read it.
+    builders = (
+        lambda: InCAFramework(worm_em_kb(), worm_program, worm_annotations()),
+        lambda: InCAFramework(
+            worm_em_kb(), worm_program,
+            AnnotationFunction({"ph1": atom_formula(AGE), "ph3": atom_formula(GOV)}),
+        ),
+    )
+    literals = (IS_CAP, NOT_IS_CAP, COND_BAJA, COND_MOJAVE)
+
+    def answers(fw):
+        return [(fw.masks(x), fw.prob_bounds(x)) for x in literals]
+
+    expected = [answers(build()) for build in builders]
+    wrong = []
+
+    def work(k):
+        try:
+            for i in range(40):
+                j = (i + k) % 2
+                if answers(builders[j]()) != expected[j]:
+                    wrong.append((k, i))
+        except Exception as exc:  # reported by the assertion below
+            wrong.append((k, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_prob_from_distribution(worm_framework):

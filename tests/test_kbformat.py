@@ -434,6 +434,18 @@ def test_parses_share_the_last_documents_values(monkeypatch):
     assert one.program == two.program and hash(one.program) == hash(two.program)
 
 
+def test_evidence_takes_the_documents_atom_formulas():
+    doc = parse_kb((FIXTURES / "worm123.inca").read_text())
+    gov, again, new = parse_evidence(
+        "govCybLab(baja) : 1/2 +- 1/4.\ngovCybLab(baja).\norigIP(mw123sam1,baja).\n"
+    )
+    # an atom the KB spells gets the KB's own formula object, and a repeat
+    # within the evidence gets the same one
+    assert gov.formula is doc.em[0].formula
+    assert again.formula is gov.formula
+    assert new.formula == atom_formula(ematom("origIP", "mw123sam1", "baja"))
+
+
 def test_only_the_last_document_is_kept():
     doc = parse_kb("#em\nonly_here(c0) : 0.5 +- 0.\n#am\nf1 : fact held(c0).\n")
     atom, literal = weakref.ref(doc.em[0].formula.atom), weakref.ref(doc.am[0].head)
