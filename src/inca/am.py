@@ -24,14 +24,17 @@ rule that uses it, so one forward pass is a closure (a program with a cycle
 keeps program order and repeats its passes). Closures, memoized by element
 mask and seed literals, and one contradiction test serve derivability,
 argument consistency, strict supports, attacks, specificity and the
-consistency of dialectical lines. An argument's support is an element mask.
-An ATMS label pass (de Kleer 1986) over a literal's backward cone gives it
-its minimal consistent defeasible supports, so arguments are built on
-demand, and sub-arguments, attacks, preference and the acceptability of a
-line's next argument are tests on those masks. An argument's attackers are
-among the arguments for the complements of its strict closure (defeaters
-proves it). The same pass, with literals as assumptions, gives the minimal
-activating sets on which specificity is decided.
+consistency of dialectical lines. Inside the index an argument is (m, c):
+its support as an element mask, bit i for elements[i], and its conclusion's
+literal bit. An ATMS label pass (de Kleer 1986) over a literal's backward
+cone gives it its minimal consistent defeasible supports, so arguments are
+built on demand, and sub-arguments, attacks, preference, defeat and the
+acceptability of a line's next argument are tests on those ints, cached by
+them. An argument's attackers are among the arguments for the complements
+of its strict closure (defeaters proves it). The same pass, with literals
+as assumptions, gives the minimal activating sets on which specificity is
+decided. An Argument is made only where the API hands one out (arguments_for
+and shown trees), by argument(m, c); key(a) is the one way back.
 """
 
 from __future__ import annotations
@@ -254,15 +257,7 @@ class Argument(Value):
     _fields = ("support", "conclusion")
 
     def __init__(self, support: frozenset, conclusion: Literal):
-        support = frozenset(support)
-        # Computed once: the walk and the bridge look arguments up at every
-        # step.
-        self.__dict__.update(
-            _hash=hash((support, conclusion)), support=support, conclusion=conclusion
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+        self.__dict__.update(support=frozenset(support), conclusion=conclusion)
 
     @property
     def defeasible_part(self) -> frozenset:
@@ -304,10 +299,10 @@ class ProgramIndex:
             if not e.is_ground:
                 raise GroundednessError(f"element {e.label} is not ground")
         self.program = program
-        self._arguments: dict[Literal, tuple[Argument, ...]] = {}
-        self._mask: dict[Argument, int] = {}
-        self._defeaters: dict[Argument, tuple] = {}
-        self._walks: dict[Argument, list] = {}
+        self._supports: dict[Literal, tuple[int, ...]] = {}
+        self._arguments: dict[tuple[int, int], Argument] = {}
+        self._defeaters: dict[tuple[int, int], tuple] = {}
+        self._walks: dict[tuple[int, int], list] = {}
         self._prefers_ps: dict[tuple, bool] = {}
         self._closures: dict[int, int] = {}
         self._labels: dict[int, list[int]] = {}
@@ -347,20 +342,20 @@ class ProgramIndex:
             order = range(len(rules))
         # Element i takes bit i of an element mask and one rule (body mask,
         # head bit); _body keeps its body literals' bits one by one.
-        self._elements = [program.elements[i] for i in order]
+        self.elements = tuple(program.elements[i] for i in order)
         self._rule = [(sum(set(rules[i][0])), rules[i][1]) for i in order]
         self._body = [rules[i][0] for i in order]
         self._kind = dict.fromkeys(KINDS, 0)
         self._producers: dict[int, int] = {}
         self._position: dict[str, int] = {}
-        for i, e in enumerate(self._elements):
+        for i, e in enumerate(self.elements):
             self._position[e.label] = i
             self._kind[e.kind] |= 1 << i
             head = self._rule[i][1]
             self._producers[head] = self._producers.get(head, 0) | 1 << i
         self._strict = self._kind[FACT] | self._kind[STRICT_RULE]
         self._strict_order = sorted(
-            _bits(self._strict), key=lambda i: self._elements[i].label
+            _bits(self._strict), key=lambda i: self.elements[i].label
         )
         self._positive = sum(1 << 2 * i for i in range(len(atoms)))
         self._derivable = derivable = self._derive((1 << len(self._rule)) - 1)
@@ -451,65 +446,69 @@ class ProgramIndex:
                 used = trial
         return used & self._strict
 
-    def arguments_for(self, literal: Literal) -> tuple[Argument, ...]:
+    def supports(self, literal: Literal) -> tuple[int, ...]:
+        """The element masks of the literal's arguments, in sort_key order."""
         # The label pass runs over the rules of the literal's cone that no
         # earlier cone held; a cone holds every producer of its literals.
-        args = self._arguments.get(literal)
-        if args is not None:
-            return args
+        if literal in self._supports:
+            return self._supports[literal]
         bit = self._bit.get(literal, 0)
         cone = self._cone(bit)
         if cone & ~self._labelled:
             self._antichains(cone & ~self._labelled, self._labels, ~self._strict,
                              self._consistent)
             self._labelled |= cone
-        out = []
-        for env in self._labels.get(bit, ()):
-            mask = env | self._strict_part(env, bit, cone)
-            a = Argument(frozenset(self._elements[i] for i in _bits(mask)), literal)
-            self._mask[a] = mask
-            out.append(a)
-        args = self._arguments[literal] = tuple(sorted(out, key=Argument.sort_key))
-        return args
+        masks = [env | self._strict_part(env, bit, cone) for env in self._labels.get(bit, ())]
+        supports = self._supports[literal] = tuple(
+            sorted(masks, key=lambda m: self._sort_key(m, bit)))
+        return supports
 
-    def _mask_of(self, a: Argument) -> int:
-        """The element mask of an argument's support; set when the index
-        builds the argument, computed for one built elsewhere."""
-        mask = self._mask.get(a)
-        if mask is None:
-            mask = self._mask[a] = sum(1 << self._position[e.label] for e in a.support)
-        return mask
+    def _sort_key(self, m: int, c: int) -> tuple:
+        """Argument.sort_key of (m, c)."""
+        labels = sorted(self.elements[i].label for i in _bits(m))
+        return labels, self._literal[c.bit_length() - 1].key()
 
-    def subarguments_of(self, a: Argument) -> tuple[Argument, ...]:
-        """The arguments whose support lies in a's, which can only conclude
-        a literal that a's support derives; by conclusion in Literal.key order."""
-        m = self._mask_of(a)
-        literals = sorted(map(self._literal.get, _bits(self._closure(m))), key=Literal.key)
-        return tuple(
-            b for lit in literals for b in self.arguments_for(lit)
-            if (mb := self._mask_of(b)) & m == mb
-        )
+    def argument(self, m: int, c: int) -> Argument:
+        """The argument with element mask m and conclusion bit c, one object
+        per pair."""
+        a = self._arguments.get((m, c))
+        if a is None:
+            a = self._arguments[m, c] = Argument(
+                frozenset(self.elements[i] for i in _bits(m)),
+                self._literal[c.bit_length() - 1])
+        return a
+
+    def key(self, a: Argument) -> tuple[int, int]:
+        """(m, c) of an argument over this program, read off its labels."""
+        return sum(1 << self._position[e.label] for e in a.support), self._bit[a.conclusion]
+
+    def arguments_for(self, literal: Literal) -> tuple[Argument, ...]:
+        c = self._bit.get(literal)
+        return tuple(self.argument(m, c) for m in self.supports(literal))
 
     # -- attack ------------------------------------------------------------
 
-    def _attack_points(self, a: Argument) -> set[int]:
-        """The conclusion bits of a's sub-arguments, where a can be attacked."""
-        return {self._bit[b.conclusion] for b in self.subarguments_of(a)}
+    def _attack_points(self, m: int) -> set[int]:
+        """Where an argument on support m can be attacked: the conclusion
+        bits of its sub-arguments, the arguments whose support lies in m,
+        which can only conclude a literal that m derives."""
+        return {
+            1 << k for k in _bits(self._closure(m))
+            if any(s & m == s for s in self.supports(self._literal[k]))
+        }
 
-    def attacks(self, a2: Argument, a1: Argument) -> bool:
-        return self._attacks(a2, self._mask_of(a1), self._attack_points(a1))
-
-    def _attacks(self, a2: Argument, m1: int, points: set[int]) -> bool:
-        shared = (m1 | self._mask_of(a2)) & self._strict
-        counter = self._bit[a2.conclusion]
+    def _attacks(self, b: int, c: int, m: int, points: set[int]) -> bool:
+        """Whether (b, c) attacks support m at one of its points."""
+        shared = (m | b) & self._strict
         return any(
-            self._contradictory(self._derive(shared, counter | point)) for point in points
+            self._contradictory(self._derive(shared, c | point)) for point in points
         )
 
     # -- generalized specificity --------------------------------------------
 
-    def prefers_ps(self, a1: Argument, a2: Argument) -> bool:
-        """Generalized specificity: a1 is strictly more specific than a2.
+    def prefers_ps(self, m1: int, l1: int, m2: int, l2: int) -> bool:
+        """Generalized specificity: (m1, l1) is strictly more specific than
+        (m2, l2).
 
         Quantifies activation sets H over the defeasibly derivable literals;
         literals outside every rule body and distinct from both conclusions
@@ -523,9 +522,6 @@ class ProgramIndex:
         each relevant literal as its own assumption. A comparison with more
         than SPECIFICITY_CAP relevant literals raises CapacityError.
         """
-        m1, m2 = self._mask_of(a1), self._mask_of(a2)
-        l1 = self._bit[a1.conclusion]
-        l2 = self._bit[a2.conclusion]
         key = (m1, l1, m2, l2)
         if key in self._prefers_ps:
             return self._prefers_ps[key]
@@ -559,58 +555,57 @@ class ProgramIndex:
         self._prefers_ps[key] = result
         return result
 
-    def prefers(self, a1: Argument, a2: Argument) -> bool:
+    def prefers(self, m1: int, c1: int, m2: int, c2: int) -> bool:
         """Fewer presumptions win (a factual argument has none); equal ones
         go to specificity."""
-        p1 = self._mask_of(a1) & self._kind[PRESUMPTION]
-        p2 = self._mask_of(a2) & self._kind[PRESUMPTION]
+        p1, p2 = m1 & self._kind[PRESUMPTION], m2 & self._kind[PRESUMPTION]
         if p1 == p2:
-            return self.prefers_ps(a1, a2)
+            return self.prefers_ps(m1, c1, m2, c2)
         return p1 & p2 == p1
 
     # -- defeat and dialectical trees ---------------------------------------
 
-    def defeaters(self, a: Argument) -> tuple:
-        """a's defeaters as (argument, kind), by kind and sort_key. If b for L
-        attacks a at point P, ~L is in C_a, a's support closed under every
-        fact and strict rule (_consistent's closure when a was built). a's
-        strict rules fire in C_a (_strict_part keeps no other), and the
-        greedy drops every strict element with L in its body from b's. So for
-        L not in C_a the attack closure is {L} and the closure of P, inside
-        the consistent C_a, so ~L is there; for L in C_a it all lies in C_a."""
-        if a in self._defeaters:
-            return self._defeaters[a]
-        m = self._mask_of(a)
-        c = self._closure(m | self._strict)
-        rivals = ((c & self._positive) << 1 | c >> 1 & self._positive) & self._derivable
-        candidates = [b for k in _bits(rivals) for b in self.arguments_for(self._literal[k])]
-        points = self._attack_points(a) if candidates else set()
+    def defeaters(self, m: int, c: int) -> tuple:
+        """The defeaters of (m, c) as (element mask, conclusion bit, kind),
+        by kind and sort_key. If b for L attacks a at point P, ~L is in C_a,
+        a's support closed under every fact and strict rule (_consistent's
+        closure when a was built). a's strict rules fire in C_a (_strict_part
+        keeps no other), and the greedy drops every strict element with L in
+        its body from b's. So for L not in C_a the attack closure is {L} and
+        the closure of P, inside the consistent C_a, so ~L is there; for L in
+        C_a it all lies in C_a."""
+        if (m, c) in self._defeaters:
+            return self._defeaters[m, c]
+        closure = self._closure(m | self._strict)
+        rivals = (closure & self._positive) << 1 | closure >> 1 & self._positive
+        rivals &= self._derivable
+        candidates = [(b, 1 << k) for k in _bits(rivals)
+                      for b in self.supports(self._literal[k])]
+        points = self._attack_points(m) if candidates else set()
         out = []
-        for b in candidates:
-            if not self._attacks(b, m, points):
+        for b, cb in candidates:
+            if not self._attacks(b, cb, m, points):
                 continue
-            if self.prefers(b, a):
-                out.append((b, PROPER))
-            elif not self.prefers(a, b):
-                out.append((b, BLOCKING))
-        result = tuple(sorted(out, key=lambda pair: (pair[1], pair[0].sort_key())))
-        self._defeaters[a] = result
+            if self.prefers(b, cb, m, c):
+                out.append((b, cb, PROPER))
+            elif not self.prefers(m, c, b, cb):
+                out.append((b, cb, BLOCKING))
+        result = self._defeaters[m, c] = tuple(
+            sorted(out, key=lambda d: (d[2], self._sort_key(d[0], d[1]))))
         return result
 
-    def _walk_order(self, a: Argument) -> list:
-        """a's defeaters for the walk as (argument, kind, element mask),
-        fewest defeaters of their own first; one whose defeaters raise
-        CapacityError goes last, so the order itself never raises."""
-        order = self._walks.get(a)
+    def _walk_order(self, m: int, c: int) -> list:
+        """The defeaters of (m, c) for the walk, fewest defeaters of their
+        own first; one whose defeaters raise CapacityError goes last, so the
+        order itself never raises."""
+        order = self._walks.get((m, c))
         if order is None:
-            order = self._walks[a] = sorted(
-                ((b, kind, self._mask_of(b)) for b, kind in self.defeaters(a)),
-                key=self._defeater_count)
+            order = self._walks[m, c] = sorted(self.defeaters(m, c), key=self._defeater_count)
         return order
 
     def _defeater_count(self, entry: tuple) -> float:
         try:
-            return len(self.defeaters(entry[0]))
+            return len(self.defeaters(entry[0], entry[1]))
         except CapacityError:
             return math.inf
 
@@ -629,61 +624,62 @@ class ProgramIndex:
                 return False
         return self._consistent(own | b)
 
-    def _undefeated(self, a: Argument, kind: str | None, line: tuple, sides: tuple,
+    def _undefeated(self, m: int, c: int, kind: str | None, line: tuple, sides: tuple,
                     mask: int, available, shown: list | None = None) -> int:
-        """The worlds of mask where a, the line's last argument and a defeat
-        of the given kind, is marked U in its world's tree; line holds the
-        element masks of the line's arguments, and sides the masks of the side
-        a's defeaters join and of a's own side. A world's tree is the full tree
-        cut to the arguments available there, so each defeater is followed only
-        on the worlds where it is available and its parent is not yet beaten,
-        and the walk stops once every world is beaten. In one world, shown gets
-        a's node as walked: D with the undefeated defeater that beat it, or U
-        with every defeater, each beaten."""
+        """The worlds of mask where a = (m, c), the line's last argument and a
+        defeat of the given kind, is marked U in its world's tree; line holds
+        the element masks of the line's arguments, and sides the masks of the
+        side a's defeaters join and of a's own side. A world's tree is the
+        full tree cut to the arguments available there, so each defeater is
+        followed only on the worlds where it is available and its parent is
+        not yet beaten, and the walk stops once every world is beaten. In one
+        world, shown gets a's node as walked: D with the undefeated defeater
+        that beat it, or U with every defeater, each beaten."""
         own, other = sides
         beaten = 0
         children = [] if shown is not None else None
-        for b, b_kind, m in self._walk_order(a):
+        for b, cb, b_kind in self._walk_order(m, c):
             if beaten == mask:
                 break
             here = mask & ~beaten & available(b)
-            if here and self._acceptable(line, own, kind, m, b_kind):
+            if here and self._acceptable(line, own, kind, b, b_kind):
                 beaten |= self._undefeated(
-                    b, b_kind, line + (m,), (other, own | m), here, available, children
+                    b, cb, b_kind, line + (b,), (other, own | b), here, available, children
                 )
         if shown is not None:
             # The walk stops at the first undefeated defeater, so it is last.
-            shown.append(DialecticalNode(a, kind, "D" if beaten else "U",
+            shown.append(DialecticalNode(self.argument(m, c), kind, "D" if beaten else "U",
                                          children[-1:] if beaten else children))
         return mask & ~beaten
 
     def build_tree(self, root: Argument, valid=None) -> DialecticalNode:
         """The marked tree of root as the walk decides it, where valid
-        (default: every argument) says which arguments are available."""
-        m, shown = self._mask_of(root), []
-        self._undefeated(root, None, (m,), (0, m), 1, _one_world(valid), shown)
+        (default: every argument) says which element masks are available."""
+        (m, c), shown = self.key(root), []
+        self._undefeated(m, c, None, (m,), (0, m), 1, _one_world(valid), shown)
         return shown[0]
 
     def forest(self, literal: Literal, valid=None) -> tuple[DialecticalNode, ...]:
-        """build_tree of each valid argument for the literal."""
+        """build_tree of each argument for the literal whose element mask is
+        valid."""
+        c = self._bit.get(literal)
         return tuple(
-            self.build_tree(a, valid)
-            for a in self.arguments_for(literal)
-            if valid is None or valid(a)
+            self.build_tree(self.argument(m, c), valid)
+            for m in self.supports(literal)
+            if valid is None or valid(m)
         )
 
     def warrant_masks(self, literal: Literal, available, mask: int = 1) -> tuple[int, int]:
         """The worlds of mask that warrant the literal and those that warrant
-        its complement. available(argument) is the mask of the worlds where
-        the argument can be used."""
+        its complement. available(m) is the mask of the worlds where an
+        argument with element mask m can be used."""
         found = []
         for lit in (literal, literal.complement()):
-            out = 0
-            for a in self.arguments_for(lit):
-                here = mask & ~out & available(a)
+            c, out = self._bit.get(lit), 0
+            for m in self.supports(lit):
+                here = mask & ~out & available(m)
                 if here:
-                    m = self._mask_of(a)
-                    out |= self._undefeated(a, None, (m,), (0, m), here, available)
+                    out |= self._undefeated(m, c, None, (m,), (0, m), here, available)
             found.append(out)
         pro, con = found
         if pro & con:
@@ -694,7 +690,7 @@ class ProgramIndex:
 
     def warrant_status(self, literal: Literal, valid=None) -> str:
         """warrant_masks in one world, where valid (default: every argument)
-        says which arguments are available."""
+        says which element masks are available."""
         pro, con = self.warrant_masks(literal, _one_world(valid))
         if pro:
             return WARRANTED
@@ -705,8 +701,8 @@ class ProgramIndex:
 
 def _one_world(valid):
     """The availability mask of one world where valid (default: every
-    argument) says which arguments are available."""
-    return lambda a: 1 if valid is None or valid(a) else 0
+    argument) says which element masks are available."""
+    return lambda m: 1 if valid is None or valid(m) else 0
 
 
 @lru_cache(maxsize=1)

@@ -9,15 +9,16 @@ Probability bounds for a literal then come from the worlds that necessarily
 
 Each element's annotation is a truth table over the world space (see
 `em.WorldSpace`), and an argument is available on the AND of the tables of
-its support. One pruned walk of the dialectical trees over those masks
+its support, given as an element mask (bit i for `index.elements[i]`). One
+pruned walk of the dialectical trees over those masks
 (`ProgramIndex.warrant_masks`) gives the worlds that warrant a literal and
 those that warrant its complement; nec and poss are masks read off them
 that go to the LP as they are. They are listed as worlds only when a
 caller asks for them.
 
 What a program, an annotation function and a world space determine is
-derived once and shared (`_kb_state`): each element label's table, each
-argument's availability, each literal's (nec, poss) masks and its
+derived once and shared (`_kb_state`): each element bit's table, each
+support mask's availability, each literal's (nec, poss) masks and its
 probability bounds. Every framework over the same KB, such as the one each
 CLI command assembles, reads them from there, as it reads the argument
 index (`index_for`) and the EM's LP (`_linear_program`); like those, only
@@ -30,9 +31,9 @@ from functools import cached_property, lru_cache
 
 from .am import (
     AMProgram,
-    Argument,
     DialecticalNode,
     WARRANTED,
+    _bits,
     index_for,
 )
 from .em import (
@@ -110,8 +111,8 @@ class _KBState:
     that share the state can at worst compute one twice."""
 
     def __init__(self):
-        self.tables: dict[str, int] = {}
-        self.available: dict[Argument, int] = {}
+        self.tables: dict[int, int] = {}
+        self.available: dict[int, int] = {}
         self.masks: dict[Literal, tuple[int, int]] = {}
         self.bounds: dict[Literal, ProbabilityInterval] = {}
 
@@ -180,27 +181,28 @@ class InCAFramework:
 
     # -- availability and world-indexed warrant -----------------------------
 
-    def available(self, argument: Argument) -> int:
-        """The worlds, as a mask of self.space, where an argument can be
-        used: those where the annotation of every element of its support
-        holds."""
+    def available(self, support: int) -> int:
+        """The worlds, as a mask of self.space, where an argument with the
+        element mask support (bit i for self.index.elements[i]) can be used:
+        those where the annotation of each of its elements holds."""
         state = self._state
-        mask = state.available.get(argument)
+        mask = state.available.get(support)
         if mask is None:
             mask = self.space.full
-            for e in argument.support:
-                table = state.tables.get(e.label)
+            for i in _bits(support):
+                table = state.tables.get(i)
                 if table is None:
-                    table = state.tables[e.label] = self.space.table(
-                        self.annotations.annotation_for(e.label)
+                    label = self.index.elements[i].label
+                    table = state.tables[i] = self.space.table(
+                        self.annotations.annotation_for(label)
                     )
                 mask &= table
-            state.available[argument] = mask
+            state.available[support] = mask
         return mask
 
     def _in(self, world: World):
         w = self.space.number(world)
-        return lambda a: self.available(a) >> w & 1
+        return lambda m: self.available(m) >> w & 1
 
     def warrants_in(self, world: World, literal: Literal) -> bool:
         return self.index.warrant_status(literal, self._in(world)) == WARRANTED
@@ -217,16 +219,16 @@ class InCAFramework:
         """The nec and poss sets as masks of self.space: the conforming
         worlds that warrant the literal, and those where some argument for
         it is available and its complement is not warranted. Kept per
-        literal in the shared state, as `available` keeps each argument's
-        mask."""
+        literal in the shared state, as `available` keeps each support
+        mask's worlds."""
         known = self._state.masks
         masks = known.get(literal)
         if masks is None:
             conforming = self.space.conforming
             nec, con = self.index.warrant_masks(literal, self.available, conforming)
             poss = 0
-            for a in self.index.arguments_for(literal):
-                poss |= self.available(a)
+            for m in self.index.supports(literal):
+                poss |= self.available(m)
             masks = known[literal] = nec, poss & conforming & ~con
         return masks
 

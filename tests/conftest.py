@@ -136,3 +136,55 @@ def argument_by_labels(arguments, labels):
         if labels_of(a) == wanted:
             return a
     raise AssertionError(f"no argument with labels {sorted(wanted)}")
+
+
+# -- arguments as the engine sees them -------------------------------------------
+#
+# Inside ProgramIndex an argument is (m, c): its support as an element mask,
+# bit i for index.elements[i], and its conclusion's literal bit. These
+# helpers ask the engine about Arguments through index.key and
+# index.argument.
+
+
+def elements_of(index, m):
+    """The elements of the element mask m."""
+    return [e for i, e in enumerate(index.elements) if m >> i & 1]
+
+
+def mask_of(index, a):
+    """The element mask of a's support, read off index.elements."""
+    return sum(1 << i for i, e in enumerate(index.elements) if e in a.support)
+
+
+def labels_in(index, m):
+    return {e.label for e in elements_of(index, m)}
+
+
+def defeaters_of(index, a):
+    """a's defeaters as (argument, kind), in the engine's order."""
+    return tuple((index.argument(m, c), kind) for m, c, kind in index.defeaters(*index.key(a)))
+
+
+def prefers(index, a1, a2):
+    return index.prefers(*index.key(a1), *index.key(a2))
+
+
+def prefers_ps(index, a1, a2):
+    return index.prefers_ps(*index.key(a1), *index.key(a2))
+
+
+def attacks(index, a2, a1):
+    """Whether a2 attacks a1 at one of a1's sub-arguments."""
+    m1, _ = index.key(a1)
+    return index._attacks(*index.key(a2), m1, index._attack_points(m1))
+
+
+def subarguments_of(index, a):
+    """The arguments whose element mask lies in a's, by conclusion in
+    Literal.key order."""
+    m, _ = index.key(a)
+    return tuple(
+        b for literal in sorted(index.derivable, key=Literal.key)
+        for b in index.arguments_for(literal)
+        if (mb := index.key(b)[0]) & m == mb
+    )

@@ -36,6 +36,8 @@ from inca.em import ProbabilityInterval
 from inca.errors import CapacityError, InCAError, ParseError
 from inca.language import F_AND, F_ATOM, F_NOT, F_OR, F_TOP, Literal
 
+from conftest import defeaters_of
+
 
 def formula_holds(world, f):
     """Whether a ground formula holds at a frozenset world."""
@@ -269,7 +271,8 @@ def full_forest_oracle(index, literal, valid=None):
     """The literal's full marked dialectical trees, one per argument valid
     (default: every argument) accepts, cut to the arguments it accepts.
 
-    Only index.arguments_for and index.defeaters come from the engine. A
+    Only index.arguments_for and index.defeaters (read through
+    defeaters_of) come from the engine. A
     defeater extends a line when the line's three conditions hold, checked
     here on supports with closure_oracle: a blocking defeat is answered
     only by a proper one, no support lies inside that of an argument
@@ -281,7 +284,7 @@ def full_forest_oracle(index, literal, valid=None):
 
     def node(a, kind, line, own, other):
         children = []
-        for b, b_kind in index.defeaters(a):
+        for b, b_kind in defeaters_of(index, a):
             if valid is not None and not valid(b):
                 continue
             if kind == BLOCKING and b_kind != PROPER:

@@ -33,8 +33,12 @@ from conftest import (
     GOV,
     IS_CAP,
     MSE,
+    attacks,
+    defeaters_of,
     ematom,
     labels_of,
+    mask_of,
+    prefers,
     worm_elements,
 )
 from generators import (
@@ -158,22 +162,22 @@ def test_criterion_4():
         got_attacks = {
             (x, y)
             for x in named for y in named
-            if x != y and index.attacks(named[x], named[y])
+            if x != y and attacks(index, named[x], named[y])
         }
         assert got_attacks == ATTACK_PAIRS
 
         for loser in ("A2", "A3", "A4"):
-            assert index.prefers(named["A6"], named[loser])
-            assert not index.prefers(named[loser], named["A6"])
+            assert prefers(index, named["A6"], named[loser])
+            assert not prefers(index, named[loser], named["A6"])
         for x, y in (("A1", "A6"), ("A5", "A7")):
-            assert not index.prefers(named[x], named[y])
-            assert not index.prefers(named[y], named[x])
+            assert not prefers(index, named[x], named[y])
+            assert not prefers(index, named[y], named[x])
 
         reverse = {a: n for n, a in named.items()}
         for target, expected in NAMED_DEFEATS.items():
             got = {
                 (reverse[d], kind)
-                for d, kind in index.defeaters(named[target])
+                for d, kind in defeaters_of(index, named[target])
                 if d in reverse
             }
             assert got == expected
@@ -202,7 +206,8 @@ def test_criterion_6(parsed_framework):
         fw = parsed_framework
         (a5,) = fw.index.arguments_for(IS_CAP)
         assert frozenset(labels_of(a5)) == NAMED_ARGUMENTS["A5"]
-        valid_on = {w for w in fw.worlds if fw.available(a5) >> fw.space.number(w) & 1}
+        m5 = mask_of(fw.index, a5)
+        valid_on = {w for w in fw.worlds if fw.available(m5) >> fw.space.number(w) & 1}
         assert valid_on == {w for w in fw.worlds if available_oracle(fw, a5, w)}
         assert valid_on == {
             world(GOV), world(MSE), world(GOV, MSE),

@@ -36,8 +36,15 @@ from conftest import (
     IS_CAP,
     NOT_IS_CAP,
     argument_by_labels,
+    attacks,
+    defeaters_of,
+    elements_of,
+    labels_in,
     labels_of,
     lit,
+    prefers,
+    prefers_ps,
+    subarguments_of,
     worm_elements,
 )
 from generators import AM_LITERALS, layered_am_program, random_am_program
@@ -267,9 +274,9 @@ def test_subargument_relations(worm_index):
     a3 = argument_by_labels(arguments, {"ph1", "de2", "de4"})
     a4 = argument_by_labels(arguments, {"ph2", "de3", "th2"})
     (a5,) = worm_index.arguments_for(IS_CAP)
-    assert a5 in worm_index.subarguments_of(a2)
-    assert a5 in worm_index.subarguments_of(a3)
-    assert a5 not in worm_index.subarguments_of(a4)
+    assert a5 in subarguments_of(worm_index, a2)
+    assert a5 in subarguments_of(worm_index, a3)
+    assert a5 not in subarguments_of(worm_index, a4)
 
 
 def test_attack_relation(worm_index):
@@ -278,16 +285,16 @@ def test_attack_relation(worm_index):
     (a6,) = worm_index.arguments_for(COND_BAJA.complement())
     (a7,) = worm_index.arguments_for(NOT_IS_CAP)
     for a in arguments:
-        assert worm_index.attacks(a, a6)
-        assert worm_index.attacks(a6, a)
-    assert worm_index.attacks(a5, a7)
-    assert worm_index.attacks(a7, a5)
+        assert attacks(worm_index, a, a6)
+        assert attacks(worm_index, a6, a)
+    assert attacks(worm_index, a5, a7)
+    assert attacks(worm_index, a7, a5)
     a2 = argument_by_labels(arguments, {"ph1", "ph2", "de4", "om2a", "th1a", "th2"})
     a3 = argument_by_labels(arguments, {"ph1", "de2", "de4"})
     a4 = argument_by_labels(arguments, {"ph2", "de3", "th2"})
-    assert worm_index.attacks(a7, a2)  # via the capability subargument
-    assert not worm_index.attacks(a2, a7)
-    assert not worm_index.attacks(a3, a4)  # same conclusion, no conflict
+    assert attacks(worm_index, a7, a2)  # via the capability subargument
+    assert not attacks(worm_index, a2, a7)
+    assert not attacks(worm_index, a3, a4)  # same conclusion, no conflict
 
 
 def test_preference_relation(worm_index):
@@ -300,15 +307,15 @@ def test_preference_relation(worm_index):
     (a6,) = worm_index.arguments_for(COND_BAJA.complement())
     (a7,) = worm_index.arguments_for(NOT_IS_CAP)
     # two purely factual arguments, neither more specific
-    assert not worm_index.prefers(a1, a6)
-    assert not worm_index.prefers(a6, a1)
+    assert not prefers(worm_index, a1, a6)
+    assert not prefers(worm_index, a6, a1)
     # factual beats presumptive
     for a in (a2, a3, a4):
-        assert worm_index.prefers(a6, a)
-        assert not worm_index.prefers(a, a6)
+        assert prefers(worm_index, a6, a)
+        assert not prefers(worm_index, a, a6)
     # two presumptive arguments on disjoint presumptions: incomparable
-    assert not worm_index.prefers(a5, a7)
-    assert not worm_index.prefers(a7, a5)
+    assert not prefers(worm_index, a5, a7)
+    assert not prefers(worm_index, a7, a5)
 
 
 def test_presumption_subset_preference():
@@ -324,14 +331,14 @@ def test_presumption_subset_preference():
     (small,) = index.arguments_for(lit("c", "x"))
     (large,) = index.arguments_for(lit("c", "x", negated=True))
     assert presumptions_of(small) < presumptions_of(large)
-    assert index.prefers(small, large)
-    assert not index.prefers(large, small)
+    assert prefers(index, small, large)
+    assert not prefers(index, large, small)
 
 
 def test_defeaters(worm_index):
     arguments = worm_index.arguments_for(COND_BAJA)
     a2 = argument_by_labels(arguments, {"ph1", "ph2", "de4", "om2a", "th1a", "th2"})
-    kinds = {(labels_of(b), kind) for b, kind in worm_index.defeaters(a2)}
+    kinds = {(labels_of(b), kind) for b, kind in defeaters_of(worm_index, a2)}
     assert (frozenset({"th1b", "de1b", "om1a"}), PROPER) in kinds
     assert (frozenset({"ph3", "de5a"}), BLOCKING) in kinds
 
@@ -348,8 +355,8 @@ def test_specificity_on_exception_rule():
     index = index_for(AMProgram(elements))
     (fly,) = index.arguments_for(lit("flies", "tweety"))
     (nofly,) = index.arguments_for(lit("flies", "tweety", negated=True))
-    assert index.prefers_ps(nofly, fly)
-    assert not index.prefers_ps(fly, nofly)
+    assert prefers_ps(index, nofly, fly)
+    assert not prefers_ps(index, fly, nofly)
     assert index.warrant_status(lit("flies", "tweety")) == NOT_WARRANTED
     assert index.warrant_status(lit("flies", "tweety", negated=True)) == WARRANTED
 
@@ -368,7 +375,7 @@ def test_specificity_capacity_limit():
     index = index_for(AMProgram(filler[:16] + contested))
     (a,) = index.arguments_for(lit("goal", "x"))
     (b,) = index.arguments_for(lit("goal", "x", negated=True))
-    assert not index.prefers_ps(a, b)
+    assert not prefers_ps(index, a, b)
     # A rule on all 17 facts gives its comparison 19 relevant literals.
     wide = AMElement(
         "d3", DEFEASIBLE_RULE, lit("goal", "x"), tuple(f.head for f in filler)
@@ -376,9 +383,9 @@ def test_specificity_capacity_limit():
     index = index_for(AMProgram(filler + contested + (wide,)))
     goal = index.arguments_for(lit("goal", "x"))
     (b,) = index.arguments_for(lit("goal", "x", negated=True))
-    assert not index.prefers_ps(argument_by_labels(goal, {"d1"}), b)
+    assert not prefers_ps(index, argument_by_labels(goal, {"d1"}), b)
     with pytest.raises(CapacityError):
-        index.prefers_ps(argument_by_labels(goal, {"d3"} | {f.label for f in filler}), b)
+        prefers_ps(index, argument_by_labels(goal, {"d3"} | {f.label for f in filler}), b)
 
 
 # -- dialectical trees and warrant ---------------------------------------------
@@ -429,11 +436,11 @@ def test_warrant_statuses(worm_index):
 
 
 def test_warrant_with_validity_filter(worm_index):
-    nothing = lambda a: False
+    nothing = lambda m: False
     assert worm_index.warrant_status(IS_CAP, nothing) == UNDECIDED
-    only_ph3_out = lambda a: "ph3" not in a.labels
+    only_ph3_out = lambda m: "ph3" not in labels_in(worm_index, m)
     assert worm_index.warrant_status(IS_CAP, only_ph3_out) == WARRANTED
-    only_ph1_out = lambda a: "ph1" not in a.labels
+    only_ph1_out = lambda m: "ph1" not in labels_in(worm_index, m)
     assert worm_index.warrant_status(IS_CAP, only_ph1_out) == NOT_WARRANTED
 
 
@@ -531,7 +538,7 @@ def test_line_keeps_each_side_consistent():
     ))
     index = index_for(program)
     c = argument_by_labels(index.arguments_for(lit("q", "b")), {"b0", "d5", "d14"})
-    assert ({"d19", "d20"}, BLOCKING) in [(set(b.labels), k) for b, k in index.defeaters(c)]
+    assert ({"d19", "d20"}, BLOCKING) in [(set(b.labels), k) for b, k in defeaters_of(index, c)]
     assert index.warrant_status(lit("q", "b")) == WARRANTED
     assert forest_warrants_oracle(index, lit("q", "b"))
 
@@ -596,7 +603,7 @@ def test_label_pass_matches_oracles(rng):
     assert index.arguments_for(lit("absent", "x")) == ()
     for a in everything:
         expected = tuple(b for b in everything if b.support <= a.support)
-        assert index.subarguments_of(a) == expected
+        assert subarguments_of(index, a) == expected
 
 
 def _oracle_programs(rng, count, layered):
@@ -629,13 +636,13 @@ def test_attacks_match_oracle():
             defeaters = set()
             for b in arguments:
                 expected = attacks_oracle(arguments, b, a)
-                assert index.attacks(b, a) == expected
+                assert attacks(index, b, a) == expected
                 outcomes.add(expected)
-                if expected and index.prefers(b, a):
+                if expected and prefers(index, b, a):
                     defeaters.add((b, PROPER))
-                elif expected and not index.prefers(a, b):
+                elif expected and not prefers(index, a, b):
                     defeaters.add((b, BLOCKING))
-            assert set(index.defeaters(a)) == defeaters
+            assert set(defeaters_of(index, a)) == defeaters
     assert outcomes == {True, False}
 
 
@@ -649,7 +656,7 @@ def test_defeaters_match_defeat_oracle():
         index = index_for(program)
         arguments = all_arguments(index)
         for a in arguments:
-            defeaters = index.defeaters(a)
+            defeaters = defeaters_of(index, a)
             assert len(defeaters) == len(set(defeaters))
             assert set(defeaters) == defeat_oracle(program, arguments, a)
             kinds.update(kind for _, kind in defeaters)
@@ -687,7 +694,7 @@ def test_specificity_matches_exhaustive_oracle():
         for a in arguments:
             for b in arguments:
                 if a is not b:
-                    assert index.prefers_ps(a, b) == specificity_oracle(program, a, b)
+                    assert prefers_ps(index, a, b) == specificity_oracle(program, a, b)
 
 
 def test_omega_consistency_drops_an_inconsistent_activating_set(monkeypatch):
@@ -715,14 +722,14 @@ def test_omega_consistency_drops_an_inconsistent_activating_set(monkeypatch):
     monkeypatch.setattr(index, "_antichains", spied)
     (l1,) = index.arguments_for(lit("l1"))
     l2 = argument_by_labels(index.arguments_for(lit("l2")), {"d2", "d3", "d6", "fw", "s"})
-    assert not index.prefers_ps(l1, l2)
-    assert not index.prefers_ps(l2, l1)
+    assert not prefers_ps(index, l1, l2)
+    assert not prefers_ps(index, l2, l1)
     assert index._bit[lit("x")] | index._bit[lit("x", negated=True)] in dropped
     arguments = all_arguments(index)
     assert len(arguments) == 10
     for a in arguments:
         for b in arguments:
-            assert index.prefers_ps(a, b) == specificity_oracle(program, a, b)
+            assert prefers_ps(index, a, b) == specificity_oracle(program, a, b)
 
 
 def test_specificity_cap_ignores_unrelated_facts():
@@ -743,7 +750,7 @@ def test_specificity_cap_ignores_unrelated_facts():
         for a in arguments:
             for b in arguments:
                 if a is not b:
-                    assert padded.prefers_ps(a, b) == specificity_oracle(program, a, b)
+                    assert prefers_ps(padded, a, b) == specificity_oracle(program, a, b)
         for literal in AM_LITERALS:
             assert padded.warrant_status(literal) == index.warrant_status(literal)
 
@@ -777,7 +784,7 @@ def test_specificity_matches_subset_walk_over_relevant_literals():
     for a, b in ((goal, not_goal), (not_goal, goal)):
         relevant = _relevant_literals(a, b)
         assert len(relevant) == 16
-        assert index.prefers_ps(a, b) == specificity_oracle(at_cap, a, b, relevant)
+        assert prefers_ps(index, a, b) == specificity_oracle(at_cap, a, b, relevant)
 
     rng = random.Random(6)
     pairs = []
@@ -796,10 +803,10 @@ def test_specificity_matches_subset_walk_over_relevant_literals():
         checked[size] += 1
         if size > 16:
             with pytest.raises(CapacityError):
-                index.prefers_ps(a, b)
+                prefers_ps(index, a, b)
             continue
         expected = specificity_oracle(program, a, b, relevant)
-        assert index.prefers_ps(a, b) == expected
+        assert prefers_ps(index, a, b) == expected
         outcomes.add((size > 12, expected))
     assert set(checked) == set(range(2, 18))
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
@@ -819,38 +826,42 @@ def test_warrant_masks_match_full_forests(rng):
         for e in index.program.elements
     }
 
-    def available(a):
+    def available(support):
         mask = 0xFF
-        for e in a.support:
+        for e in support:
             mask &= element_masks[e.label]
         return mask
 
     chosen = {e.label for e in index.program.elements if rng.random() < 0.7}
 
-    def valid(a):
-        return all(e.label in chosen for e in a.support)
+    def valid(support):
+        return all(e.label in chosen for e in support)
+
+    # The engine passes element masks, the oracles Arguments.
+    available_m = lambda m: available(elements_of(index, m))
+    valid_m = lambda m: valid(elements_of(index, m))
 
     for literal in AM_LITERALS:
         complement = literal.complement()
         pro = con = 0
         for w in range(8):
-            in_w = lambda a: available(a) >> w & 1
+            in_w = lambda a: available(a.support) >> w & 1
             pro |= forest_warrants_oracle(index, literal, in_w) << w
             con |= forest_warrants_oracle(index, complement, in_w) << w
         if pro & con:
             with pytest.raises(InternalInconsistencyError):
-                index.warrant_masks(literal, available, 0xFF)
+                index.warrant_masks(literal, available_m, 0xFF)
         else:
-            assert index.warrant_masks(literal, available, 0xFF) == (pro, con)
+            assert index.warrant_masks(literal, available_m, 0xFF) == (pro, con)
 
-        pro = forest_warrants_oracle(index, literal, valid)
-        con = forest_warrants_oracle(index, complement, valid)
+        pro = forest_warrants_oracle(index, literal, lambda a: valid(a.support))
+        con = forest_warrants_oracle(index, complement, lambda a: valid(a.support))
         if pro and con:
             with pytest.raises(InternalInconsistencyError):
-                index.warrant_status(literal, valid)
+                index.warrant_status(literal, valid_m)
         else:
             expected = WARRANTED if pro else NOT_WARRANTED if con else UNDECIDED
-            assert index.warrant_status(literal, valid) == expected
+            assert index.warrant_status(literal, valid_m) == expected
 
 
 def test_shown_trees_are_winning_strategies_of_the_full_trees():
@@ -882,9 +893,12 @@ def test_shown_trees_are_winning_strategies_of_the_full_trees():
             program = random_am_program(rng, max_defeasible=rng.choice((8, 16, 24)))
         index = index_for(program)
         chosen = {e.label for e in program.elements if rng.random() < 0.7}
-        valid = rng.choice([None, lambda a: all(e.label in chosen for e in a.support)])
+        restricted = rng.choice([False, True])
+        # The engine passes element masks, the oracle Arguments.
+        valid_m = (lambda m: labels_in(index, m) <= chosen) if restricted else None
+        valid = (lambda a: all(e.label in chosen for e in a.support)) if restricted else None
         for literal in sorted({e.head for e in program.elements}, key=Literal.key):
-            shown = index.forest(literal, valid)
+            shown = index.forest(literal, valid_m)
             full = full_forest_oracle(index, literal, valid)
             assert len(shown) == len(full)
             for s, f in zip(shown, full):
@@ -910,23 +924,26 @@ def test_cyclic_programs_match_oracles():
         # Every element is available in world 3.
         element_masks = {e.label: rng.randrange(16) | 8 for e in program.elements}
 
-        def available(a):
+        def available(support):
             mask = 0xF
-            for e in a.support:
+            for e in support:
                 mask &= element_masks[e.label]
             return mask
 
         for literal in AM_LITERALS[::2]:
             pro = con = 0
             for w in range(4):
-                in_w = lambda a: available(a) >> w & 1
+                in_w = lambda a: available(a.support) >> w & 1
                 pro |= forest_warrants_oracle(index, literal, in_w) << w
                 con |= forest_warrants_oracle(index, literal.complement(), in_w) << w
+            # The engine passes element masks of the fresh index's order.
+            fresh = ProgramIndex(program)
+            available_m = lambda m: available(elements_of(fresh, m))
             if pro & con:
                 with pytest.raises(InternalInconsistencyError):
-                    ProgramIndex(program).warrant_masks(literal, available, 0xF)
+                    fresh.warrant_masks(literal, available_m, 0xF)
             else:
-                assert ProgramIndex(program).warrant_masks(literal, available, 0xF) == (pro, con)
+                assert fresh.warrant_masks(literal, available_m, 0xF) == (pro, con)
         assert index.derivable == closure_oracle(program.elements)
         table = consistent_subsets_oracle(program)
         for literal in AM_LITERALS:
@@ -957,8 +974,8 @@ def test_walk_never_expands_a_defeater_past_the_cap(monkeypatch):
     monkeypatch.setattr(am, "SPECIFICITY_CAP", 4)
     index = ProgramIndex(program)
     (root,) = index.arguments_for(lit("g", "x"))
-    defeaters = [(set(b.labels), kind) for b, kind in index.defeaters(root)]
+    defeaters = [(set(b.labels), kind) for b, kind in defeaters_of(index, root)]
     assert defeaters == [({"p2", "c2", "c1"}, BLOCKING), ({"fb", "d1"}, PROPER)]
     with pytest.raises(CapacityError):
-        index.defeaters(index.defeaters(root)[0][0])
+        defeaters_of(index, defeaters_of(index, root)[0][0])
     assert index.warrant_status(lit("g", "x")) == UNDECIDED

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inca import bridge, em
+from inca import am, bridge, em
 from inca.am import AMElement, AMProgram, NOT_WARRANTED, ProgramIndex, WARRANTED
 from inca.attribution import apply_evidence, most_probable_suspects
 from inca.bridge import AnnotationFunction, InCAFramework
@@ -38,13 +38,21 @@ from conftest import (
     MSE,
     NOT_IS_CAP,
     argument_by_labels,
+    elements_of,
     labels_of,
     lit,
+    mask_of,
     worm_annotations,
     worm_em_kb,
     worm_elements,
 )
-from generators import random_framework, wide20_framework, with_constraints
+from generators import (
+    AM_LITERALS,
+    random_am_program,
+    random_framework,
+    wide20_framework,
+    with_constraints,
+)
 from oracles import (
     DistributionError,
     all_arguments,
@@ -142,7 +150,8 @@ def test_annotations_accept_instance_labels_of_program_elements():
 def test_validity_of_capability_argument(worm_framework):
     fw = worm_framework
     (a5,) = fw.index.arguments_for(IS_CAP)
-    valid_worlds = {w for w in fw.worlds if fw.available(a5) >> fw.space.number(w) & 1}
+    m5 = mask_of(fw.index, a5)
+    valid_worlds = {w for w in fw.worlds if fw.available(m5) >> fw.space.number(w) & 1}
     assert valid_worlds == {w for w in fw.worlds if available_oracle(fw, a5, w)}
     assert valid_worlds == {
         world(GOV, AGE, MSE), world(GOV, AGE), world(GOV, MSE),
@@ -154,17 +163,18 @@ def test_available_bits_per_world(worm_framework):
     fw = worm_framework
     arguments = all_arguments(fw.index)
     th1a = argument_by_labels(arguments, ["th1a"])
-    assert fw.available(th1a) == fw.space.full  # unannotated: every world
+    available = lambda a: fw.available(mask_of(fw.index, a))
+    assert available(th1a) == fw.space.full  # unannotated: every world
     gov = fw.space.number(world(GOV))
     with_ph1 = [a for a in arguments if "ph1" in labels_of(a)]
     with_ph3 = [a for a in arguments if "ph3" in labels_of(a)]
     assert with_ph1 and with_ph3
-    assert all(fw.available(a) >> gov & 1 for a in with_ph1 if a not in with_ph3)
-    assert not any(fw.available(a) >> gov & 1 for a in with_ph3)
+    assert all(available(a) >> gov & 1 for a in with_ph1 if a not in with_ph3)
+    assert not any(available(a) >> gov & 1 for a in with_ph3)
     # Every world, conforming or not, against the per-world labels.
     for w in range(fw.space.full.bit_length()):
         for a in arguments:
-            assert fw.available(a) >> w & 1 == available_oracle(fw, a, fw.space.world(w))
+            assert available(a) >> w & 1 == available_oracle(fw, a, fw.space.world(w))
 
 
 def test_warrant_status_by_world(worm_framework):
@@ -255,6 +265,50 @@ def test_worlds_do_not_need_a_consistent_em(worm_program):
 def test_bounds_for_literal_without_arguments(worm_framework):
     iv = worm_framework.prob_bounds(lit("unheard", "x"))
     assert (iv.lower, iv.upper) == (F(0), F(0))
+
+
+# -- arguments inside the engine --------------------------------------------------
+
+
+def test_the_engine_never_hashes_or_compares_an_argument(monkeypatch):
+    """Inside the index an argument is (element mask, conclusion bit), and
+    availability is kept per element mask: with Argument.__hash__ and
+    __eq__ raising, a freshly assembled worm123 framework answers bounds,
+    nec and poss, and an index over a random program answers warrant_masks,
+    as they do with them."""
+    literals = (COND_BAJA, IS_CAP, COND_MOJAVE)
+    program = random_am_program(random.Random(31), max_defeasible=16)
+    rng = random.Random(32)
+    tables = {e.label: rng.randrange(256) | rng.randrange(256) for e in program.elements}
+
+    def framework_answers():
+        am.index_for.cache_clear()
+        bridge._kb_state.cache_clear()
+        fw = assemble(load_kb(FIXTURES / "worm123.inca"))
+        return [(fw.prob_bounds(x), fw.nec_set(x), fw.poss_set(x)) for x in literals]
+
+    def index_answers():
+        index = ProgramIndex(program)
+
+        def available(m):
+            mask = 0xFF
+            for e in elements_of(index, m):
+                mask &= tables[e.label]
+            return mask
+
+        return [index.warrant_masks(x, available, 0xFF) for x in AM_LITERALS]
+
+    expected = framework_answers(), index_answers()
+    assert any(pro | con for pro, con in expected[1])
+
+    def refuse(*args):
+        raise AssertionError("an Argument was hashed or compared")
+
+    monkeypatch.setattr(am.Argument, "__hash__", refuse)
+    monkeypatch.setattr(am.Argument, "__eq__", refuse)
+    got = framework_answers(), index_answers()
+    assert [(iv.p, iv.eps) for iv, _, _ in got[0]] == [(1, 0), (F(3, 4), F(1, 4)), (0, 0)]
+    assert got == expected
 
 
 # -- the state shared by frameworks over one KB ---------------------------------
@@ -402,7 +456,8 @@ def test_nec_and_poss_match_per_world_oracles(rng):
     for w in range(fw.space.full.bit_length()):
         world = fw.space.world(w)
         for a in all_arguments(fw.index):
-            assert fw.available(a) >> w & 1 == available_oracle(fw, a, world)
+            m = mask_of(fw.index, a)
+            assert fw.available(m) >> w & 1 == available_oracle(fw, a, world)
     consistent = em.is_consistent(kb)
     heads = list(dict.fromkeys(e.head for e in fw.program.elements))[:4]
     for literal in heads + [h.complement() for h in heads]:

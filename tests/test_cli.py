@@ -162,6 +162,20 @@ def test_attribute_golden(capsys, monkeypatch, tmp_path, padded):
     assert payload["result"]["trace"] is not None
 
 
+@pytest.mark.parametrize("command, expected", [
+    (("explain", "-w", "e1(c0),e2(c0)"), "am42-7-explain.txt"),
+    (("args",), "am42-7-args.txt"),
+])
+def test_am_scale_golden(capsys, monkeypatch, command, expected):
+    """am_args item 7 at 42 defeasible rules (bench/workloads.py with
+    AM_DEFEASIBLE = 42, as in CI's AM scale guard): the shown tree, whose
+    children come in walk order, and the arguments, in sort order."""
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run(capsys, command[0], "am42-7.inca", "-l", "p7(c0)", *command[1:])
+    assert code == 0, err
+    assert out == (GOLDEN / expected).read_text()
+
+
 def test_unrelated_facts_leave_answers_unchanged(capsys, monkeypatch, tmp_path):
     # Six more facts give worm123 18 derivable literals; each specificity
     # comparison it needs still ranges over a few.

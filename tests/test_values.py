@@ -143,7 +143,6 @@ DERIVED = {
     "Formula": {"_hash", "model", "is_ground"},
     "AMElement": {"_hash", "is_ground"},
     "AMProgram": {"_hash"},
-    "Argument": {"_hash"},
     "ProbabilisticFormula": {"lower", "upper", "atoms"},
     "EMKnowledgeBase": {"_hash"},
     "AnnotationFunction": {"_hash", "_table", "_atoms"},
