@@ -106,7 +106,8 @@ class AMElement(Value):
     ):
         body = tuple(body)
         guards = tuple(map(tuple, guards)) if guards else ()
-        if not _LABEL_RE.match(label):
+        # A label without brackets is an ASCII identifier; most are.
+        if not (label.isidentifier() and label.isascii() or _LABEL_RE.match(label)):
             raise ValueError(f"bad element label: {label!r}")
         if kind not in KINDS:
             raise ValueError(f"bad element kind: {kind!r}")

@@ -147,7 +147,7 @@ class InCAFramework:
                 "framework programs must be ground; instantiate first"
             )
         known = {e.label for e in program.elements}
-        known |= {_base_label(e.label) for e in program.elements}
+        known |= {_base_label(label) for label in known if "[" in label}
         universe = set(em.atom_universe)
         for label, atoms in annotations._atoms.items():
             if label not in known:

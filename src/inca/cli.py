@@ -3,8 +3,9 @@
 Every subcommand loads a knowledge-base file, runs one query pipeline, and
 prints either human-readable lines or (with --json) a JSON envelope with
 `query` and `result` keys plus `interval`, `worlds`, or `forest` where they
-apply. Exit codes: 0 success, 1 domain errors, running out of memory and
-dialectical lines too long to walk, 2 usage errors.
+apply. A command returns the text or, with --json, the envelope: it builds
+only the one it prints. Exit codes: 0 success, 1 domain errors, running out
+of memory and dialectical lines too long to walk, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -42,23 +43,25 @@ def _interval_text(interval) -> str:
     return f"{format_fraction(interval.p)} +- {format_fraction(interval.eps)}"
 
 
-def _interval_answer(name, interval):
+def _interval_answer(ns, name, interval):
     text = _interval_text(interval)
-    return text, {"query": name, "result": text, "interval": _interval_json(interval)}
+    if not ns.json:
+        return text
+    return {"query": name, "result": text, "interval": _interval_json(interval)}
 
 
 def _world_json(world, universe) -> list:
     return [str(a) for a in universe if a in world]
 
 
-def _worlds_answer(name, worlds, universe):
-    text = "\n".join(render_world(w, universe) for w in worlds)
-    payload = {
+def _worlds_answer(ns, name, worlds, universe):
+    if not ns.json:
+        return "\n".join(render_world(w, universe) for w in worlds)
+    return {
         "query": name,
         "result": len(worlds),
         "worlds": [_world_json(w, universe) for w in worlds],
     }
-    return text, payload
 
 
 def _node_json(n) -> dict:
@@ -102,28 +105,26 @@ def cmd_check(ns):
     framework = _load(ns)
     ok = em.is_consistent(framework.em, ns.max_atoms)
     verdict = "consistent" if ok else "inconsistent"
-    return verdict, {"query": "check", "result": verdict}
+    return {"query": "check", "result": verdict} if ns.json else verdict
 
 
 def cmd_worlds(ns):
     framework = _load(ns)
-    return _worlds_answer("worlds", framework.worlds, framework.em.atom_universe)
+    return _worlds_answer(ns, "worlds", framework.worlds, framework.em.atom_universe)
 
 
 def cmd_entail(ns):
     framework = _load(ns)
     query = parse_query(ns.query)
     answer = em.max_entailment(framework.em, query, ns.max_atoms)
-    return _interval_answer("entail", answer)
+    return _interval_answer(ns, "entail", answer)
 
 
 def cmd_args(ns):
     framework = _load(ns)
     literal = parse_literal_text(ns.literal)
-    arguments = framework.index.arguments_for(literal)
-    text = "\n".join(str(a) for a in arguments)
-    payload = {"query": "args", "result": [str(a) for a in arguments]}
-    return text, payload
+    shown = [str(a) for a in framework.index.arguments_for(literal)]
+    return {"query": "args", "result": shown} if ns.json else "\n".join(shown)
 
 
 def cmd_warrant(ns):
@@ -134,14 +135,14 @@ def cmd_warrant(ns):
     else:
         world = _world_from_spec(framework, ns.world)
         status = framework.warrant_status_in(world, literal)
-    return status, {"query": "warrant", "result": status}
+    return {"query": "warrant", "result": status} if ns.json else status
 
 
 def _world_set_command(name, collect):
     def cmd(ns):
         framework = _load(ns)
         worlds = collect(framework, parse_literal_text(ns.literal))
-        return _worlds_answer(name, worlds, framework.em.atom_universe)
+        return _worlds_answer(ns, name, worlds, framework.em.atom_universe)
 
     return cmd
 
@@ -153,7 +154,7 @@ cmd_poss = _world_set_command("poss", lambda fw, lit: fw.poss_set(lit))
 def cmd_bounds(ns):
     framework = _load(ns)
     literal = parse_literal_text(ns.literal)
-    return _interval_answer("bounds", framework.prob_bounds(literal))
+    return _interval_answer(ns, "bounds", framework.prob_bounds(literal))
 
 
 def cmd_attribute(ns):
@@ -164,22 +165,21 @@ def cmd_attribute(ns):
         with open(ns.evidence, encoding="utf-8") as fh:
             evidence = parse_evidence(fh.read())
     result = most_probable_suspects(framework, ns.op, suspects, evidence)
-    universe = framework.em.atom_universe
-
-    lines = ["most probable: " + ", ".join(result.most_probable)]
-    for report in result.reports:
-        lines.append(f"{report.suspect}: {_interval_text(report.interval)}")
-    text = "\n".join(lines)
+    if not ns.json:
+        lines = ["most probable: " + ", ".join(result.most_probable)]
+        for report in result.reports:
+            lines.append(f"{report.suspect}: {_interval_text(report.interval)}")
+        return "\n".join(lines)
 
     trace = None
     if result.traces:
         first = result.traces[0]
         trace = {
             "suspect": first.suspect,
-            "world": _world_json(first.world, universe),
+            "world": _world_json(first.world, framework.em.atom_universe),
             "forest": [_node_json(t) for t in first.forest],
         }
-    payload = {
+    return {
         "query": "attribute",
         "result": {
             "mostProbable": list(result.most_probable),
@@ -189,7 +189,6 @@ def cmd_attribute(ns):
             "trace": trace,
         },
     }
-    return text, payload
 
 
 def cmd_explain(ns):
@@ -198,13 +197,13 @@ def cmd_explain(ns):
     world = _world_from_spec(framework, ns.world)
     status = framework.warrant_status_in(world, literal)
     forest = framework.forest_in(world, literal)
-    text = status if not forest else f"{status}\n{_forest_text(forest)}"
-    payload = {
-        "query": "explain",
-        "result": status,
-        "forest": [_node_json(t) for t in forest],
-    }
-    return text, payload
+    if ns.json:
+        return {
+            "query": "explain",
+            "result": status,
+            "forest": [_node_json(t) for t in forest],
+        }
+    return f"{status}\n{_forest_text(forest)}" if forest else status
 
 
 def _count(text: str) -> int:
@@ -215,6 +214,11 @@ def _count(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The top-level parser and its subcommand parsers by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("kb", help="knowledge-base file")
     common.add_argument("--json", action="store_true", help="JSON output")
@@ -260,22 +264,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-w", "--world", required=True, help="comma-separated atoms")
     p.set_defaults(func=cmd_explain)
 
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Parsing leaves no state in the parser, so one serves every call.
-    return build_parser()
+def _parsers():
+    # Parsing leaves no state in the parsers, so one set serves every call.
+    return _build_parsers()
+
+
+def _parse(argv):
+    """argv parsed as the top-level parser parses it, less `command`. That
+    parser hands a command's arguments to the command's parser and only
+    reports what it leaves over, so a call that leaves nothing over skips
+    it; every help text and usage error still comes from it."""
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in commands:
+        ns, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return ns
+    return parser.parse_args(argv)
 
 
 def run_cli(argv=None) -> int:
     try:
-        ns = _parser().parse_args(argv)
+        ns = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        text, payload = ns.func(ns)
+        out = ns.func(ns)
     except (InCAError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -285,7 +304,7 @@ def run_cli(argv=None) -> int:
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)
         return 1
-    print(json.dumps(payload, indent=2) if ns.json else text)
+    print(json.dumps(out, indent=2) if ns.json else out)
     return 0
 
 

@@ -256,6 +256,9 @@ def enumerate_worlds(kb: EMKnowledgeBase, max_atoms: int = DEFAULT_MAX_ATOMS) ->
     return space.decode(space.conforming)
 
 
+_ZERO = Fraction(0)
+
+
 class ProbabilityInterval(Value):
     _fields = ("lower", "upper")
 
@@ -264,15 +267,15 @@ class ProbabilityInterval(Value):
         upper = _as_fraction(upper)
         if lower > upper:
             raise ValueError(f"empty interval [{lower}, {upper}]")
-        self.__dict__.update(lower=lower, upper=upper)
-
-    @property
-    def eps(self) -> Fraction:
-        return (self.upper - self.lower) / 2
-
-    @property
-    def p(self) -> Fraction:
-        return self.lower + self.eps
+        # Not fields: every answer prints p +- eps, the midpoint and the
+        # half-width, (un * ld +- ln * ud) / (2 * ld * ud).
+        p, eps = lower, _ZERO
+        if lower != upper:
+            ln, ld = lower.numerator, lower.denominator
+            un, ud = upper.numerator, upper.denominator
+            p = Fraction(un * ld + ln * ud, 2 * ld * ud)
+            eps = Fraction(un * ld - ln * ud, 2 * ld * ud)
+        self.__dict__.update(lower=lower, upper=upper, p=p, eps=eps)
 
     def __str__(self) -> str:
         return f"{self.p} +- {self.eps}"

@@ -71,9 +71,8 @@ _CONNECTIVES = {"^": conj, "v": disj}
 _CONSTANTS = {"true": TOP, "false": BOTTOM}
 
 
-def format_fraction(value) -> str:
+def format_fraction(fr: Fraction) -> str:
     """Exact decimal when the denominator divides a power of ten, else a/b."""
-    fr = Fraction(value)
     if fr.denominator == 1:
         return str(fr.numerator)
     den = fr.denominator

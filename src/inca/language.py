@@ -319,6 +319,8 @@ def evaluate(f: Formula, value, full):
 
 def formula_atoms(f: Formula) -> tuple[Atom, ...]:
     """Atoms of a formula in first-mention order, without duplicates."""
+    if f.op == F_ATOM:
+        return (f.atom,)
     return tuple(dict.fromkeys(n.atom for n in _postorder(f) if n.op == F_ATOM))
 
 

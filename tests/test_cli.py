@@ -11,7 +11,8 @@ import pytest
 from jsonschema import validate
 
 import inca
-from inca.cli import run_cli
+from inca import cli
+from inca.cli import build_parser, run_cli
 
 from conftest import FIXTURES, GOLDEN
 
@@ -468,6 +469,81 @@ def test_help_exits_zero(capsys):
     assert code == 0
     code, _, _ = run(capsys, "entail", "--help")
     assert code == 0
+
+
+L = "isCap(baja,worm123)"
+COMMANDS = ("check", "worlds", "entail", "args", "nec", "poss", "bounds",
+            "warrant", "attribute", "explain")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--help"],
+    ["frobnicate", KB],
+    ["--json", "bounds", KB, "-l", L],
+    *([command, "-h"] for command in COMMANDS),
+    ["bounds", KB],
+    ["bounds", KB, "-l", L],
+    ["bounds", KB, "-l", L, "--json"],
+    ["bounds", KB, "-l", L, "--bogus"],
+    ["bounds", KB, "-l", L, "extra"],
+    ["check", KB, "--max-atoms", "-1"],
+], ids=lambda argv: " ".join(argv).replace(KB, "KB") or "none")
+def test_dispatch_matches_the_top_level_parser(capsys, monkeypatch, argv):
+    # run_cli hands a command's arguments to its own parser; every outcome,
+    # help text and usage error included, is the top-level parser's.
+    fast = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", build_parser().parse_args)
+    assert run(capsys, *argv) == fast
+
+
+def _no_json(*args):
+    raise AssertionError("text output built a JSON value")
+
+
+WORM_WORLDS = [
+    "{}",
+    "{govCybLab(baja)}",
+    "{cybCapAge(baja,5)}",
+    "{govCybLab(baja), cybCapAge(baja,5)}",
+    "{mseTT(baja,2)}",
+    "{govCybLab(baja), mseTT(baja,2)}",
+    "{cybCapAge(baja,5), mseTT(baja,2)}",
+    "{govCybLab(baja), cybCapAge(baja,5), mseTT(baja,2)}",
+]
+
+
+# Every command on worm123 without --json, and what it prints: the expected
+# text, or the name of its golden file.
+TEXT_ANSWERS = [
+    (("check", KB), "consistent\n"),
+    (("worlds", KB), "".join(w + "\n" for w in WORM_WORLDS)),
+    (("entail", "worm123.inca", "-q", "govCybLab(baja) v mseTT(baja,2)"), "entail.txt"),
+    (("args", KB, "-l", L), "<{de4, ph1}, isCap(baja,worm123)>\n"),
+    (("warrant", KB, "-l", L, "-w", "govCybLab(baja)"), "warranted\n"),
+    (("nec", KB, "-l", L),
+     "{govCybLab(baja)}\n{mseTT(baja,2)}\n{govCybLab(baja), mseTT(baja,2)}\n"),
+    (("poss", KB, "-l", L),
+     "".join(WORM_WORLDS[i] + "\n" for i in (1, 3, 4, 5, 6, 7))),
+    (("bounds", "worm123.inca", "-l", L), "bounds.txt"),
+    (("attribute", KB, "--op", "worm123", "--suspects", "baja,mojave",
+      "--evidence", EVIDENCE),
+     "most probable: baja\nbaja: 1 +- 0\nmojave: 0 +- 0\n"),
+    (("explain", KB, "-l", L, "-w", "govCybLab(baja),cybCapAge(baja,5)"),
+     "undecided\nD <{de4, ph1}, isCap(baja,worm123)>\n"
+     "  U (blocking) <{de5a, ph3}, neg isCap(baja,worm123)>\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", TEXT_ANSWERS,
+                         ids=[argv[0] for argv, _ in TEXT_ANSWERS])
+def test_text_output_builds_no_json(capsys, monkeypatch, argv, expected):
+    monkeypatch.chdir(FIXTURES)
+    for name in ("_interval_json", "_world_json", "_node_json"):
+        monkeypatch.setattr(cli, name, _no_json)
+    if expected.endswith(".txt"):
+        expected = (GOLDEN / expected).read_text()
+    assert run(capsys, *argv) == (0, expected, "")
 
 
 def test_world_atom_outside_universe(capsys):

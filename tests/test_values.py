@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from inca.am import (
     DEFEASIBLE_RULE,
@@ -144,6 +145,7 @@ DERIVED = {
     "AMElement": {"_hash", "is_ground"},
     "AMProgram": {"_hash"},
     "ProbabilisticFormula": {"lower", "upper", "atoms"},
+    "ProbabilityInterval": {"p", "eps"},
     "EMKnowledgeBase": {"_hash"},
     "AnnotationFunction": {"_hash", "_table", "_atoms"},
 }
@@ -180,6 +182,15 @@ def test_equal_fields_make_equal_values(name):
 def test_instance_dict_holds_the_fields_and_what_is_derived(name):
     a = VALUES[name][0]()
     assert set(vars(a)) == set(type(a)._fields) | DERIVED.get(name, set())
+
+
+@given(st.fractions(min_value=-3, max_value=3), st.fractions(min_value=-3, max_value=3))
+def test_interval_midpoint_and_half_width_are_exact(a, b):
+    lower, upper = min(a, b), max(a, b)
+    interval = ProbabilityInterval(lower, upper)
+    assert interval.p == (lower + upper) / 2
+    assert interval.eps == (upper - lower) / 2
+    assert type(interval.p) is type(interval.eps) is Fraction
 
 
 def test_pickled_values_equal_fresh_ones_under_another_hash_seed():
