@@ -34,7 +34,10 @@ them. An argument's attackers are among the arguments for the complements
 of its strict closure (defeaters proves it). The same pass, with literals
 as assumptions, gives the minimal activating sets on which specificity is
 decided. An Argument is made only where the API hands one out (arguments_for
-and shown trees), by argument(m, c); key(a) is the one way back.
+and shown trees), by argument(m, c), and no entry takes one. Each warrant
+entry takes available(m), the worlds where an argument with element mask m
+can be used (default: all), and the mask of the worlds asked about
+(default: one world, 1).
 """
 
 from __future__ import annotations
@@ -292,6 +295,11 @@ class DialecticalNode(Value):
                              mark=mark, children=tuple(children))
 
 
+def _everywhere(m: int) -> int:
+    """Every argument is available in every world."""
+    return -1
+
+
 class ProgramIndex:
     """Cached argumentation machinery over one ground program."""
 
@@ -348,9 +356,7 @@ class ProgramIndex:
         self._body = [rules[i][0] for i in order]
         self._kind = dict.fromkeys(KINDS, 0)
         self._producers: dict[int, int] = {}
-        self._position: dict[str, int] = {}
         for i, e in enumerate(self.elements):
-            self._position[e.label] = i
             self._kind[e.kind] |= 1 << i
             head = self._rule[i][1]
             self._producers[head] = self._producers.get(head, 0) | 1 << i
@@ -359,8 +365,7 @@ class ProgramIndex:
             _bits(self._strict), key=lambda i: self.elements[i].label
         )
         self._positive = sum(1 << 2 * i for i in range(len(atoms)))
-        self._derivable = derivable = self._derive((1 << len(self._rule)) - 1)
-        self.derivable = frozenset(lit for lit, b in self._bit.items() if derivable & b)
+        self._derivable = self._derive((1 << len(self._rule)) - 1)
 
     def _derive(self, elements: int, seed: int = 0) -> int:
         """Forward chaining of the literal mask seed under the rules of the
@@ -478,10 +483,6 @@ class ProgramIndex:
                 frozenset(self.elements[i] for i in _bits(m)),
                 self._literal[c.bit_length() - 1])
         return a
-
-    def key(self, a: Argument) -> tuple[int, int]:
-        """(m, c) of an argument over this program, read off its labels."""
-        return sum(1 << self._position[e.label] for e in a.support), self._bit[a.conclusion]
 
     def arguments_for(self, literal: Literal) -> tuple[Argument, ...]:
         c = self._bit.get(literal)
@@ -653,27 +654,28 @@ class ProgramIndex:
                                          children[-1:] if beaten else children))
         return mask & ~beaten
 
-    def build_tree(self, root: Argument, valid=None) -> DialecticalNode:
-        """The marked tree of root as the walk decides it, where valid
-        (default: every argument) says which element masks are available."""
-        (m, c), shown = self.key(root), []
-        self._undefeated(m, c, None, (m,), (0, m), 1, _one_world(valid), shown)
+    def build_tree(self, m: int, c: int, available=_everywhere, mask: int = 1) -> DialecticalNode:
+        """The marked tree of the argument (m, c) as the walk decides it in
+        the one world of mask."""
+        shown = []
+        self._undefeated(m, c, None, (m,), (0, m), mask, available, shown)
         return shown[0]
 
-    def forest(self, literal: Literal, valid=None) -> tuple[DialecticalNode, ...]:
-        """build_tree of each argument for the literal whose element mask is
-        valid."""
+    def forest(self, literal: Literal, available=_everywhere,
+               mask: int = 1) -> tuple[DialecticalNode, ...]:
+        """build_tree of each argument for the literal that is available in
+        the one world of mask."""
         c = self._bit.get(literal)
         return tuple(
-            self.build_tree(self.argument(m, c), valid)
+            self.build_tree(m, c, available, mask)
             for m in self.supports(literal)
-            if valid is None or valid(m)
+            if available(m) & mask
         )
 
-    def warrant_masks(self, literal: Literal, available, mask: int = 1) -> tuple[int, int]:
+    def warrant_masks(self, literal: Literal, available=_everywhere,
+                      mask: int = 1) -> tuple[int, int]:
         """The worlds of mask that warrant the literal and those that warrant
-        its complement. available(m) is the mask of the worlds where an
-        argument with element mask m can be used."""
+        its complement."""
         found = []
         for lit in (literal, literal.complement()):
             c, out = self._bit.get(lit), 0
@@ -689,21 +691,14 @@ class ProgramIndex:
             )
         return pro, con
 
-    def warrant_status(self, literal: Literal, valid=None) -> str:
-        """warrant_masks in one world, where valid (default: every argument)
-        says which element masks are available."""
-        pro, con = self.warrant_masks(literal, _one_world(valid))
+    def warrant_status(self, literal: Literal, available=_everywhere, mask: int = 1) -> str:
+        """warrant_masks in the one world of mask."""
+        pro, con = self.warrant_masks(literal, available, mask)
         if pro:
             return WARRANTED
         if con:
             return NOT_WARRANTED
         return UNDECIDED
-
-
-def _one_world(valid):
-    """The availability mask of one world where valid (default: every
-    argument) says which element masks are available."""
-    return lambda m: 1 if valid is None or valid(m) else 0
 
 
 @lru_cache(maxsize=1)

@@ -8,8 +8,8 @@ from .bridge import InCAFramework
 from .em import (
     EMKnowledgeBase,
     ProbabilityInterval,
-    _linear_program,
     is_consistent,
+    world_space,
 )
 from .errors import InconsistentEvidenceError, SortError
 from .language import (
@@ -62,7 +62,7 @@ def apply_evidence(framework: InCAFramework, evidence) -> InCAFramework:
     if not is_consistent(kb, framework.max_atoms):
         # Evidence cannot mend an inconsistent EM: blame the EM itself, with
         # the error a query on it raises.
-        _linear_program(em, framework.max_atoms)
+        world_space(em, framework.max_atoms).lp
         conflict = _irreducible_conflict(formulas, em.constraints, framework.max_atoms)
         raise InconsistentEvidenceError(
             "evidence is inconsistent with the knowledge base; conflicting "

@@ -21,8 +21,8 @@ derived once and shared (`_kb_state`): each element bit's table, each
 support mask's availability, each literal's (nec, poss) masks and its
 probability bounds. Every framework over the same KB, such as the one each
 CLI command assembles, reads them from there, as it reads the argument
-index (`index_for`) and the EM's LP (`_linear_program`); like those, only
-the last KB's state is kept.
+index (`index_for`) and the world space (`world_space`) with its LP; like
+those, only the last KB's state is kept.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .em import (
     EMKnowledgeBase,
     ProbabilityInterval,
     WorldSpace,
-    _linear_program,
     enumerate_worlds,
     lp_extrema,  # noqa: F401  (bench/tracer.py wraps this name)
     world_space,
@@ -121,8 +120,8 @@ class _KBState:
 def _kb_state(index, annotations: AnnotationFunction, space: WorldSpace) -> _KBState:
     """The state of the last KB asked about. index and space compare by
     identity: `index_for` and `world_space` return the same object for an
-    equal program and for an equal (EM, max_atoms), and the EM and max_atoms
-    fix the LP that prob_bounds reads."""
+    equal program and for an equal (EM, max_atoms), and the space carries
+    the LP that prob_bounds reads."""
     return _KBState()
 
 
@@ -200,18 +199,17 @@ class InCAFramework:
             state.available[support] = mask
         return mask
 
-    def _in(self, world: World):
-        w = self.space.number(world)
-        return lambda m: self.available(m) >> w & 1
-
     def warrants_in(self, world: World, literal: Literal) -> bool:
-        return self.index.warrant_status(literal, self._in(world)) == WARRANTED
+        w = self.space.number(world)
+        return self.index.warrant_status(literal, self.available, 1 << w) == WARRANTED
 
     def forest_in(self, world: World, literal: Literal) -> tuple[DialecticalNode, ...]:
-        return self.index.forest(literal, self._in(world))
+        w = self.space.number(world)
+        return self.index.forest(literal, self.available, 1 << w)
 
     def warrant_status_in(self, world: World, literal: Literal) -> str:
-        return self.index.warrant_status(literal, self._in(world))
+        w = self.space.number(world)
+        return self.index.warrant_status(literal, self.available, 1 << w)
 
     # -- nec / poss ----------------------------------------------------------
 
@@ -251,6 +249,5 @@ class InCAFramework:
         interval = known.get(literal)
         if interval is None:
             nec, poss = self.masks(literal)
-            lp = _linear_program(self.em, self.max_atoms)
-            interval = known[literal] = ProbabilityInterval(*lp.extrema(nec, poss))
+            interval = known[literal] = ProbabilityInterval(*self.space.lp.extrema(nec, poss))
         return interval

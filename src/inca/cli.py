@@ -98,7 +98,11 @@ def _world_from_spec(framework, spec: str):
     for atom in atoms:
         if atom not in universe:
             raise GroundednessError(f"world atom outside the universe: {atom}")
-    return frozenset(atoms)
+    world, space = frozenset(atoms), framework.space
+    if not space.conforming >> space.number(world) & 1:
+        shown = render_world(world, framework.em.atom_universe)
+        raise InCAError(f"world {shown} breaks a oneOf constraint")
+    return world
 
 
 def cmd_check(ns):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import simplex
 from .errors import CapacityError, GroundednessError, InconsistentKBError
@@ -151,6 +151,7 @@ class WorldSpace:
     """
 
     def __init__(self, kb: EMKnowledgeBase):
+        self.formulas = kb.formulas
         self.universe = kb.atom_universe
         self.position = {atom: j for j, atom in enumerate(self.universe)}
         size = 1 << len(self.universe)
@@ -205,6 +206,11 @@ class WorldSpace:
                 marks[w >> 3] |= 1 << (w & 7)
         return int.from_bytes(marks, "little")
 
+    @cached_property
+    def lp(self) -> _EMLinearProgram:
+        """The knowledge base's LP, built on first use (see _EMLinearProgram)."""
+        return _EMLinearProgram(self)
+
 
 # A chunk of w worlds splits into at most min(w, 2^k) classes of w bits, so
 # w = max(2^12, 2^24 >> k) worlds keeps about 2^24 class bits live at once.
@@ -239,8 +245,8 @@ def signatures(mask: int, tables: list[int]) -> set[int]:
 def world_space(
     kb: EMKnowledgeBase, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> WorldSpace:
-    """The world space of kb, built once per (kb, max_atoms) and shared by
-    the LP and the bridge. It does not need kb to be consistent."""
+    """The world space of kb and its LP, built once per (kb, max_atoms) and
+    shared by every query. It does not need kb to be consistent."""
     if len(kb.atom_universe) > max_atoms:
         raise CapacityError(
             f"universe has {len(kb.atom_universe)} atoms, limit is {max_atoms}"
@@ -297,15 +303,15 @@ class _EMLinearProgram:
 
     Moving mass between worlds that satisfy the same formulas changes no
     row, so a column is a formula signature that some conforming world has.
-    Raises InconsistentKBError when no distribution satisfies kb.
+    Raises InconsistentKBError when no distribution satisfies the KB.
     """
 
-    def __init__(self, kb: EMKnowledgeBase, max_atoms: int):
-        self.space = world_space(kb, max_atoms)
-        self.tables = [self.space.table(pf.formula) for pf in kb.formulas]
-        self.columns = sorted(signatures(self.space.conforming, self.tables))
+    def __init__(self, space: WorldSpace):
+        self.space = space
+        self.tables = [space.table(pf.formula) for pf in space.formulas]
+        self.columns = sorted(signatures(space.conforming, self.tables))
         rows = [([1] * len(self.columns), 1, 1)]
-        for k, pf in enumerate(kb.formulas):
+        for k, pf in enumerate(space.formulas):
             lower, upper = pf.lower, pf.upper
             if pf.eps:
                 # x >= 0 and the sum-to-one row already imply 0 <= row <= 1.
@@ -332,11 +338,6 @@ class _EMLinearProgram:
         return lo, hi
 
 
-@lru_cache(maxsize=1)
-def _linear_program(kb: EMKnowledgeBase, max_atoms: int) -> _EMLinearProgram:
-    return _EMLinearProgram(kb, max_atoms)
-
-
 def lp_extrema(
     kb: EMKnowledgeBase,
     worlds: Iterable[World],
@@ -344,16 +345,16 @@ def lp_extrema(
 ) -> tuple[Fraction, Fraction]:
     """Exact (min, max) of the mass on `worlds` over all distributions
     satisfying kb. Worlds that do not conform to kb carry no mass."""
-    lp = _linear_program(kb, max_atoms)
-    return lp.extrema(lp.space.mask_of(worlds))
+    space = world_space(kb, max_atoms)
+    return space.lp.extrema(space.mask_of(worlds))
 
 
 def lp_bounds(
     kb: EMKnowledgeBase, query: Formula, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> ProbabilityInterval:
     _check_query(kb, query)
-    lp = _linear_program(kb, max_atoms)
-    return ProbabilityInterval(*lp.extrema(lp.space.table(query)))
+    space = world_space(kb, max_atoms)
+    return ProbabilityInterval(*space.lp.extrema(space.table(query)))
 
 
 def max_entailment(
@@ -366,7 +367,7 @@ def max_entailment(
 
 def is_consistent(kb: EMKnowledgeBase, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
     try:
-        _linear_program(kb, max_atoms)
+        world_space(kb, max_atoms).lp
     except InconsistentKBError:
         return False
     return True

@@ -142,8 +142,7 @@ def argument_by_labels(arguments, labels):
 #
 # Inside ProgramIndex an argument is (m, c): its support as an element mask,
 # bit i for index.elements[i], and its conclusion's literal bit. These
-# helpers ask the engine about Arguments through index.key and
-# index.argument.
+# helpers ask the engine about Arguments through key_of and index.argument.
 
 
 def elements_of(index, m):
@@ -156,35 +155,45 @@ def mask_of(index, a):
     return sum(1 << i for i, e in enumerate(index.elements) if e in a.support)
 
 
+def key_of(index, a):
+    """(m, c) of an argument over index's program."""
+    return mask_of(index, a), index._bit[a.conclusion]
+
+
+def derivable_of(index):
+    """The literals that the whole program derives."""
+    return frozenset(lit for lit, b in index._bit.items() if index._derivable & b)
+
+
 def labels_in(index, m):
     return {e.label for e in elements_of(index, m)}
 
 
 def defeaters_of(index, a):
     """a's defeaters as (argument, kind), in the engine's order."""
-    return tuple((index.argument(m, c), kind) for m, c, kind in index.defeaters(*index.key(a)))
+    return tuple((index.argument(m, c), kind) for m, c, kind in index.defeaters(*key_of(index, a)))
 
 
 def prefers(index, a1, a2):
-    return index.prefers(*index.key(a1), *index.key(a2))
+    return index.prefers(*key_of(index, a1), *key_of(index, a2))
 
 
 def prefers_ps(index, a1, a2):
-    return index.prefers_ps(*index.key(a1), *index.key(a2))
+    return index.prefers_ps(*key_of(index, a1), *key_of(index, a2))
 
 
 def attacks(index, a2, a1):
     """Whether a2 attacks a1 at one of a1's sub-arguments."""
-    m1, _ = index.key(a1)
-    return index._attacks(*index.key(a2), m1, index._attack_points(m1))
+    m1, _ = key_of(index, a1)
+    return index._attacks(*key_of(index, a2), m1, index._attack_points(m1))
 
 
 def subarguments_of(index, a):
     """The arguments whose element mask lies in a's, by conclusion in
     Literal.key order."""
-    m, _ = index.key(a)
+    m, _ = key_of(index, a)
     return tuple(
-        b for literal in sorted(index.derivable, key=Literal.key)
+        b for literal in sorted(derivable_of(index), key=Literal.key)
         for b in index.arguments_for(literal)
-        if (mb := index.key(b)[0]) & m == mb
+        if (mb := key_of(index, b)[0]) & m == mb
     )

@@ -36,7 +36,7 @@ from inca.em import ProbabilityInterval
 from inca.errors import CapacityError, InCAError, ParseError
 from inca.language import F_AND, F_ATOM, F_NOT, F_OR, F_TOP, Literal
 
-from conftest import defeaters_of
+from conftest import defeaters_of, derivable_of
 
 
 def formula_holds(world, f):
@@ -384,7 +384,7 @@ def all_arguments(index):
     """Every argument of an index's program: the arguments of each derivable
     literal, the literals in Literal.key order."""
     return tuple(
-        a for lit in sorted(index.derivable, key=Literal.key)
+        a for lit in sorted(derivable_of(index), key=Literal.key)
         for a in index.arguments_for(lit)
     )
 

@@ -38,7 +38,9 @@ from conftest import (
     argument_by_labels,
     attacks,
     defeaters_of,
+    derivable_of,
     elements_of,
+    key_of,
     labels_in,
     labels_of,
     lit,
@@ -135,19 +137,19 @@ def test_program_partitions_and_validation():
 
 def test_derivation_and_contradiction():
     index = index_for(AMProgram(worm_elements()))
-    assert IS_CAP in index.derivable
-    assert COND_BAJA in index.derivable
-    assert lit("expCw", "baja") not in index.derivable
+    assert IS_CAP in derivable_of(index)
+    assert COND_BAJA in derivable_of(index)
+    assert lit("expCw", "baja") not in derivable_of(index)
     # strictly, only facts and strict-rule consequences are reachable
-    strict = index_for(AMProgram(theta(index.program) + omega(index.program))).derivable
+    strict = derivable_of(index_for(AMProgram(theta(index.program) + omega(index.program))))
     assert lit("evidOf", "baja", "worm123") in strict
     assert IS_CAP not in strict
     # the full element set derives complementary literals
-    assert contradictory_oracle(index.derivable)
+    assert contradictory_oracle(derivable_of(index))
     # without the mojave evidence rule and the capability exception the
     # defeasible closure is conflict-free
     trimmed = tuple(e for e in worm_elements() if e.label not in ("de1b", "de5a"))
-    assert not contradictory_oracle(index_for(AMProgram(trimmed)).derivable)
+    assert not contradictory_oracle(derivable_of(index_for(AMProgram(trimmed))))
 
 
 # -- grounding ----------------------------------------------------------------
@@ -394,7 +396,7 @@ def test_specificity_capacity_limit():
 def test_dialectical_tree_of_motive_argument(worm_index):
     arguments = worm_index.arguments_for(COND_BAJA)
     a4 = argument_by_labels(arguments, {"ph2", "de3", "th2"})
-    tree = worm_index.build_tree(a4)
+    tree = worm_index.build_tree(*key_of(worm_index, a4))
     assert tree.mark == "U"
     (child,) = tree.children
     assert labels_of(child.argument) == {"th1b", "de1b", "om1a"}
@@ -419,7 +421,7 @@ def test_dialectical_tree_of_presumptive_argument(worm_index):
     }
     # The walk meets the blocking defeater first, as it has no defeaters of
     # its own, and shows only it.
-    tree = worm_index.build_tree(a2)
+    tree = worm_index.build_tree(*key_of(worm_index, a2))
     assert tree.mark == "D"
     (child,) = tree.children
     assert (labels_of(child.argument), child.defeat_kind) == (
@@ -552,7 +554,7 @@ def test_line_keeps_each_side_consistent():
         ])],
     )
     r = argument_by_labels(index.arguments_for(lit("q", "b")), {"d13"})
-    assert shape(index.build_tree(r)) == r_tree
+    assert shape(index.build_tree(*key_of(index, r))) == r_tree
     (full,) = [t for t in full_forest_oracle(index, lit("q", "b")) if t.argument == r]
     assert shape(full) == r_tree
 
@@ -565,7 +567,7 @@ def test_arguments_match_subset_oracle():
     for _ in range(30):
         program = random_am_program(rng)
         index = index_for(program)
-        assert index.derivable == closure_oracle(program.elements)
+        assert derivable_of(index) == closure_oracle(program.elements)
         table = consistent_subsets_oracle(program)
         for literal in AM_LITERALS:
             expected = arguments_oracle(table, literal)
@@ -864,6 +866,36 @@ def test_warrant_masks_match_full_forests(rng):
             assert index.warrant_status(literal, valid_m) == expected
 
 
+def test_one_world_entries_take_the_world_as_a_mask_bit():
+    """warrant_status and forest in world w, asked with the mask 1 << w over
+    the availability of 8 worlds, answer as bit w of warrant_masks over all
+    8 worlds and as a one-world availability cut to world w."""
+    rng = random.Random(33)
+    split = 0
+    for _ in range(12):
+        program = random_am_program(rng, max_defeasible=16)
+        index = ProgramIndex(program)
+        tables = {e.label: rng.randrange(256) | rng.randrange(256) for e in program.elements}
+
+        def available(m):
+            mask = 0xFF
+            for e in elements_of(index, m):
+                mask &= tables[e.label]
+            return mask
+
+        for literal in AM_LITERALS:
+            pro, con = index.warrant_masks(literal, available, 0xFF)
+            split += pro not in (0, 0xFF) or con not in (0, 0xFF)
+            for w in range(8):
+                expected = (WARRANTED if pro >> w & 1
+                            else NOT_WARRANTED if con >> w & 1 else UNDECIDED)
+                assert index.warrant_status(literal, available, 1 << w) == expected
+                assert index.forest(literal, available, 1 << w) == index.forest(
+                    literal, lambda m: available(m) >> w & 1)
+    # Worlds disagree often enough that a wrong bit would show.
+    assert split >= 40
+
+
 def test_shown_trees_are_winning_strategies_of_the_full_trees():
     """Each shown tree is part of its root's full marked tree, with the same
     marks: a shown D node has exactly one child, marked U, and a shown U
@@ -895,10 +927,10 @@ def test_shown_trees_are_winning_strategies_of_the_full_trees():
         chosen = {e.label for e in program.elements if rng.random() < 0.7}
         restricted = rng.choice([False, True])
         # The engine passes element masks, the oracle Arguments.
-        valid_m = (lambda m: labels_in(index, m) <= chosen) if restricted else None
+        valid_m = lambda m: labels_in(index, m) <= chosen
         valid = (lambda a: all(e.label in chosen for e in a.support)) if restricted else None
         for literal in sorted({e.head for e in program.elements}, key=Literal.key):
-            shown = index.forest(literal, valid_m)
+            shown = index.forest(literal, valid_m) if restricted else index.forest(literal)
             full = full_forest_oracle(index, literal, valid)
             assert len(shown) == len(full)
             for s, f in zip(shown, full):
@@ -944,7 +976,7 @@ def test_cyclic_programs_match_oracles():
                     fresh.warrant_masks(literal, available_m, 0xF)
             else:
                 assert fresh.warrant_masks(literal, available_m, 0xF) == (pro, con)
-        assert index.derivable == closure_oracle(program.elements)
+        assert derivable_of(index) == closure_oracle(program.elements)
         table = consistent_subsets_oracle(program)
         for literal in AM_LITERALS:
             got = {a.defeasible_part for a in index.arguments_for(literal)}

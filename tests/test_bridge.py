@@ -236,7 +236,6 @@ def test_prob_bounds_enumerates_worlds_once(monkeypatch, worm_program):
     monkeypatch.setattr(em, "enumerate_worlds", counted)
     monkeypatch.setattr(bridge, "enumerate_worlds", counted)
     em.world_space.cache_clear()
-    em._linear_program.cache_clear()
     fw = InCAFramework(worm_em_kb(), worm_program, worm_annotations())
     fw.prob_bounds(IS_CAP)
     # nec and poss reach the LP as masks; no world is listed.
@@ -478,7 +477,7 @@ def test_wide20_bounds_match_masks_and_sampled_worlds():
     fw = wide20_framework(rng)
     annotations = {fw.annotations.annotation_for(e.label) for e in fw.program.elements}
     assert len(fw.em.atom_universe) == 20 and len(annotations) == 20
-    lp = em._linear_program(fw.em, fw.max_atoms)
+    lp = em.world_space(fw.em, fw.max_atoms).lp
     samples = rng.sample(range(fw.space.full.bit_length()), 64)
     seen = set()
     heads = list(dict.fromkeys(e.head for e in fw.program.elements))[:4]

@@ -554,6 +554,23 @@ def test_world_atom_outside_universe(capsys):
     assert "universe" in err
 
 
+@pytest.mark.parametrize("command", ["warrant", "explain"])
+def test_world_breaking_a_one_of_is_rejected(capsys, tmp_path, command):
+    """worlds, nec and poss never list a world that breaks a oneOf, and
+    warrant -w and explain -w answer for none."""
+    kb = tmp_path / "one-of.inca"
+    kb.write_text("#em\na(x) : 0.5 +- 0.5.\nb(x) : 0.5 +- 0.5.\n\n#ic\n"
+                  "oneOf{a(x), b(x)}.\n\n#am\nf1 : presume p(c).\n")
+    code, out, err = run(capsys, command, str(kb), "-l", "p(c)", "-w", "a(x),b(x)")
+    assert (code, out) == (1, "")
+    assert err == "error: world {a(x), b(x)} breaks a oneOf constraint\n"
+    for world in ("a(x)", "b(x)", ""):
+        code, out, _ = run(capsys, command, str(kb), "-l", "p(c)", "-w", world)
+        assert code == 0 and out.startswith("warranted")
+    code, out, _ = run(capsys, "worlds", str(kb))
+    assert "a(x), b(x)" not in out
+
+
 def test_parse_error_reports_position(capsys, tmp_path):
     bad = tmp_path / "broken.inca"
     bad.write_text("#em\ngovCybLab(baja : 0.8 +- 0.1.\n")

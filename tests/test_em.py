@@ -393,9 +393,9 @@ def narrow_chunks(monkeypatch):
     several chunks."""
     monkeypatch.setattr(em, "CHUNK_WORLDS", 8)
     monkeypatch.setattr(em, "CHUNK_CLASS_BITS", 8)
-    em._linear_program.cache_clear()
+    em.world_space.cache_clear()
     yield
-    em._linear_program.cache_clear()
+    em.world_space.cache_clear()
 
 
 def test_lp_extrema_matches_dense_lp_across_chunks(narrow_chunks):
@@ -429,7 +429,6 @@ def test_eighteen_formula_lp_keeps_no_world_set_per_column():
     # per column. With one 2^18-bit mask per column it peaked at 250 MiB.
     kb = witnessed_em_kb(random.Random("scale-18"), 18, 18)
     em.world_space.cache_clear()
-    em._linear_program.cache_clear()
     tracemalloc.start()
     try:
         assert is_consistent(kb)
